@@ -1,9 +1,11 @@
 """Command-line entry point.
 
 Exit codes: 0 success, 1 for negative mathematical results (failed
-verification, no certificate), 2 for usage errors, 3 when a resource cap
-is exceeded.  Output is deterministic for fixed inputs, configuration and
-seed, regardless of the thread count.
+verification, no certificate), 2 for usage errors (including unreadable
+input files), 3 when a resource cap is exceeded.  Output is deterministic
+for fixed inputs and configuration.  ``--threads`` is accepted and ignored,
+because the toolkit is single-threaded; ``--seed`` is echoed in the JSON
+output but reserved, because nothing is random.
 """
 
 from __future__ import annotations
@@ -33,9 +35,7 @@ EXIT_OK, EXIT_NEGATIVE, EXIT_USAGE, EXIT_CAP = 0, 1, 2, 3
 
 @dataclass
 class RunConfig:
-    degree_cap: int = 4
     mono_cap: int = 10**7
-    threads: int = 1
     fmt: str = "text"
     seed: int = 0
 
@@ -55,17 +55,14 @@ class Report:
     def emit(self, out=None):
         out = out if out is not None else sys.stdout
         if self.config.fmt == "json":
-            # thread count is deliberately not echoed: output must be
-            # byte-identical across thread counts
+            # --threads is accepted and ignored (the toolkit is
+            # single-threaded), so it is not echoed; --seed is echoed but
+            # reserved, because nothing is random
             doc = {"schema": 1, "command": self.command,
                    "seed": self.config.seed, "result": self.payload}
             out.write(json.dumps(doc, sort_keys=True, indent=2) + "\n")
         else:
             out.write("\n".join(self.lines) + "\n")
-
-
-def _graph_arg(value: str) -> Graph:
-    return load_graph(value)
 
 
 def _spoonish(h: Graph) -> bool:
@@ -107,7 +104,7 @@ def cmd_homs(args, cfg: RunConfig) -> int:
 def cmd_markov(args, cfg: RunConfig) -> int:
     g, h = load_graph(args.G), load_graph(args.H)
     system = build_system(g, h, count_cap=cfg.mono_cap)
-    res = markov_basis(system, args.cap, mono_cap=cfg.mono_cap, threads=cfg.threads)
+    res = markov_basis(system, args.cap, mono_cap=cfg.mono_cap)
     rep = Report("markov", cfg)
     for b in res.basis:
         rep.say(format_binomial(b, system))
@@ -124,7 +121,7 @@ def cmd_markov(args, cfg: RunConfig) -> int:
 def cmd_width(args, cfg: RunConfig) -> int:
     g, h = load_graph(args.G), load_graph(args.H)
     system = build_system(g, h, count_cap=cfg.mono_cap)
-    res = markov_basis(system, args.cap, mono_cap=cfg.mono_cap, threads=cfg.threads)
+    res = markov_basis(system, args.cap, mono_cap=cfg.mono_cap)
     rep = Report("width", cfg)
     rep.say(str(res.width))
     rep.payload = {"width": res.width, "cap": res.cap,
@@ -138,8 +135,7 @@ def cmd_verify_grobner(args, cfg: RunConfig) -> int:
     system = build_system(g, h, count_cap=cfg.mono_cap)
     with open(args.basis) as fh:
         basis = parse_basis_text(fh.read(), system)
-    ok = verify_grobner(system, basis, args.cap, mono_cap=cfg.mono_cap,
-                        threads=cfg.threads)
+    ok = verify_grobner(system, basis, args.cap, mono_cap=cfg.mono_cap)
     rep = Report("verify-grobner", cfg)
     rep.say("grobner basis verified" if ok else "verification failed")
     rep.payload = {"verified": ok, "cap": args.cap, "elements": len(basis)}
@@ -287,47 +283,47 @@ def cmd_chromatic_cert(args, cfg: RunConfig) -> int:
 # ---------------------------------------------------------------------------
 # reproduction scenarios
 
-def _scenario_p4p3(rep, cfg):
+def _scenario_p4p3(rep):
     system = build_system(graphs.path(4), graphs.path(3))
-    res = markov_basis(system, 3, threads=cfg.threads)
+    res = markov_basis(system, 3)
     for b in res.basis:
         rep.say(format_binomial(b, system, maps=True))
     rep.payload["generators"] = [format_binomial(b, system, maps=True)
                                  for b in res.basis]
 
 
-def _scenario_prism_width(rep, cfg):
+def _scenario_prism_width(rep):
     isys, basis, cubic = complement_cycle_basis(3)
-    res = markov_basis(isys.system, 4, threads=cfg.threads)
+    res = markov_basis(isys.system, 4)
     rep.say(f"width {res.width}")
     rep.say(f"cubic present: {any(b.unordered_key() == cubic.unordered_key() for b in res.basis)}")
     rep.payload.update({"width": res.width, "basis_size": len(res.basis)})
 
 
-def _scenario_c4_bipartite(rep, cfg):
+def _scenario_c4_bipartite(rep):
     isys = IndepSystem(graphs.cycle(4))
     basis = bipartite_grobner(isys)
     for b in basis:
         rep.say(" * ".join(isys.set_name(v) for v in b.plus) + " - "
                 + " * ".join(isys.set_name(v) for v in b.minus))
-    ok = verify_grobner(isys.system, basis, 4, threads=cfg.threads)
+    ok = verify_grobner(isys.system, basis, 4)
     rep.say(f"grobner verified: {ok}")
     rep.payload.update({"size": len(basis), "verified": ok})
 
 
-def _scenario_c5_almost_bipartite(rep, cfg):
+def _scenario_c5_almost_bipartite(rep):
     isys = IndepSystem(graphs.cycle(5))
     tagged = almost_bipartite_grobner(isys)
     for b in tagged.basis:
         rep.say(" * ".join(isys.set_name(v) for v in b.plus) + " - "
                 + " * ".join(isys.set_name(v) for v in b.minus)
                 + f"  # {tagged.tags[b]}")
-    ok = verify_grobner(isys.system, tagged.basis, 4, threads=cfg.threads)
+    ok = verify_grobner(isys.system, tagged.basis, 4)
     rep.say(f"grobner verified: {ok}")
     rep.payload.update({"size": len(tagged.basis), "verified": ok})
 
 
-def _scenario_c4_polytope(rep, cfg):
+def _scenario_c4_polytope(rep):
     poly = build_polytope(graphs.cycle(4), graphs.spoon())
     desc = facets(poly)
     srep = simplicity(poly, desc)
@@ -339,7 +335,7 @@ def _scenario_c4_polytope(rep, cfg):
                         "simple": srep.simple, "empty_check": empty.num_vertices})
 
 
-def _scenario_k3k4(rep, cfg):
+def _scenario_k3k4(rep):
     system = build_system(graphs.complete(3), graphs.complete(4))
     b12 = _degree12_binomial(system)
     rep.say(f"degree-12 binomial member: {system.membership(b12)}")
@@ -349,7 +345,7 @@ def _scenario_k3k4(rep, cfg):
     rep.payload.update({"member": system.membership(b12), "clean_to_4": clean})
 
 
-def _scenario_fan_k4(rep, cfg):
+def _scenario_fan_k4(rep):
     system = build_system(graphs.complete(3), graphs.complete(4))
     base = OrientedBasis.make([_degree12_binomial(system)])
     fan = Graph(5, [(0, 1), (0, 2), (0, 3), (0, 4), (1, 2), (2, 3), (3, 4)])
@@ -359,7 +355,7 @@ def _scenario_fan_k4(rep, cfg):
     rep.payload.update({"degrees": list(res.degrees_full), "truncated": res.truncated})
 
 
-def _scenario_k5_coloring(rep, cfg):
+def _scenario_k5_coloring(rep):
     system = build_system(graphs.complete(3), graphs.complete(5))
 
     def var(s):
@@ -372,7 +368,7 @@ def _scenario_k5_coloring(rep, cfg):
     rep.payload.update({"verdict": cert.verdict})
 
 
-def _scenario_octahedron_coloring(rep, cfg):
+def _scenario_octahedron_coloring(rep):
     octa = graphs.octahedron()
     system = build_system(graphs.complete(3), octa)
 
@@ -388,7 +384,7 @@ def _scenario_octahedron_coloring(rep, cfg):
                         "four_colorable": is_k_colorable(octa, 4)})
 
 
-def _scenario_hibi_small(rep, cfg):
+def _scenario_hibi_small(rep):
     from .hibi import Poset
     for name, poset in [("chain2", Poset(2, [(0, 1)])),
                         ("antichain2", Poset(2, [])),
@@ -400,10 +396,10 @@ def _scenario_hibi_small(rep, cfg):
                              "mutual": cmp.mutual_generation}
 
 
-def _scenario_spoon_widths(rep, cfg):
+def _scenario_spoon_widths(rep):
     for n in (3, 4, 5):
         system = build_system(graphs.complete(n), graphs.spoon())
-        res = markov_basis(system, 3, threads=cfg.threads)
+        res = markov_basis(system, 3)
         rep.say(f"complete:{n} -> spoon width {res.width}")
         rep.payload[f"K{n}"] = res.width
 
@@ -442,7 +438,7 @@ def cmd_reproduce(args, cfg: RunConfig) -> int:
     for name in names:
         rep.say(f"== {name}")
         sub = Report(name, cfg)
-        SCENARIOS[name](sub, cfg)
+        SCENARIOS[name](sub)
         rep.lines.extend(sub.lines)
         rep.payload[name] = sub.payload
     rep.emit()
@@ -456,8 +452,10 @@ def build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(prog="homtoric",
                                   description="toric ideals of graph homomorphisms")
     top.add_argument("--json", action="store_true", help="JSON output")
-    top.add_argument("--threads", type=int, default=1)
-    top.add_argument("--seed", type=int, default=0)
+    top.add_argument("--threads", type=int, default=1,
+                     help="accepted and ignored; the toolkit is single-threaded")
+    top.add_argument("--seed", type=int, default=0,
+                     help="echoed in the JSON output; reserved, nothing is random")
     top.add_argument("--mono-cap", type=int, default=10**7,
                      help="monomial enumeration cap")
     sub = top.add_subparsers(dest="command", required=True)
@@ -527,11 +525,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.command == "reproduce" and not args.all and not args.name:
         parser.error("reproduce needs a scenario name or --all")
-    cfg = RunConfig(mono_cap=args.mono_cap, threads=args.threads,
-                    fmt="json" if args.json else "text", seed=args.seed)
+    cfg = RunConfig(mono_cap=args.mono_cap, fmt="json" if args.json else "text",
+                    seed=args.seed)
     try:
         return args.func(args, cfg)
-    except (GraphError, GlueError, ValueError) as exc:
+    except (GraphError, GlueError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (HomTooLarge, ResourceCapExceeded, LiftTooLarge,

@@ -156,16 +156,6 @@ def loopify(g: Graph) -> Graph:
     return Graph(g.n, list(g.edges) + [(v, v) for v in range(g.n)])
 
 
-def union(g1: Graph, g2: Graph) -> Graph:
-    """Union on shared integer labels."""
-    return Graph(max(g1.n, g2.n), list(g1.edges) + list(g2.edges))
-
-
-def single_edge(u: int, v: int, n=None) -> Graph:
-    n = max(u, v) + 1 if n is None else n
-    return Graph(n, [(u, v)])
-
-
 # ---------------------------------------------------------------------------
 # named specs
 

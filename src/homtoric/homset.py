@@ -129,11 +129,6 @@ def compose(first: Hom, second: Hom) -> Hom:
                tuple(second.map[w] for w in first.map))
 
 
-def restriction_tuple(mapping, vertices) -> tuple:
-    """Map tuple restricted to a sorted vertex list (no Hom wrapper)."""
-    return tuple(mapping[v] for v in vertices)
-
-
 UNLOOPED, LOOPED = 0, 1
 
 

@@ -44,10 +44,6 @@ class IndepSystem:
         return "{" + ",".join(map(str, sorted(self.sets[i]))) + "}"
 
 
-def indep_system(g: Graph, **caps) -> IndepSystem:
-    return IndepSystem(g, **caps)
-
-
 @dataclass(frozen=True)
 class MultiDegree:
     total: int
@@ -308,7 +304,7 @@ class TopGraded:
     alpha: int
     vars: tuple            # variable indices of the full system
     sets: tuple            # the maximum independent sets, aligned with vars
-    subsystem: object
+    subsystem: ToricSystem
     basis: OrientedBasis
 
 
@@ -318,7 +314,7 @@ def top_graded(isys: IndepSystem, degree_cap: int = 3, **kw) -> TopGraded:
     come straight from the layered fiber construction."""
     alpha = max((len(s) for s in isys.sets), default=0)
     idxs = tuple(i for i, s in enumerate(isys.sets) if len(s) == alpha)
-    sub = isys.system.restrict_columns(idxs, labels=tuple(isys.sets[i] for i in idxs))
+    sub = isys.system.restrict_columns(idxs)
     res = markov_basis(sub, degree_cap, **kw)
     return TopGraded(alpha, idxs, tuple(isys.sets[i] for i in idxs), sub, res.basis)
 

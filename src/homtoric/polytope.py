@@ -64,7 +64,8 @@ def polytope_of_system(system: ToricSystem) -> LatticePolytope:
             v[r] = 1
         verts.append(tuple(v))
     if len(set(verts)) != len(verts):
-        raise AssertionError("duplicate polytope vertices")
+        raise ValueError("duplicate polytope vertices: the source has a vertex "
+                         "on no edge, so its image does not show in the columns")
     return LatticePolytope(tuple(system.rows), tuple(verts), tuple(system.homs.maps))
 
 
@@ -289,9 +290,6 @@ class FaceCertificate:
     zero_rows: tuple     # ambient coordinates that vanish on the face
     face_vertices: tuple  # indices into the big polytope's vertex list
     improper: bool
-
-    def functional_value(self, vertex):
-        return sum(vertex[r] for r in self.zero_rows)
 
 
 def face_check(g: Graph, h2: Graph, h1: Graph, **caps) -> FaceCertificate:

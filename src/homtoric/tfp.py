@@ -326,30 +326,11 @@ class PipelineResult:
     witness: NormalityWitness
 
 
-def _is_forest(g: Graph) -> bool:
-    if not g.is_loopfree():
-        return False
-    parent = list(range(g.n))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for u, v in g.edges:
-        ru, rv = find(u), find(v)
-        if ru == rv:
-            return False
-        parent[ru] = rv
-    return True
-
-
 def forest_pipeline(g: Graph, h: Graph, *, lift_cap: int = 500_000,
                     allow_truncation: bool = False, **caps) -> PipelineResult:
     """Recursive leaf gluing: every forest ideal is generated by the
     quadratic square-free swaps collected along the decomposition."""
-    if not _is_forest(g):
+    if not (g.is_loopfree() and len(g.edges) == g.n - len(graphs.components(g))):
         raise GlueError("graph is not a forest")
 
     def build(graph: Graph):

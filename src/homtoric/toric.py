@@ -21,7 +21,6 @@ import numpy as np
 
 from .graph import Graph
 from .homset import HomSet, enumerate_homs
-from .util import parallel_map
 
 
 class ResourceCapExceeded(RuntimeError):
@@ -132,9 +131,9 @@ class ToricSystem:
     """Edge-separator matrix of Hom(G, H) with exact column data."""
 
     __slots__ = ("g", "h", "homs", "rows", "row_index", "cols",
-                 "key_matrix", "key_reduced", "labels")
+                 "key_matrix", "key_reduced")
 
-    def __init__(self, g: Graph, h: Graph, homs: HomSet, labels=None):
+    def __init__(self, g: Graph, h: Graph, homs: HomSet):
         self.g = g
         self.h = h
         self.homs = homs
@@ -156,7 +155,6 @@ class ToricSystem:
                 entries.append(self.row_index[((u, v), rho)])
             cols.append(tuple(sorted(entries)))
         self.cols = tuple(cols)
-        self.labels = labels
         self.key_matrix, self.key_reduced = self._build_key()
 
     # -- construction helpers ------------------------------------------------
@@ -208,44 +206,20 @@ class ToricSystem:
             if not self.membership(b):
                 raise ValueError(f"binomial {b.plus} - {b.minus} is not in the ideal")
 
-    def restrict_columns(self, var_indices, labels=None) -> "SubSystem":
-        return SubSystem(self, tuple(var_indices), labels)
+    def restrict_columns(self, var_indices) -> "ToricSystem":
+        """The system on the variables ``var_indices``, renumbered 0..k-1 in
+        the given order.  The indices must be strictly increasing and in
+        range: HomSet sorts its maps, so any other order would silently
+        renumber the variables."""
+        idx = tuple(var_indices)
+        if any(a >= b for a, b in zip(idx, idx[1:])) or (idx and idx[0] < 0):
+            raise ValueError("variable indices must be strictly increasing and nonnegative")
+        maps = [self.homs.maps[v] for v in idx]
+        return ToricSystem(self.g, self.h, HomSet(self.g, self.h, maps))
 
     def column_sums_homogeneous(self) -> bool:
         m = len(self.g.edges)
         return all(len(c) == m for c in self.cols)
-
-
-class SubSystem:
-    """Column restriction of a ToricSystem (same rows, fewer variables)."""
-
-    __slots__ = ("parent", "vars", "cols", "key_matrix", "key_reduced", "labels")
-
-    def __init__(self, parent: ToricSystem, var_indices: tuple, labels=None):
-        self.parent = parent
-        self.vars = var_indices
-        self.cols = tuple(parent.cols[v] for v in var_indices)
-        self.key_matrix = np.ascontiguousarray(parent.key_matrix[:, list(var_indices)])
-        self.key_reduced = parent.key_reduced
-        self.labels = labels
-
-    @property
-    def num_vars(self):
-        return len(self.vars)
-
-    def image(self, mono) -> tuple:
-        img = Counter()
-        for v in mono:
-            img.update(self.cols[v])
-        return tuple(sorted(img.items()))
-
-    def membership(self, binomial: Binomial) -> bool:
-        return self.image(binomial.plus) == self.image(binomial.minus)
-
-    def check_basis_members(self, basis: OrientedBasis):
-        for b in basis:
-            if not self.membership(b):
-                raise ValueError(f"binomial {b.plus} - {b.minus} is not in the ideal")
 
 
 def build_system(g: Graph, h: Graph, **caps) -> ToricSystem:
@@ -386,34 +360,10 @@ def _multiset_sub(mono, sub):
 
 
 def _components(monos, index: MoveIndex):
-    pos = {m: i for i, m in enumerate(monos)}
-    parent = list(range(len(monos)))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for i, m in enumerate(monos):
-        for nb in index.neighbors(m):
-            j = pos.get(nb)
-            if j is None:
-                raise AssertionError("move left the fiber; non-member basis element?")
-            ri, rj = find(i), find(j)
-            if ri != rj:
-                parent[ri] = rj
-    comps = {}
-    for i in range(len(monos)):
-        comps.setdefault(find(i), []).append(i)
-    return list(comps.values()), pos
-
-
-def _fiber_connected(monos, index: MoveIndex) -> bool:
-    """Connectivity with an early exit once one component remains."""
+    """(components, pos): the fiber's components under the moves as lists of
+    positions into ``monos``, and the position of each monomial.  Returns
+    as soon as a single component remains."""
     n = len(monos)
-    if n <= 1:
-        return True
     pos = {m: i for i, m in enumerate(monos)}
     parent = list(range(n))
 
@@ -434,8 +384,11 @@ def _fiber_connected(monos, index: MoveIndex) -> bool:
                 parent[ri] = rj
                 remaining -= 1
                 if remaining == 1:
-                    return True
-    return remaining == 1
+                    return [range(n)], pos
+    comps = {}
+    for i in range(n):
+        comps.setdefault(find(i), []).append(i)
+    return list(comps.values()), pos
 
 
 # ---------------------------------------------------------------------------
@@ -458,13 +411,9 @@ class MarkovResult:
         return all(self.additions_by_degree.get(t, 0) == 0
                    for t in (self.cap - 1, self.cap))
 
-    @property
-    def certified_complete(self) -> bool:
-        return False
-
 
 def markov_basis(system, degree_cap: int, *,
-                 mono_cap: int = DEFAULT_MONO_CAP, threads: int = 1) -> MarkovResult:
+                 mono_cap: int = DEFAULT_MONO_CAP) -> MarkovResult:
     """Layered fiber construction of a minimal-degree generating set.
 
     For each degree t = 2..cap the fibers of degree-t monomials are
@@ -502,47 +451,36 @@ def markov_width(system, degree_cap: int, **kw) -> int:
     return markov_basis(system, degree_cap, **kw).width
 
 
-def verify_markov(system, basis: OrientedBasis, degree_cap: int, *,
-                  mono_cap: int = DEFAULT_MONO_CAP, threads: int = 1) -> bool:
-    """True when every fiber of degree <= cap is connected under the moves."""
+def _every_fiber(system, basis: OrientedBasis, degree_cap: int, mono_cap: int,
+                 fiber_ok) -> bool:
+    """True when ``fiber_ok(monos, index)`` holds for every fiber of degree
+    2..cap with at least two monomials.  Singleton fibers pass any check:
+    moves preserve the image, so no edge can leave a fiber and a lone
+    monomial is connected and its own unique sink."""
     system.check_basis_members(basis)
     index = MoveIndex(basis)
-
-    def check(fiber):
-        _, monos = fiber
-        return _fiber_connected(monos, index)
-
     for t in range(2, degree_cap + 1):
-        fibers = iter_fibers(system, t, min_size=2, mono_cap=mono_cap)
-        for ok in parallel_map(check, fibers, threads=threads):
-            if not ok:
+        for _, monos in iter_fibers(system, t, min_size=2, mono_cap=mono_cap):
+            if not fiber_ok(monos, index):
                 return False
     return True
+
+
+def verify_markov(system, basis: OrientedBasis, degree_cap: int, *,
+                  mono_cap: int = DEFAULT_MONO_CAP) -> bool:
+    """True when every fiber of degree <= cap is connected under the moves."""
+    return _every_fiber(system, basis, degree_cap, mono_cap,
+                        lambda monos, index: len(_components(monos, index)[0]) == 1)
 
 
 def verify_grobner(system, basis: OrientedBasis, degree_cap: int, *,
-                   mono_cap: int = DEFAULT_MONO_CAP, threads: int = 1) -> bool:
+                   mono_cap: int = DEFAULT_MONO_CAP) -> bool:
     """Directed fiber-graph criterion: every fiber graph must be connected,
     acyclic, and have a unique sink."""
-    system.check_basis_members(basis)
-    index = MoveIndex(basis)
-
-    def check(fiber):
-        _, monos = fiber
-        return _fiber_is_grobner(monos, index)
-
-    # singleton fibers pass automatically: moves preserve the image, so no
-    # edge can leave a fiber and a lone monomial is its own unique sink
-    for t in range(2, degree_cap + 1):
-        fibers = iter_fibers(system, t, min_size=2, mono_cap=mono_cap)
-        for ok in parallel_map(check, fibers, threads=threads):
-            if not ok:
-                return False
-    return True
+    return _every_fiber(system, basis, degree_cap, mono_cap, _fiber_is_grobner)
 
 
 def _fiber_is_grobner(monos, index: MoveIndex) -> bool:
-    monos = sorted(monos)
     pos = {m: i for i, m in enumerate(monos)}
     n = len(monos)
     out_edges = [set() for _ in range(n)]
@@ -553,24 +491,8 @@ def _fiber_is_grobner(monos, index: MoveIndex) -> bool:
                 raise AssertionError("move left the fiber; non-member basis element?")
             if j != i:
                 out_edges[i].add(j)
-    # connectivity (undirected)
-    if n > 1:
-        parent = list(range(n))
-
-        def find(i):
-            while parent[i] != i:
-                parent[i] = parent[parent[i]]
-                i = parent[i]
-            return i
-
-        for i in range(n):
-            for j in out_edges[i]:
-                ri, rj = find(i), find(j)
-                if ri != rj:
-                    parent[ri] = rj
-        if len({find(i) for i in range(n)}) != 1:
-            return False
-    # unique sink
+    # no connectivity pass: in an acyclic graph every walk ends in a sink,
+    # so a unique sink is reachable from every monomial
     sinks = [i for i in range(n) if not out_edges[i]]
     if len(sinks) != 1:
         return False

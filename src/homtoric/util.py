@@ -2,29 +2,6 @@
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
-from itertools import islice
-
-
-def parallel_map(fn, items, *, threads: int = 1, chunk: int = 64):
-    """Map ``fn`` over ``items`` preserving input order.
-
-    With threads > 1 the work is dispatched to a thread pool in chunks and
-    merged back in input order, so results are identical to the sequential
-    run regardless of scheduling.
-    """
-    if threads <= 1:
-        for item in items:
-            yield fn(item)
-        return
-    it = iter(items)
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        while True:
-            block = list(islice(it, chunk * threads))
-            if not block:
-                return
-            yield from pool.map(fn, block)
-
 
 def exact_rank(matrix) -> int:
     """Rank of an integer matrix by fraction-free Gaussian elimination."""

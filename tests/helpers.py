@@ -127,3 +127,55 @@ def naive_markov_width(system, cap):
                 basis.append((p, q))
                 width = max(width, len(p), len(q))
     return width
+
+
+def naive_fiber_is_grobner(monos, index):
+    """Directed fiber-graph check of one fiber with an explicit undirected
+    connectivity pass, kept as the reference for ``verify_grobner``."""
+    monos = sorted(monos)
+    pos = {m: i for i, m in enumerate(monos)}
+    n = len(monos)
+    out_edges = [set() for _ in range(n)]
+    for i, m in enumerate(monos):
+        for nb in index.directed_neighbors(m):
+            j = pos.get(nb)
+            if j is None:
+                raise AssertionError("move left the fiber; non-member basis element?")
+            if j != i:
+                out_edges[i].add(j)
+    # connectivity (undirected)
+    if n > 1:
+        parent = list(range(n))
+
+        def find(i):
+            while parent[i] != i:
+                parent[i] = parent[parent[i]]
+                i = parent[i]
+            return i
+
+        for i in range(n):
+            for j in out_edges[i]:
+                ri, rj = find(i), find(j)
+                if ri != rj:
+                    parent[ri] = rj
+        if len({find(i) for i in range(n)}) != 1:
+            return False
+    # unique sink
+    sinks = [i for i in range(n) if not out_edges[i]]
+    if len(sinks) != 1:
+        return False
+    # acyclicity (Kahn)
+    indeg = [0] * n
+    for i in range(n):
+        for j in out_edges[i]:
+            indeg[j] += 1
+    stack = [i for i in range(n) if indeg[i] == 0]
+    seen = 0
+    while stack:
+        i = stack.pop()
+        seen += 1
+        for j in out_edges[i]:
+            indeg[j] -= 1
+            if indeg[j] == 0:
+                stack.append(j)
+    return seen == n

@@ -107,6 +107,23 @@ def test_usage_errors(capsys):
     assert exc.value.code == 2
 
 
+def test_unreadable_files_exit_2(tmp_path, capsys):
+    missing = str(tmp_path / "missing.txt")
+    for argv in (["hibi", missing],
+                 ["verify-grobner", "cycle:4", "spoon", "--basis", missing]):
+        code = main(argv)
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_polytope_isolated_vertex_exit_2(capsys):
+    code = main(["polytope", "edges:3:0-1", "complete:3", "--facets"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "vertex on no edge" in err
+
+
 def test_resource_cap_exit(capsys):
     code, _ = run(capsys, "--mono-cap", "10", "width", "cycle:6", "spoon", "--cap", "4")
     assert code == 3

@@ -244,6 +244,14 @@ def test_top_graded_cycle6():
     assert {frozenset(s) for s in top.sets} == {frozenset({0, 2, 4}), frozenset({1, 3, 5})}
 
 
+def test_top_graded_membership_checks_variable_range():
+    top = top_graded(IndepSystem(G.cycle(6)))
+    with pytest.raises(IndexError):
+        top.subsystem.membership(Binomial((-1,), (0,)))
+    with pytest.raises(IndexError):
+        top.subsystem.membership(Binomial((0,), (len(top.vars),)))
+
+
 # ---------------------------------------------------------------------------
 # complements of even cycles
 

@@ -166,6 +166,13 @@ def test_vertex_cap():
         facets(poly, vertex_cap=5)
 
 
+def test_isolated_source_vertex_rejected():
+    # the isolated vertex's image is invisible to the edge coordinates, so
+    # two homomorphisms would share one polytope vertex
+    with pytest.raises(ValueError, match="vertex on no edge"):
+        build_polytope(Graph(3, [(0, 1)]), G.complete(3))
+
+
 def test_face_check_loop_deletion():
     cert = face_check(G.cycle(4), G.complete_looped(2), G.spoon())
     assert not cert.improper

@@ -189,6 +189,10 @@ def test_forest_pipeline_disconnected():
     forest = Graph(5, [(0, 1), (2, 3), (3, 4)])
     res = forest_pipeline(forest, G.spoon())
     assert verify_markov(res.system, res.basis, 3)
+    # an isolated vertex is a one-vertex tree
+    with_isolated = Graph(4, [(0, 1), (1, 2)])
+    res = forest_pipeline(with_isolated, G.spoon())
+    assert res.basis.is_squarefree() and res.basis.degree <= 2
 
 
 def test_forest_pipeline_rejects_cycles_and_loops():
@@ -196,6 +200,11 @@ def test_forest_pipeline_rejects_cycles_and_loops():
         forest_pipeline(G.cycle(3), G.spoon())
     with pytest.raises(GlueError):
         forest_pipeline(G.spoon(), G.spoon())
+    # a cycle next to an isolated vertex or next to a tree is still a cycle
+    with pytest.raises(GlueError):
+        forest_pipeline(Graph(4, [(0, 1), (1, 2), (0, 2)]), G.spoon())
+    with pytest.raises(GlueError):
+        forest_pipeline(Graph(6, [(0, 1), (1, 2), (3, 4), (4, 5), (3, 5)]), G.spoon())
 
 
 def test_outerplanar_pentagon_fan_spoon():

@@ -5,13 +5,14 @@ import pytest
 from homtoric import graph as G
 from homtoric.graph import Graph
 from homtoric.indep import IndepSystem, complement_cycle_basis
-from homtoric.toric import (Binomial, OrientedBasis, ResourceCapExceeded,
+from homtoric.toric import (Binomial, MoveIndex, OrientedBasis, ResourceCapExceeded,
                             build_system, fiber_graph, fiber_of, format_binomial,
                             iter_fibers, markov_basis, markov_width,
                             normality_witness, parse_basis_text, restrict_basis,
                             strip_common, verify_grobner, verify_markov)
 
-from helpers import naive_fibers, naive_markov_width
+from helpers import (graphs_upto_iso, naive_fiber_is_grobner, naive_fibers,
+                     naive_markov_width)
 
 
 def spoon_sets(g):
@@ -273,6 +274,23 @@ def test_markov_basis_minimality():
             assert not verify_markov(system, pruned, 3)
 
 
+def test_fibers_of_three_or_more_monomials_split_and_join():
+    # P5 -> P3 has no degree-one moves, so every degree-2 monomial starts
+    # as its own component and each degree-2 fiber needs size - 1 moves
+    system = build_system(G.path(5), G.path(3))
+    fibers = [sorted(monos) for _, monos in iter_fibers(system, 2, min_size=2)]
+    assert max(len(f) for f in fibers) >= 4
+    res = markov_basis(system, 2)
+    assert res.additions_by_degree[2] == sum(len(f) - 1 for f in fibers)
+    # joining all but the last monomial of a fiber leaves two components
+    big = max(fibers, key=len)
+    elems = [Binomial.make(m, f[0]) for f in fibers if f is not big for m in f[1:]]
+    elems += [Binomial.make(m, big[0]) for m in big[1:-1]]
+    assert not verify_markov(system, OrientedBasis.make(elems), 2)
+    elems.append(Binomial.make(big[-1], big[0]))
+    assert verify_markov(system, OrientedBasis.make(elems), 2)
+
+
 def test_verify_markov_rejects_empty_basis_on_nontrivial_ideal():
     system = build_system(G.path(4), G.path(3))
     assert not verify_markov(system, OrientedBasis.make(()), 2)
@@ -301,6 +319,17 @@ def test_restrict_basis_same_target_identity():
     system = build_system(G.path(4), G.path(3))
     basis = markov_basis(system, 3).basis
     assert restrict_basis(system, basis, system).elements == basis.elements
+
+
+def test_restrict_columns_keeps_columns_and_rejects_reordering():
+    system = build_system(G.path(4), G.path(3))
+    sub = system.restrict_columns((1, 4, 6))
+    assert sub.homs.maps == tuple(system.homs.maps[v] for v in (1, 4, 6))
+    assert sub.cols == tuple(system.cols[v] for v in (1, 4, 6))
+    assert sub.rows == system.rows
+    for bad in ((4, 1), (1, 1), (-1, 2)):
+        with pytest.raises(ValueError):
+            system.restrict_columns(bad)
 
 
 def test_width_monotone_under_target_growth():
@@ -337,6 +366,56 @@ def test_verify_grobner_flipped_orientation_fails():
     cbasis = bipartite_grobner(c4)
     both = OrientedBasis.make([b.flipped() for b in cbasis.elements])
     assert not verify_grobner(c4.system, both, 4)
+
+
+def test_verify_grobner_matches_naive_check_with_connectivity_pass():
+    # the fiber check relies on "acyclic with one sink" implying connected;
+    # compare with the reference that tests connectivity explicitly, on the
+    # sorting and apex bases of small connected graphs and on a copy of
+    # each with one element dropped and with one element flipped
+    from homtoric.indep import almost_bipartite_grobner, bipartite_grobner
+    verdicts = []
+    for n in range(2, 6):
+        for g in graphs_upto_iso(n, connected=True):
+            isys = IndepSystem(g)
+            if G.is_bipartite(g) is not None:
+                basis = bipartite_grobner(isys)
+            elif G.is_almost_bipartite(g) is not None:
+                basis = almost_bipartite_grobner(isys).basis
+            else:
+                continue
+            elems = list(basis.elements)
+            variants = [basis]
+            if elems:
+                variants.append(OrientedBasis.make(elems[:-1]))
+                variants.append(OrientedBasis.make([elems[0].flipped()] + elems[1:]))
+            fibers = [monos for t in range(2, 5)
+                      for monos in naive_fibers(isys.system, t).values()
+                      if len(monos) >= 2]
+            for variant in variants:
+                index = MoveIndex(variant)
+                naive = all(naive_fiber_is_grobner(monos, index) for monos in fibers)
+                assert verify_grobner(isys.system, variant, 4) == naive, (g, variant)
+                verdicts.append(naive)
+    assert True in verdicts and False in verdicts
+
+
+def test_verify_grobner_rejects_cycle_beside_unique_sink():
+    # one fiber gets the chain c -> b -> a plus the reverse move b -> c: it
+    # keeps a unique sink, so only the acyclicity pass rejects it, and
+    # acyclicity is what lets a unique sink stand in for connectivity
+    system = build_system(G.path(5), G.path(3))
+    fibers = [sorted(monos) for _, monos in iter_fibers(system, 2, min_size=2)]
+    cyclic = next(f for f in fibers if len(f) >= 3)
+    a, b, c = cyclic[:3]
+    elems = [Binomial.make(m, f[0]) for f in fibers if f is not cyclic for m in f[1:]]
+    elems += [Binomial.make(b, a), Binomial.make(c, b)]
+    elems += [Binomial.make(m, a) for m in cyclic[3:]]
+    assert verify_grobner(system, OrientedBasis.make(elems), 2)
+    bad = OrientedBasis.make(elems + [Binomial.make(b, c)])
+    assert not verify_grobner(system, bad, 2)
+    index = MoveIndex(bad)
+    assert not all(naive_fiber_is_grobner(f, index) for f in fibers)
 
 
 def test_verify_grobner_trivial_ideal():
