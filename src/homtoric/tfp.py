@@ -357,6 +357,17 @@ def forest_pipeline(g: Graph, h: Graph, *, lift_cap: int = 500_000,
 
     basis, degrees, truncated = build(g)
     system = build_system(g, h, **caps)
+    # maps that differ only on isolated vertices have equal columns; the
+    # gluing treats each side's maps as distinct, so join them linearly
+    first, linear = {}, []
+    for k, col in enumerate(system.cols):
+        if col in first:
+            linear.append(Binomial.make((first[col],), (k,)))
+        else:
+            first[col] = k
+    if linear:
+        basis = OrientedBasis.make(basis.elements + tuple(linear))
+        degrees.add(1)
     witness = NormalityWitness(normal=True, cohen_macaulay=True, koszul=False)
     return PipelineResult(system, basis, tuple(sorted(degrees)), truncated, witness)
 

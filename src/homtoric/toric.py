@@ -6,9 +6,19 @@ the homomorphism restricts to that edge map.  Binomials live in the
 polynomial ring with one variable per homomorphism; a monomial is stored
 as a sorted tuple of variable indices (repeats encode exponents).
 
+Markov bases are built and verified one degree layer at a time, t = 1, 2,
+..., by the gcd rule (Takemura-Aoki, Ann. Inst. Stat. Math. 56, 2004; see
+also Diaconis-Sturmfels, Ann. Statist. 1998).  Once every fiber of degree
+< t is connected, two degree-t monomials of one fiber that share a
+variable x are connected too: divide both by x, join the quotients and
+multiply back.  A move of degree < t always leaves a shared factor, so the
+components of a degree-t fiber are the classes of "shares a variable",
+joined further only by moves of degree exactly t.  numpy groups each
+layer into fibers and computes those classes for all fibers at once.
+
 All arithmetic is exact integer arithmetic.  numpy is used only to group
-monomials of a fixed degree into fibers; membership and basis decisions
-work on exact Python integers.
+monomials of a fixed degree into fibers and to split the fibers into
+components; membership and basis decisions work on exact Python integers.
 """
 
 from __future__ import annotations
@@ -260,59 +270,170 @@ def _monomials_with_images(system, degree: int, mono_cap: int):
     return idx, img
 
 
+def _colex_rank(mono, n_vars: int):
+    """Row of each sorted monomial (a row of ``mono``) in the layer order of
+    ``_monomials_with_images``: sum over i of C(m_i + i, i + 1)."""
+    t = mono.shape[1]
+    table = np.empty((t, n_vars), dtype=np.int64)
+    table[0] = np.arange(n_vars)
+    for i in range(1, t):
+        np.cumsum(table[i - 1], out=table[i])      # C(x + i, i + 1), hockey stick
+    rank = np.zeros(mono.shape[0], dtype=np.int64)
+    for i in range(t):
+        rank += table[i, mono[:, i]]
+    return rank
+
+
+def _layer(system, degree: int, mono_cap: int):
+    """(idx, fid): every degree-``degree`` monomial as a sorted row of
+    variable indices, row r being the monomial of colex rank r, and the
+    fiber id of each row, fibers numbered in the order of their key."""
+    idx, img = _monomials_with_images(system, degree, mono_cap)
+    if img.shape[1] == 0:           # no edges: every image is empty
+        return idx, np.zeros(idx.shape[0], dtype=np.intp)
+    void = img.view(np.dtype((np.void, img.dtype.itemsize * img.shape[1]))).ravel()
+    del img
+    return idx, np.unique(void, return_inverse=True)[1]
+
+
 def iter_fibers(system, degree: int, *, min_size: int = 1,
                 mono_cap: int = DEFAULT_MONO_CAP):
     """Yield (key_bytes, [monomial, ...]) for every fiber of the given
     degree, in a canonical deterministic order."""
-    idx, img = _monomials_with_images(system, degree, mono_cap)
+    idx, fid = _layer(system, degree, mono_cap)
     if idx.shape[0] == 0:
         return
-    a = np.ascontiguousarray(img)
-    void = a.view(np.dtype((np.void, a.dtype.itemsize * a.shape[1]))).ravel()
-    uniq, inverse, counts = np.unique(void, return_inverse=True, return_counts=True)
-    order = np.argsort(inverse, kind="stable")
+    order = np.argsort(fid, kind="stable")
     start = 0
-    for k in range(len(uniq)):
-        c = int(counts[k])
+    for c in np.bincount(fid).tolist():
         if c >= min_size:
-            rows = order[start:start + c]
-            yield uniq[k].tobytes(), [tuple(int(x) for x in idx[r]) for r in rows]
+            rows = idx[order[start:start + c]]
+            key = system.key_matrix[:, rows[0]].sum(axis=1, dtype=np.int16)
+            yield key.tobytes(), list(map(tuple, rows.tolist()))
         start += c
 
 
 def fiber_of(system, mono, *, mono_cap: int = DEFAULT_MONO_CAP):
     """All monomials sharing the image of ``mono`` (same degree)."""
-    mono = tuple(sorted(mono))
-    target = system.image(mono)
-    for _, monos in iter_fibers(system, len(mono), mono_cap=mono_cap):
-        if mono in monos:
-            got = [m for m in monos if system.image(m) == target]
-            return sorted(got)
-    raise AssertionError("monomial missing from its own fiber enumeration")
+    mono = np.array(sorted(mono), dtype=np.int64).reshape(1, -1)
+    idx, fid = _layer(system, mono.shape[1], mono_cap)
+    rows = idx[fid == fid[_colex_rank(mono, system.num_vars)[0]]]
+    return sorted(map(tuple, rows.tolist()))
+
+
+def _split_layer(system, degree: int, mono_cap: int, pairs=None):
+    """Components of every fiber of two or more degree-``degree``
+    monomials under "shares a variable", joined further by ``pairs``, an
+    optional (k, 2) array of layer rows (colex ranks).
+
+    Returns (mono, root, lead): the monomials of those fibers as rows of
+    ``mono`` in lexicographic order, the positions in ``mono`` of the
+    smallest monomial of every component, and for each root the position
+    of the smallest monomial of its fiber."""
+    idx, fid = _layer(system, degree, mono_cap)
+    n_rows, t = idx.shape
+    n_fibers = int(fid.max()) + 1 if n_rows else 0
+    if n_fibers == n_rows:              # every fiber is a single monomial
+        none = np.zeros(0, dtype=np.intp)
+        return idx, none, none
+    n_vars = system.num_vars
+    ix = np.int32 if n_rows < 2**31 else np.int64
+    # lexicographic order without a sort: reversing a monomial and
+    # complementing its variables turns lex order into reversed colex order
+    lexpos = np.full(n_rows, n_rows - 1, dtype=np.int64)
+    lexpos -= _colex_rank(n_vars - 1 - idx[:, ::-1], n_vars)
+    order = np.empty(n_rows, dtype=ix)
+    order[lexpos] = np.arange(n_rows, dtype=ix)
+    del lexpos
+    rows = order[(np.bincount(fid) >= 2)[fid[order]]]
+    del order
+    mono, fib = idx[rows], fid[rows].astype(ix)
+    del idx, fid
+    n = len(rows)
+    if pairs is None:
+        pairs = np.zeros((0, 2), dtype=ix)
+    else:
+        where = np.full(n_rows, -1, dtype=ix)
+        where[rows] = np.arange(n, dtype=ix)
+        pairs = where[pairs]
+        del where
+        pairs = pairs[(pairs[:, 0] >= 0) & (pairs[:, 0] != pairs[:, 1])]
+    del rows
+
+    # entries: (fiber, variable) of every factor of every monomial, then
+    # both sides of every pair, each pair as a group of its own
+    n_keys = n_fibers * n_vars + len(pairs)
+    kt = np.int32 if n_keys < 2**31 else np.int64
+    keys = mono.astype(kt)
+    keys += fib.astype(kt)[:, None] * n_vars
+    keys = keys.ravel()
+    if len(pairs):
+        own = np.arange(n_fibers * n_vars, n_keys, dtype=kt)
+        keys = np.concatenate([keys, own, own])
+    sort = np.argsort(keys)
+    keys = keys[sort]
+    starts = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
+    del keys
+    extra = np.flatnonzero(sort >= n * t)
+    sides = pairs.T.ravel()[sort[extra] - n * t]
+    sort //= t
+    sort[extra] = sides
+    owner = sort.astype(ix)
+    del sort, extra, sides
+    sizes = np.diff(np.append(starts, len(owner))).astype(np.int32)
+    shared = sizes >= 2                 # a group of one joins nothing
+    owner = owner[np.repeat(shared, sizes)]
+    sizes = sizes[shared]
+    del shared, starts
+    label = _min_labels(np.arange(n, dtype=ix), owner, sizes)
+    del owner
+
+    root = np.flatnonzero(label == np.arange(n, dtype=ix))
+    first = np.full(n_fibers, n, dtype=np.intp)
+    np.minimum.at(first, fib[root], root)
+    return mono, root, first[fib[root]]
+
+
+def _min_labels(label, owner, sizes):
+    """Label every item with the smallest item of its component, where
+    ``owner`` lists the members of consecutive groups of ``sizes`` and the
+    members of a group are joined.  ``label`` starts as the identity.
+
+    Min-label propagation: hook the label of every group member onto the
+    group's smallest label, then jump pointers until every label is a root
+    (its own label); stop once every group has a single label."""
+    starts = np.concatenate(([0], np.cumsum(sizes[:-1]))).astype(np.intp)
+    while len(owner):
+        lab = label[owner]
+        low = np.minimum.reduceat(lab, starts)
+        if np.array_equal(low, np.maximum.reduceat(lab, starts)):
+            break
+        np.minimum.at(label, lab, np.repeat(low, sizes))
+        del lab
+        while True:
+            up = label[label]
+            if np.array_equal(up, label):
+                break
+            label = up
+    return label
 
 
 # ---------------------------------------------------------------------------
 # moves
 
 class MoveIndex:
-    """Lookup from a monomial side to the binomials it leads or trails."""
+    """Lookup from a leading monomial side to the binomials it leads."""
 
-    __slots__ = ("undirected", "directed", "side_degrees", "lead_degrees")
+    __slots__ = ("directed", "lead_degrees")
 
     def __init__(self, basis=()):
-        self.undirected = {}
         self.directed = {}
-        self.side_degrees = set()
         self.lead_degrees = set()
         for b in basis:
             self.add(b)
 
     def add(self, b: Binomial):
-        self.undirected.setdefault(b.plus, []).append(b.minus)
-        self.undirected.setdefault(b.minus, []).append(b.plus)
         self.directed.setdefault(b.plus, []).append(b.minus)
-        self.side_degrees.add(len(b.plus))
-        self.side_degrees.add(len(b.minus))
         self.lead_degrees.add(len(b.plus))
 
     @staticmethod
@@ -320,21 +441,6 @@ class MoveIndex:
         if d == len(mono):
             return (mono,)
         return set(combinations(mono, d))
-
-    def neighbors(self, mono):
-        """Monomials reachable by one move in either direction."""
-        out = []
-        for d in self.side_degrees:
-            if d > len(mono):
-                continue
-            for sub in self._subtuples(mono, d):
-                partners = self.undirected.get(sub)
-                if not partners:
-                    continue
-                base = _multiset_sub(mono, sub)
-                for q in partners:
-                    out.append(tuple(sorted(base + q)))
-        return out
 
     def directed_neighbors(self, mono):
         """Monomials reached by one oriented move lead -> trail."""
@@ -357,38 +463,6 @@ def _multiset_sub(mono, sub):
     for x in sub:
         out.remove(x)
     return tuple(out)
-
-
-def _components(monos, index: MoveIndex):
-    """(components, pos): the fiber's components under the moves as lists of
-    positions into ``monos``, and the position of each monomial.  Returns
-    as soon as a single component remains."""
-    n = len(monos)
-    pos = {m: i for i, m in enumerate(monos)}
-    parent = list(range(n))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    remaining = n
-    for i, m in enumerate(monos):
-        for nb in index.neighbors(m):
-            j = pos.get(nb)
-            if j is None:
-                raise AssertionError("move left the fiber; non-member basis element?")
-            ri, rj = find(i), find(j)
-            if ri != rj:
-                parent[ri] = rj
-                remaining -= 1
-                if remaining == 1:
-                    return [range(n)], pos
-    comps = {}
-    for i in range(n):
-        comps.setdefault(find(i), []).append(i)
-    return list(comps.values()), pos
 
 
 # ---------------------------------------------------------------------------
@@ -416,32 +490,28 @@ def markov_basis(system, degree_cap: int, *,
                  mono_cap: int = DEFAULT_MONO_CAP) -> MarkovResult:
     """Layered fiber construction of a minimal-degree generating set.
 
-    For each degree t = 2..cap the fibers of degree-t monomials are
-    enumerated; whenever a fiber is disconnected under the moves collected
-    so far, binomials joining the lexicographically smallest representative
-    pairs are added.  Binomials are stored with common factors stripped, so
-    duplicate columns surface as degree-1 generators.
+    For t = 1..cap, once every fiber of degree < t is connected, two
+    degree-t monomials of one fiber that share a variable x are connected
+    already (divide by x, join the quotients, multiply back), and a move of
+    degree < t always leaves a shared factor.  So a fiber's components are
+    the classes of "shares a variable", and the binomials joining its
+    smallest monomial to the smallest monomial of every other class are
+    the degree-t generators it needs.  Degree 1 turns duplicate columns
+    into linear generators by the same rule; they count towards degree 2
+    in ``additions_by_degree``.
     """
     if degree_cap < 2:
         raise ValueError("degree cap must be at least 2")
-    index = MoveIndex()
     additions = []
-    additions_by_degree = {}
-    for t in range(2, degree_cap + 1):
-        count_t = 0
-        for _, monos in iter_fibers(system, t, min_size=2, mono_cap=mono_cap):
-            monos = sorted(monos)
-            while True:
-                comps, pos = _components(monos, index)
-                if len(comps) == 1:
-                    break
-                mins = sorted(min(monos[i] for i in comp) for comp in comps)
-                m0 = mins[0]
-                b = Binomial.make(m0, mins[1])
-                index.add(b)
-                additions.append(b)
-                count_t += 1
-        additions_by_degree[t] = count_t
+    counts = Counter()
+    for t in range(1, degree_cap + 1):
+        mono, root, lead = _split_layer(system, t, mono_cap)
+        split = root != lead
+        new = [Binomial.make(p, m) for p, m in zip(mono[lead[split]].tolist(),
+                                                   mono[root[split]].tolist())]
+        additions.extend(new)
+        counts[max(t, 2)] += len(new)
+    additions_by_degree = {t: counts[t] for t in range(2, degree_cap + 1)}
     return MarkovResult(OrientedBasis.make(additions), degree_cap, additions_by_degree)
 
 
@@ -451,33 +521,43 @@ def markov_width(system, degree_cap: int, **kw) -> int:
     return markov_basis(system, degree_cap, **kw).width
 
 
-def _every_fiber(system, basis: OrientedBasis, degree_cap: int, mono_cap: int,
-                 fiber_ok) -> bool:
-    """True when ``fiber_ok(monos, index)`` holds for every fiber of degree
-    2..cap with at least two monomials.  Singleton fibers pass any check:
-    moves preserve the image, so no edge can leave a fiber and a lone
+def verify_markov(system, basis: OrientedBasis, degree_cap: int, *,
+                  mono_cap: int = DEFAULT_MONO_CAP) -> bool:
+    """True when every fiber of degree <= cap is connected under the moves.
+
+    Layers are checked for t = 1..cap and the first split fiber returns
+    False, so at degree t every lower fiber is known to be connected.  Then
+    monomials that share a variable are connected (see ``markov_basis``)
+    and moves of degree < t stay inside those classes, so only the basis
+    elements of degree exactly t can join two of them.
+    """
+    system.check_basis_members(basis)
+    for b in basis:
+        if len(b.plus) != len(b.minus):
+            raise ValueError(f"binomial {b.plus} - {b.minus} is not homogeneous")
+    for t in range(1, degree_cap + 1):
+        sides = [b.plus + b.minus for b in basis if len(b.plus) == t]
+        sides = np.sort(np.array(sides, dtype=np.int64).reshape(-1, 2, t), axis=2)
+        pairs = _colex_rank(sides.reshape(-1, t), system.num_vars).reshape(-1, 2)
+        _, root, lead = _split_layer(system, t, mono_cap, pairs)
+        if (root != lead).any():
+            return False
+    return True
+
+
+def verify_grobner(system, basis: OrientedBasis, degree_cap: int, *,
+                   mono_cap: int = DEFAULT_MONO_CAP) -> bool:
+    """Directed fiber-graph criterion: every fiber graph of degree 2..cap
+    must be connected, acyclic, and have a unique sink.  Singleton fibers
+    pass: moves preserve the image, so no edge can leave a fiber and a lone
     monomial is connected and its own unique sink."""
     system.check_basis_members(basis)
     index = MoveIndex(basis)
     for t in range(2, degree_cap + 1):
         for _, monos in iter_fibers(system, t, min_size=2, mono_cap=mono_cap):
-            if not fiber_ok(monos, index):
+            if not _fiber_is_grobner(monos, index):
                 return False
     return True
-
-
-def verify_markov(system, basis: OrientedBasis, degree_cap: int, *,
-                  mono_cap: int = DEFAULT_MONO_CAP) -> bool:
-    """True when every fiber of degree <= cap is connected under the moves."""
-    return _every_fiber(system, basis, degree_cap, mono_cap,
-                        lambda monos, index: len(_components(monos, index)[0]) == 1)
-
-
-def verify_grobner(system, basis: OrientedBasis, degree_cap: int, *,
-                   mono_cap: int = DEFAULT_MONO_CAP) -> bool:
-    """Directed fiber-graph criterion: every fiber graph must be connected,
-    acyclic, and have a unique sink."""
-    return _every_fiber(system, basis, degree_cap, mono_cap, _fiber_is_grobner)
 
 
 def _fiber_is_grobner(monos, index: MoveIndex) -> bool:

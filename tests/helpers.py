@@ -75,12 +75,20 @@ def naive_fibers(system, degree):
     return {k: sorted(v) for k, v in fibers.items()}
 
 
-def _naive_components(monos, basis):
-    """Component partition under moves, applying binomials in both
-    directions by direct multiset division."""
+def _naive_moves(pairs):
+    """Map each side of every (plus, minus) pair to the sides it moves to,
+    both directions."""
+    moves = {}
+    for p, q in pairs:
+        moves.setdefault(tuple(sorted(p)), []).append(tuple(sorted(q)))
+        moves.setdefault(tuple(sorted(q)), []).append(tuple(sorted(p)))
+    return moves
+
+
+def _naive_components(monos, moves):
+    """Component partition under ``moves`` (see ``_naive_moves``): a search
+    that replaces every sub-multiset of a monomial that is a move side."""
     from collections import Counter
-    moves = [(Counter(p), Counter(q)) for p, q in basis]
-    moves += [(q, p) for p, q in moves]
     monoset = set(monos)
     seen = set()
     comps = []
@@ -93,9 +101,10 @@ def _naive_components(monos, basis):
         while stack:
             m = stack.pop()
             cm = Counter(m)
-            for cp, cq in moves:
-                if all(cm[k] >= v for k, v in cp.items()):
-                    nxt = tuple(sorted((+(cm - cp) + cq).elements()))
+            subs = {s for d in range(1, len(m) + 1) for s in combinations(m, d)}
+            for side in subs:
+                for q in moves.get(side, ()):
+                    nxt = tuple(sorted((cm - Counter(side) + Counter(q)).elements()))
                     if nxt in monoset and nxt not in seen:
                         seen.add(nxt)
                         comp.add(nxt)
@@ -104,19 +113,21 @@ def _naive_components(monos, basis):
     return comps
 
 
-def naive_markov_width(system, cap):
-    """Independent layered reimplementation used as the width oracle."""
+def naive_markov_basis(system, cap):
+    """Independent layered reimplementation used as the basis oracle: for
+    t = 1..cap, while a fiber has two or more components under the moves
+    found so far, join the smallest monomials of its first two components.
+    Returns the (plus, minus) pairs with common factors stripped."""
     from collections import Counter
     basis = []
-    width = 0
-    for t in range(2, cap + 1):
+    for t in range(1, cap + 1):
         fibers = naive_fibers(system, t)
         for key in sorted(fibers):
             monos = fibers[key]
             if len(monos) < 2:
                 continue
             while True:
-                comps = _naive_components(monos, basis)
+                comps = _naive_components(monos, _naive_moves(basis))
                 if len(comps) == 1:
                     break
                 a, b = comps[0][0], comps[1][0]
@@ -125,8 +136,27 @@ def naive_markov_width(system, cap):
                 p = tuple(sorted((ca - common).elements()))
                 q = tuple(sorted((cb - common).elements()))
                 basis.append((p, q))
-                width = max(width, len(p), len(q))
-    return width
+    return basis
+
+
+def naive_markov_width(system, cap):
+    """Width oracle: the largest degree in ``naive_markov_basis``."""
+    return max((max(len(p), len(q)) for p, q in naive_markov_basis(system, cap)),
+               default=0)
+
+
+def naive_verify_markov(system, basis, cap, layers=None):
+    """True when every fiber of degree 1..cap is a single component under
+    the moves of ``basis``.  ``layers`` may hold ``naive_fibers`` of
+    degrees 1..cap, computed once for many bases of one system."""
+    moves = _naive_moves((b.plus, b.minus) for b in basis)
+    if layers is None:
+        layers = [naive_fibers(system, t) for t in range(1, cap + 1)]
+    for fibers in layers:
+        for monos in fibers.values():
+            if len(monos) > 1 and len(_naive_components(monos, moves)) > 1:
+                return False
+    return True
 
 
 def naive_fiber_is_grobner(monos, index):

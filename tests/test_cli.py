@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -145,3 +148,13 @@ def test_thread_count_does_not_change_output(capsys):
         assert code == 0
         outputs.append(out)
     assert outputs[0] == outputs[1]
+
+
+def test_cli_import_leaves_scipy_out():
+    # importing scipy.sparse alone costs more than the CLI's whole start-up
+    import homtoric
+    src = os.path.dirname(os.path.dirname(homtoric.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = "import homtoric.cli, sys; assert 'scipy' not in sys.modules"
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)

@@ -195,6 +195,16 @@ def test_forest_pipeline_disconnected():
     assert res.basis.is_squarefree() and res.basis.degree <= 2
 
 
+def test_forest_pipeline_isolated_vertex_verifies():
+    # maps that differ only on the isolated vertex are equal columns, joined
+    # by one linear binomial each besides the first of their class
+    with_isolated = Graph(4, [(0, 1), (1, 2)])
+    for h, linear in ((G.spoon(), 5), (G.complete(3), 24), (G.path(3), 12)):
+        res = forest_pipeline(with_isolated, h)
+        assert sum(b.degree == 1 for b in res.basis) == linear
+        assert verify_markov(res.system, res.basis, 3)
+
+
 def test_forest_pipeline_rejects_cycles_and_loops():
     with pytest.raises(GlueError):
         forest_pipeline(G.cycle(3), G.spoon())

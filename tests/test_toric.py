@@ -12,7 +12,7 @@ from homtoric.toric import (Binomial, MoveIndex, OrientedBasis, ResourceCapExcee
                             strip_common, verify_grobner, verify_markov)
 
 from helpers import (graphs_upto_iso, naive_fiber_is_grobner, naive_fibers,
-                     naive_markov_width)
+                     naive_markov_basis, naive_markov_width, naive_verify_markov)
 
 
 def spoon_sets(g):
@@ -301,6 +301,53 @@ def test_verify_markov_rejects_non_member():
     bogus = OrientedBasis.make([Binomial((0,), (1,))])
     with pytest.raises(ValueError):
         verify_markov(system, bogus, 2)
+
+
+def test_verify_markov_checks_degree_one_fibers():
+    # the isolated vertex doubles every map of the path: every degree-2
+    # fiber is joined completely by quadrics, but the equal columns are not
+    system = build_system(Graph(4, [(0, 1), (1, 2)]), G.path(3))
+    elems = [Binomial(m, f[0]) for _, f in iter_fibers(system, 2, min_size=2)
+             for m in f[1:]]
+    basis = OrientedBasis.make(elems)
+    assert basis.degrees() == [2]
+    # the oracle agrees: degree 2 alone is joined, degree 1 is not
+    assert naive_verify_markov(system, basis, 2, layers=[naive_fibers(system, 2)])
+    assert not naive_verify_markov(system, basis, 2)
+    assert not verify_markov(system, basis, 2)
+    assert verify_markov(system, markov_basis(system, 2).basis, 2)
+
+
+def test_verify_markov_rejects_sides_of_different_degree():
+    # without edges every image is empty: all variables form one degree-1
+    # fiber, and x0 - x1*x2 is in the ideal
+    system = build_system(Graph(2, []), G.path(3))
+    assert markov_basis(system, 2).width == 1
+    with pytest.raises(ValueError):
+        verify_markov(system, OrientedBasis.make([Binomial((0,), (1, 2))]), 2)
+
+
+def test_engine_matches_naive_oracles():
+    # the gcd-component engine against fiber-by-fiber searches over all
+    # moves: same minimal basis, and the same verdict on that basis and on
+    # every basis with one element left out
+    sources = [g for n in range(1, 6) for g in graphs_upto_iso(n, connected=True)]
+    sources += [Graph(3, [(0, 1)]), Graph(4, [(0, 1), (1, 2)])]
+    verdicts = set()
+    for h, cap in ((G.spoon(), 3), (G.complete(3), 2), (G.path(3), 3)):
+        for g in sources:
+            system = build_system(g, h)
+            basis = markov_basis(system, cap).basis
+            assert ({(b.plus, b.minus) for b in basis}
+                    == set(naive_markov_basis(system, cap))), (g.edges, h.edges)
+            layers = [naive_fibers(system, t) for t in range(1, cap + 1)]
+            for drop in range(-1, len(basis)):
+                kept = OrientedBasis.make(b for i, b in enumerate(basis) if i != drop)
+                ok = verify_markov(system, kept, cap)
+                assert ok == naive_verify_markov(system, kept, cap, layers), \
+                    (g.edges, h.edges, drop)
+                verdicts.add(ok)
+    assert verdicts == {True, False}
 
 
 # ---------------------------------------------------------------------------
