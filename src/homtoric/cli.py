@@ -65,10 +65,6 @@ class Report:
             out.write("\n".join(self.lines) + "\n")
 
 
-def _spoonish(h: Graph) -> bool:
-    return h.n == 2 and h.edges == frozenset({(0, 1), (1, 1)})
-
-
 def _set_name(s) -> str:
     return "{" + ",".join(map(str, sorted(s))) + "}"
 
@@ -84,7 +80,7 @@ def cmd_homs(args, cfg: RunConfig) -> int:
     g, h = load_graph(args.G), load_graph(args.H)
     homs = enumerate_homs(g, h, count_cap=cfg.mono_cap)
     rep = Report("homs", cfg)
-    spoonish = _spoonish(h)
+    spoonish = h == graphs.spoon()
     entries = []
     for m in homs.maps:
         text = "(" + ",".join(map(str, m)) + ")"

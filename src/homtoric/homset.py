@@ -11,7 +11,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
-from .graph import Graph, induced_subgraph
+from .graph import Graph, induced_subgraph, spoon
 
 
 class HomTooLarge(RuntimeError):
@@ -138,8 +138,7 @@ def indep_encode(g: Graph, homs: HomSet):
     The independent set is the preimage of the unlooped vertex 0.
     Returns (sets, index) with sets[i] the frozenset for variable i.
     """
-    t = homs.target
-    if t.n != 2 or t.edges != frozenset({(0, 1), (1, 1)}):
+    if homs.target != spoon():
         raise ValueError("independence encoding needs the spoon target")
     sets = [frozenset(v for v in range(g.n) if m[v] == UNLOOPED) for m in homs.maps]
     index = {s: i for i, s in enumerate(sets)}

@@ -9,13 +9,12 @@ kept when supporting, and deduplicated by primitive integer normal.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations
 from math import gcd
 
 from .graph import Graph
 from .toric import ToricSystem, build_system
-from .util import exact_rank
+from .util import pivot_columns
 
 
 class PolytopeCapExceeded(RuntimeError):
@@ -70,42 +69,7 @@ def polytope_of_system(system: ToricSystem) -> LatticePolytope:
 
 
 # ---------------------------------------------------------------------------
-# affine hull
-
-def _affine_pivots(vertices):
-    """(dim, pivot coordinate indices): projection of the affine hull to the
-    pivot coordinates is injective, so they serve as exact integer
-    coordinates."""
-    if len(vertices) <= 1:
-        return 0, ()
-    base = vertices[0]
-    rows = [[x - b for x, b in zip(v, base)] for v in vertices[1:]]
-    # row echelon over the rationals, recording pivot columns
-    pivots = []
-    r = 0
-    ncols = len(base)
-    mat = [[Fraction(x) for x in row] for row in rows]
-    for c in range(ncols):
-        pr = None
-        for i in range(r, len(mat)):
-            if mat[i][c] != 0:
-                pr = i
-                break
-        if pr is None:
-            continue
-        mat[r], mat[pr] = mat[pr], mat[r]
-        pivot = mat[r][c]
-        for i in range(len(mat)):
-            if i != r and mat[i][c] != 0:
-                f = mat[i][c] / pivot
-                for cc in range(c, ncols):
-                    mat[i][cc] -= f * mat[r][cc]
-        pivots.append(c)
-        r += 1
-        if r == len(mat):
-            break
-    return len(pivots), tuple(pivots)
-
+# facets
 
 def _primitive(normal, offset):
     g = 0
@@ -173,7 +137,11 @@ def facets(poly: LatticePolytope, *, vertex_cap: int = 30,
     nverts = poly.num_vertices
     if nverts == 0:
         return FacetDescription(-1, (), ())
-    dim, pivots = _affine_pivots(poly.vertices)
+    # the pivot coordinates of the vertex differences project the affine
+    # hull injectively, so they serve as exact integer coordinates
+    base = poly.vertices[0]
+    pivots = pivot_columns([[x - b for x, b in zip(v, base)] for v in poly.vertices[1:]])
+    dim = len(pivots)
     if nverts > vertex_cap:
         raise PolytopeCapExceeded(f"{nverts} vertices above the cap {vertex_cap}")
     if dim > dim_cap:
@@ -204,7 +172,7 @@ def facets(poly: LatticePolytope, *, vertex_cap: int = 30,
         # the incident set must span a (dim-1)-flat
         inc_pts = [coords[i] for i in incident]
         base = inc_pts[0]
-        rank = exact_rank([[x - b for x, b in zip(p, base)] for p in inc_pts[1:]])
+        rank = len(pivot_columns([[x - b for x, b in zip(p, base)] for p in inc_pts[1:]]))
         if rank == dim - 1:
             found[(n, offset)] = Facet(n, offset, incident)
     ordered = sorted(found.values(), key=lambda f: (f.normal, f.offset))

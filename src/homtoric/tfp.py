@@ -17,7 +17,7 @@ from . import graph as graphs
 from .graph import Graph, induced_subgraph
 from .toric import (Binomial, OrientedBasis, ToricSystem, build_system,
                     NormalityWitness, markov_basis)
-from .util import exact_rank
+from .util import pivot_columns
 
 
 class GlueError(ValueError):
@@ -123,7 +123,7 @@ def check_codim_zero(spec: GlueSpec, **caps) -> bool:
             p = spec.inter.index[w]
             for target in range(spec.h.n):
                 rows.append([1 if m[p] == target else 0 for m in homs.maps])
-    return exact_rank(rows) == ncols
+    return len(pivot_columns(rows)) == ncols
 
 
 @dataclass(frozen=True)

@@ -6,6 +6,13 @@ the homomorphism restricts to that edge map.  Binomials live in the
 polynomial ring with one variable per homomorphism; a monomial is stored
 as a sorted tuple of variable indices (repeats encode exponents).
 
+A fiber is a set of monomials of one degree with the same image under A.
+They are grouped by one key for every target: the rows of A that are
+linearly independent modulo the all-ones row, chosen by exact integer
+elimination.  Every other row of A is a combination of those rows and
+the all-ones row, which is constant (the degree) on a layer, so the key
+separates exactly the monomials that A separates.
+
 Markov bases are built and verified one degree layer at a time, t = 1, 2,
 ..., by the gcd rule (Takemura-Aoki, Ann. Inst. Stat. Math. 56, 2004; see
 also Diaconis-Sturmfels, Ann. Statist. 1998).  Once every fiber of degree
@@ -31,6 +38,7 @@ import numpy as np
 
 from .graph import Graph
 from .homset import HomSet, enumerate_homs
+from .util import pivot_columns
 
 
 class ResourceCapExceeded(RuntimeError):
@@ -140,8 +148,7 @@ class OrientedBasis:
 class ToricSystem:
     """Edge-separator matrix of Hom(G, H) with exact column data."""
 
-    __slots__ = ("g", "h", "homs", "rows", "row_index", "cols",
-                 "key_matrix", "key_reduced")
+    __slots__ = ("g", "h", "homs", "rows", "row_index", "cols", "_key")
 
     def __init__(self, g: Graph, h: Graph, homs: HomSet):
         self.g = g
@@ -165,29 +172,38 @@ class ToricSystem:
                 entries.append(self.row_index[((u, v), rho)])
             cols.append(tuple(sorted(entries)))
         self.cols = tuple(cols)
-        self.key_matrix, self.key_reduced = self._build_key()
+        self._key = None
 
-    # -- construction helpers ------------------------------------------------
+    # -- fiber key -------------------------------------------------------------
+
+    @property
+    def key_matrix(self):
+        """Fiber-grouping key (int16, one column per variable), built on
+        first use: the rows of A that are linearly independent modulo the
+        all-ones row.
+
+        Exact: every row of A is a combination of the key rows and the
+        all-ones row, and the all-ones row gives every monomial of a layer
+        the same value, its degree.  So two monomials of one degree have
+        the same image under A exactly when they have the same image under
+        the key."""
+        if self._key is None:
+            self._key = self._build_key()
+        return self._key
 
     def _build_key(self):
-        """Fiber-grouping key.  For the spoon target on a source without
-        isolated vertices the per-vertex multidegree is an equivalent,
-        much smaller key; otherwise the full matrix is used."""
-        n_vars = len(self.homs)
-        spoonish = (self.h.n == 2 and self.h.edges == frozenset({(0, 1), (1, 1)}))
-        no_isolated = all(self.g.degree_on_edge(v) for v in range(self.g.n))
-        if spoonish and no_isolated and self.g.n > 0:
-            key = np.zeros((self.g.n, n_vars), dtype=np.int16)
-            for j, m in enumerate(self.homs.maps):
-                for v in range(self.g.n):
-                    if m[v] == 0:
-                        key[v, j] = 1
-            return key, True
-        key = np.zeros((len(self.rows), n_vars), dtype=np.int16)
+        # M = [1; A].  The pivot columns of M^T are the rows of M that are
+        # independent of the rows above them; the Gram matrix M M^T has the
+        # same ones (x^T M M^T = 0 exactly when x^T M = 0) and is the
+        # smaller matrix when M has fewer rows than columns.
+        m = np.zeros((len(self.rows) + 1, len(self.homs)), dtype=np.int64)
+        m[0] = 1
         for j, col in enumerate(self.cols):
             for r in col:
-                key[r, j] += 1
-        return key, False
+                m[r + 1, j] += 1
+        small = m @ m.T if m.shape[0] <= m.shape[1] else m.T
+        rows = [p for p in pivot_columns(small.tolist()) if p]
+        return m[rows].astype(np.int16)
 
     # -- exact images ----------------------------------------------------------
 
@@ -547,13 +563,14 @@ def verify_markov(system, basis: OrientedBasis, degree_cap: int, *,
 
 def verify_grobner(system, basis: OrientedBasis, degree_cap: int, *,
                    mono_cap: int = DEFAULT_MONO_CAP) -> bool:
-    """Directed fiber-graph criterion: every fiber graph of degree 2..cap
-    must be connected, acyclic, and have a unique sink.  Singleton fibers
-    pass: moves preserve the image, so no edge can leave a fiber and a lone
-    monomial is connected and its own unique sink."""
+    """Directed fiber-graph criterion: every fiber graph of degree 1..cap
+    must be connected, acyclic, and have a unique sink.  Degree 1 matters
+    when two variables have equal columns (a source vertex on no edge).
+    Singleton fibers pass: moves preserve the image, so no edge can leave
+    a fiber and a lone monomial is connected and its own unique sink."""
     system.check_basis_members(basis)
     index = MoveIndex(basis)
-    for t in range(2, degree_cap + 1):
+    for t in range(1, degree_cap + 1):
         for _, monos in iter_fibers(system, t, min_size=2, mono_cap=mono_cap):
             if not _fiber_is_grobner(monos, index):
                 return False

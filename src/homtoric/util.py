@@ -3,15 +3,19 @@
 from __future__ import annotations
 
 
-def exact_rank(matrix) -> int:
-    """Rank of an integer matrix by fraction-free Gaussian elimination."""
+def pivot_columns(matrix) -> tuple:
+    """Pivot columns of an integer matrix by fraction-free (Bareiss)
+    Gaussian elimination: the first column is a pivot when nonzero, each
+    later one when it is independent of the columns before it.  Their
+    number is the rank."""
     m = [list(map(int, row)) for row in matrix]
     if not m:
-        return 0
+        return ()
     rows, cols = len(m), len(m[0])
-    rank = 0
+    pivots = []
     prev_pivot = 1
     for c in range(cols):
+        rank = len(pivots)
         pivot_row = None
         for r in range(rank, rows):
             if m[r][c] != 0:
@@ -26,7 +30,7 @@ def exact_rank(matrix) -> int:
             for cc in range(c, cols):
                 m[r][cc] = (m[r][cc] * p - factor * m[rank][cc]) // prev_pivot
         prev_pivot = p
-        rank += 1
-        if rank == rows:
+        pivots.append(c)
+        if len(pivots) == rows:
             break
-    return rank
+    return tuple(pivots)

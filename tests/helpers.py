@@ -1,6 +1,7 @@
 """Shared test helpers: exhaustive graph generation up to isomorphism and
 independent brute-force oracles for cross-checking the library."""
 
+from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, combinations_with_replacement, permutations, product
 
@@ -65,6 +66,34 @@ def naive_independent_sets(g):
         if all(not g.adjacent(u, v) for u, v in combinations(s, 2)):
             out.append(frozenset(s))
     return sorted(out, key=lambda s: (len(s), sorted(s)))
+
+
+def naive_pivot_columns(matrix):
+    """Pivot columns by Gauss-Jordan elimination over the rationals."""
+    mat = [[Fraction(x) for x in row] for row in matrix]
+    ncols = len(mat[0]) if mat else 0
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        pr = None
+        for i in range(r, len(mat)):
+            if mat[i][c] != 0:
+                pr = i
+                break
+        if pr is None:
+            continue
+        mat[r], mat[pr] = mat[pr], mat[r]
+        pivot = mat[r][c]
+        for i in range(len(mat)):
+            if i != r and mat[i][c] != 0:
+                f = mat[i][c] / pivot
+                for cc in range(c, ncols):
+                    mat[i][cc] -= f * mat[r][cc]
+        pivots.append(c)
+        r += 1
+        if r == len(mat):
+            break
+    return tuple(pivots)
 
 
 def naive_fibers(system, degree):

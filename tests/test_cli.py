@@ -158,3 +158,17 @@ def test_cli_import_leaves_scipy_out():
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     code = "import homtoric.cli, sys; assert 'scipy' not in sys.modules"
     subprocess.run([sys.executable, "-c", code], env=env, check=True)
+
+
+GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
+
+
+def test_outputs_match_golden(capsys):
+    # default output stays byte-identical; regenerate a file only for a
+    # deliberate, recorded output change
+    with open(os.path.join(GOLDEN, "cases.json")) as fh:
+        cases = json.load(fh)
+    for name, case in cases.items():
+        code, out = run(capsys, *case["argv"])
+        with open(os.path.join(GOLDEN, name + ".txt"), newline="") as fh:
+            assert (code, out) == (case["exit"], fh.read()), name

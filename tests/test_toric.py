@@ -12,7 +12,8 @@ from homtoric.toric import (Binomial, MoveIndex, OrientedBasis, ResourceCapExcee
                             strip_common, verify_grobner, verify_markov)
 
 from helpers import (graphs_upto_iso, naive_fiber_is_grobner, naive_fibers,
-                     naive_markov_basis, naive_markov_width, naive_verify_markov)
+                     naive_markov_basis, naive_markov_width, naive_pivot_columns,
+                     naive_verify_markov)
 
 
 def spoon_sets(g):
@@ -137,46 +138,50 @@ def test_membership_trivial_and_errors():
 # ---------------------------------------------------------------------------
 # fibers
 
+def _fiber_cases():
+    isolated, edgeless = Graph(4, [(0, 1), (1, 2)]), Graph(2, [])
+    for g in [G.path(4), G.cycle(5), G.complete(3), isolated, edgeless]:
+        for h in (G.path(3), G.complete(3), G.complete_looped(2)):
+            yield g, h, (2, 3)
+    for g in [G.path(4), G.cycle(5), G.complete(3), G.complement(G.cycle(6)),
+              isolated, edgeless]:
+        yield g, G.spoon(), (1, 2, 3)
+
+
 def test_fibers_match_naive_grouping():
-    for g in [G.path(4), G.cycle(5), G.complete(3)]:
-        for h in (G.spoon(), G.path(3)):
-            system = build_system(g, h)
-            for t in (2, 3):
-                ours = {}
-                for key, monos in iter_fibers(system, t):
-                    for m in monos:
-                        ours[m] = key
-                naive = naive_fibers(system, t)
-                assert sum(len(v) for v in naive.values()) == len(ours)
-                for monos in naive.values():
-                    keys = {ours[m] for m in monos}
-                    assert len(keys) == 1
-                # distinct naive fibers must get distinct keys
-                reps = [monos[0] for monos in naive.values()]
-                assert len({ours[m] for m in reps}) == len(reps)
+    for g, h, degrees in _fiber_cases():
+        system = build_system(g, h)
+        for t in degrees:
+            ours = {}
+            for key, monos in iter_fibers(system, t):
+                for m in monos:
+                    ours[m] = key
+            naive = naive_fibers(system, t)
+            assert sum(len(v) for v in naive.values()) == len(ours)
+            for monos in naive.values():
+                keys = {ours[m] for m in monos}
+                assert len(keys) == 1
+            # distinct naive fibers must get distinct keys
+            reps = [monos[0] for monos in naive.values()]
+            assert len({ours[m] for m in reps}) == len(reps)
 
 
-def test_reduced_key_agrees_with_full_matrix():
-    # multidegree grouping and edge-statistics grouping coincide for spoon
-    # targets without isolated vertices
-    for g in [G.cycle(5), G.path(4), G.complement(G.cycle(6))]:
-        system = build_system(g, G.spoon())
-        assert system.key_reduced
-        full = build_system(g, G.spoon())
-        full.key_matrix, full.key_reduced = _full_key(full), False
-        for t in (2, 3):
-            a = {frozenset(map(tuple, monos)) for _, monos in iter_fibers(system, t)}
-            b = {frozenset(map(tuple, monos)) for _, monos in iter_fibers(full, t)}
-            assert a == b
-
-
-def _full_key(system):
-    import numpy as np
-    key = np.zeros((system.num_rows, system.num_vars), dtype=np.int16)
-    for j, col in enumerate(system.cols):
-        for r in col:
-            key[r, j] += 1
-    return key
+def test_key_rows_independent_modulo_degree():
+    # the key keeps rank [1; A] - 1 rows of A, and with the all-ones row
+    # they span the row space of [1; A]
+    assert build_system(G.path(7), G.complete(3)).key_matrix.shape[0] == 20
+    assert build_system(G.complement(G.cycle(8)), G.spoon()).key_matrix.shape[0] == 8
+    for g, h, _ in _fiber_cases():
+        system = build_system(g, h)
+        if not system.num_vars:         # K3 into P3
+            assert system.key_matrix.shape[0] == 0
+            continue
+        ones = [[1] * system.num_vars]
+        a = [[col.count(j) for col in system.cols] for j in range(system.num_rows)]
+        key = system.key_matrix.tolist()
+        assert all(row in a for row in key)
+        rank = len(naive_pivot_columns(list(zip(*(ones + a)))))
+        assert len(naive_pivot_columns(list(zip(*(ones + key))))) == len(key) + 1 == rank
 
 
 def test_fiber_of_and_fiber_graph():
@@ -315,6 +320,7 @@ def test_verify_markov_checks_degree_one_fibers():
     assert naive_verify_markov(system, basis, 2, layers=[naive_fibers(system, 2)])
     assert not naive_verify_markov(system, basis, 2)
     assert not verify_markov(system, basis, 2)
+    assert not verify_grobner(system, basis, 2)
     assert verify_markov(system, markov_basis(system, 2).basis, 2)
 
 
