@@ -174,7 +174,6 @@ def cmd_glue(args, cfg: RunConfig) -> int:
     union = Graph(len(all_labels), edges1 + edges2)
     h = load_graph(args.H)
     spec = GlueSpec(union, labels1, labels2, h)
-    from .tfp import check_codim_zero
     if not check_codim_zero(spec, count_cap=cfg.mono_cap):
         rep = Report("glue", cfg)
         rep.say("intersection configuration is not linearly independent; "
@@ -353,12 +352,7 @@ def _scenario_fan_k4(rep):
 
 def _scenario_k5_coloring(rep):
     system = build_system(graphs.complete(3), graphs.complete(5))
-
-    def var(s):
-        return system.homs.index[tuple(int(c) - 1 for c in s)]
-
-    b = Binomial.make([var(s) for s in "123 145 325 341 521 543".split()],
-                      [var(s) for s in "125 143 321 345 523 541".split()])
+    b = _paper_binomial(system, "123 145 325 341 521 543", "125 143 321 345 523 541")
     cert = analyze_certificate(graphs.complete(5), system, b)
     rep.say(format_certificate(cert))
     rep.payload.update({"verdict": cert.verdict})
@@ -367,12 +361,7 @@ def _scenario_k5_coloring(rep):
 def _scenario_octahedron_coloring(rep):
     octa = graphs.octahedron()
     system = build_system(graphs.complete(3), octa)
-
-    def var(s):
-        return system.homs.index[tuple(int(c) - 1 for c in s)]
-
-    b = Binomial.make([var(s) for s in "135 146 236 245".split()],
-                      [var(s) for s in "136 145 235 246".split()])
+    b = _paper_binomial(system, "135 146 236 245", "136 145 235 246")
     cert = analyze_certificate(octa, system, b, relation=[(0, 1), (2, 3), (4, 5)])
     rep.say(format_certificate(cert))
     rep.say(f"octahedron 4-colorable: {is_k_colorable(octa, 4)}")
@@ -400,13 +389,18 @@ def _scenario_spoon_widths(rep):
         rep.payload[f"K{n}"] = res.width
 
 
-def _degree12_binomial(system):
+def _paper_binomial(system, plus, minus):
+    """Binomial of the maps written as 1-based digit strings: "312" sends
+    vertices 0, 1, 2 to 2, 0, 1."""
     def var(s):
         return system.homs.index[tuple(int(c) - 1 for c in s)]
 
-    left = [var(s) for s in "123 214 341 432 231 142 413 324 312 421 134 243".split()]
-    right = [var(s) for s in "124 213 342 431 234 143 412 321 314 423 132 241".split()]
-    return Binomial.make(left, right)
+    return Binomial.make([var(s) for s in plus.split()], [var(s) for s in minus.split()])
+
+
+def _degree12_binomial(system):
+    return _paper_binomial(system, "123 214 341 432 231 142 413 324 312 421 134 243",
+                           "124 213 342 431 234 143 412 321 314 423 132 241")
 
 
 SCENARIOS = {

@@ -46,10 +46,6 @@ class Graph:
         """Open neighborhood, loops excluded."""
         return self._adj[v] - {v}
 
-    def closed_adj(self, v: int) -> frozenset:
-        """Vertices adjacent to v including v itself when looped."""
-        return self._adj[v]
-
     def has_loop(self, v: int) -> bool:
         return (v, v) in self.edges
 

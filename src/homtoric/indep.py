@@ -10,6 +10,7 @@ the set.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 
 from . import graph as graphs
 from .graph import Graph, Bipartition, AlmostBipartiteSplit
@@ -88,22 +89,20 @@ def bipartite_grobner(isys: IndepSystem, bip: Bipartition = None) -> OrientedBas
         bip = graphs.is_bipartite(g)
     if bip is None:
         raise ValueError("graph is not bipartite")
-    v1, v2 = bip.part1, bip.part2
-    elems = []
-    n = isys.num_vars
-    for i in range(n):
-        si = isys.sets[i]
-        a, b = si & v1, si & v2
-        for j in range(i + 1, n):
-            sj = isys.sets[j]
-            c, d = sj & v1, sj & v2
-            (t1a, t1b), (t2a, t2b) = _straighten(a, b, c, d)
-            t1, t2 = t1a | t1b, t2a | t2b
-            if {t1, t2} == {si, sj}:
-                continue
-            minus = tuple(sorted((isys.index[t1], isys.index[t2])))
-            elems.append(Binomial((i, j), minus))
-    return OrientedBasis.make(elems)
+    labeled = [(i, s & bip.part1, s & bip.part2) for i, s in enumerate(isys.sets)]
+    return OrientedBasis.make([Binomial(plus, minus) for plus, minus
+                               in _sorting_moves(isys, labeled, lambda p, q: p | q)])
+
+
+def _sorting_moves(isys: IndepSystem, labeled, make_set):
+    """(plus, minus) of the sorting move of every incomparable pair among
+    ``labeled`` (variable, A, B) triples, in order; ``make_set`` turns a
+    straightened (A, B) back into its independent set."""
+    for (i, a, b), (j, c, d) in combinations(labeled, 2):
+        (t1a, t1b), (t2a, t2b) = _straighten(a, b, c, d)
+        s1, s2 = make_set(t1a, t1b), make_set(t2a, t2b)
+        if {s1, s2} != {isys.sets[i], isys.sets[j]}:
+            yield (i, j), tuple(sorted((isys.index[s1], isys.index[s2])))
 
 
 # ---------------------------------------------------------------------------
@@ -168,21 +167,11 @@ def almost_bipartite_grobner(isys: IndepSystem,
             raise AssertionError("conflicting orientations for one binomial")
         elems[key] = (b, tag)
 
-    def straighten_family(vars_, make_set, tag):
-        for x in range(len(vars_)):
-            i, a, b = vars_[x]
-            for y in range(x + 1, len(vars_)):
-                j, c, d = vars_[y]
-                (t1a, t1b), (t2a, t2b) = _straighten(a, b, c, d)
-                s1, s2 = make_set(t1a, t1b), make_set(t2a, t2b)
-                if {s1, s2} == {isys.sets[i], isys.sets[j]}:
-                    continue
-                minus = tuple(sorted((isys.index[s1], isys.index[s2])))
-                emit((i, j), minus, tag)
-
     apex = frozenset({lab.apex})
-    straighten_family(lab.circ, lambda p, q: p | q, "uncovered")
-    straighten_family(lab.bullet, lambda p, q: p | q | apex, "covered")
+    for plus, minus in _sorting_moves(isys, lab.circ, lambda p, q: p | q):
+        emit(plus, minus, "uncovered")
+    for plus, minus in _sorting_moves(isys, lab.bullet, lambda p, q: p | q | apex):
+        emit(plus, minus, "covered")
 
     # mixed moves: shift E from the circ A-part into the bullet C-part
     for i, a, b in lab.circ:

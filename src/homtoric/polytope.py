@@ -3,7 +3,10 @@
 The polytope of a system is the convex hull of its 0/1 columns.  Facet
 enumeration works in exact integer arithmetic on affine-hull coordinates:
 candidate hyperplanes are spanned by affinely independent vertex subsets,
-kept when supporting, and deduplicated by primitive integer normal.
+kept when supporting, and deduplicated by primitive integer normal.  The
+affine-hull coordinates, every rank and every normal come from one
+fraction-free elimination, ``util.echelon``; a normal is read off the
+echelon form.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ from math import gcd
 
 from .graph import Graph
 from .toric import ToricSystem, build_system
-from .util import pivot_columns
+from .util import echelon
 
 
 class PolytopeCapExceeded(RuntimeError):
@@ -56,16 +59,11 @@ def build_polytope(g: Graph, h: Graph, **caps) -> LatticePolytope:
 
 
 def polytope_of_system(system: ToricSystem) -> LatticePolytope:
-    verts = []
-    for col in system.cols:
-        v = [0] * system.num_rows
-        for r in col:
-            v[r] = 1
-        verts.append(tuple(v))
+    verts = tuple(map(tuple, system.dense_matrix().T.tolist()))
     if len(set(verts)) != len(verts):
         raise ValueError("duplicate polytope vertices: the source has a vertex "
                          "on no edge, so its image does not show in the columns")
-    return LatticePolytope(tuple(system.rows), tuple(verts), tuple(system.homs.maps))
+    return LatticePolytope(tuple(system.rows), verts, tuple(system.homs.maps))
 
 
 # ---------------------------------------------------------------------------
@@ -82,44 +80,24 @@ def _primitive(normal, offset):
     return tuple(normal), offset
 
 
-def _det(mat):
-    """Fraction-free integer determinant."""
-    m = [row[:] for row in mat]
-    n = len(m)
-    if n == 0:
-        return 1
-    sign = 1
-    prev = 1
-    for c in range(n - 1):
-        pr = next((i for i in range(c, n) if m[i][c] != 0), None)
-        if pr is None:
-            return 0
-        if pr != c:
-            m[c], m[pr] = m[pr], m[c]
-            sign = -sign
-        for i in range(c + 1, n):
-            for cc in range(c + 1, n):
-                m[i][cc] = (m[i][cc] * m[c][c] - m[i][c] * m[c][cc]) // prev
-            m[i][c] = 0
-        prev = m[c][c]
-    return sign * m[n - 1][n - 1]
-
-
 def _hyperplane_through(points):
     """Primitive integer normal of the hyperplane through d affinely
-    independent points of Z^d via cofactor expansion (generalized cross
-    product); None when the points are dependent."""
+    independent points of Z^d; None when the points are dependent.
+
+    Eliminates [D^T | I]: row i holds coordinate i of every difference
+    p - p_0, then e_i.  When the first d - 1 columns are all pivots, the
+    last row is zero on D^T, and its identity part records the combination
+    of coordinates that cancels every difference: the normal.  Each of its
+    entries is a d-minor, so it is the cofactor vector up to sign.
+    Otherwise the differences have rank below d - 1."""
     d = len(points[0])
     base = points[0]
-    rows = [[x - b for x, b in zip(p, base)] for p in points[1:]]
-    normal = []
-    sign = 1
-    for i in range(d):
-        minor = [[row[c] for c in range(d) if c != i] for row in rows]
-        normal.append(sign * _det(minor))
-        sign = -sign
-    if all(x == 0 for x in normal):
+    rows = [[p[i] - base[i] for p in points[1:]] + [int(i == j) for j in range(d)]
+            for i in range(d)]
+    pivots, rows = echelon(rows)
+    if pivots[:d - 1] != tuple(range(d - 1)):
         return None
+    normal = rows[d - 1][d - 1:]
     offset = sum(a * b for a, b in zip(normal, base))
     normal, offset = _primitive(normal, offset)
     for x in normal:
@@ -137,13 +115,13 @@ def facets(poly: LatticePolytope, *, vertex_cap: int = 30,
     nverts = poly.num_vertices
     if nverts == 0:
         return FacetDescription(-1, (), ())
+    if nverts > vertex_cap:
+        raise PolytopeCapExceeded(f"{nverts} vertices above the cap {vertex_cap}")
     # the pivot coordinates of the vertex differences project the affine
     # hull injectively, so they serve as exact integer coordinates
     base = poly.vertices[0]
-    pivots = pivot_columns([[x - b for x, b in zip(v, base)] for v in poly.vertices[1:]])
+    pivots = echelon([[x - b for x, b in zip(v, base)] for v in poly.vertices[1:]])[0]
     dim = len(pivots)
-    if nverts > vertex_cap:
-        raise PolytopeCapExceeded(f"{nverts} vertices above the cap {vertex_cap}")
     if dim > dim_cap:
         raise PolytopeCapExceeded(f"dimension {dim} above the cap {dim_cap}")
     if dim == 0:
@@ -172,7 +150,7 @@ def facets(poly: LatticePolytope, *, vertex_cap: int = 30,
         # the incident set must span a (dim-1)-flat
         inc_pts = [coords[i] for i in incident]
         base = inc_pts[0]
-        rank = len(pivot_columns([[x - b for x, b in zip(p, base)] for p in inc_pts[1:]]))
+        rank = len(echelon([[x - b for x, b in zip(p, base)] for p in inc_pts[1:]])[0])
         if rank == dim - 1:
             found[(n, offset)] = Facet(n, offset, incident)
     ordered = sorted(found.values(), key=lambda f: (f.normal, f.offset))

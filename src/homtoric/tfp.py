@@ -17,7 +17,7 @@ from . import graph as graphs
 from .graph import Graph, induced_subgraph
 from .toric import (Binomial, OrientedBasis, ToricSystem, build_system,
                     NormalityWitness, markov_basis)
-from .util import pivot_columns
+from .util import echelon
 
 
 class GlueError(ValueError):
@@ -107,12 +107,7 @@ def check_codim_zero(spec: GlueSpec, **caps) -> bool:
     ncols = len(homs)
     if ncols <= 1:
         return True
-    rows = []
-    for r in range(ctx.sys_inter.num_rows):
-        rows.append([0] * ncols)
-    for j, col in enumerate(ctx.sys_inter.cols):
-        for r in col:
-            rows[r][j] += 1
+    rows = ctx.sys_inter.dense_matrix().tolist()
     g1, g2 = spec.sub1.graph, spec.sub2.graph
     if g1.edges and g2.edges:
         rows.append([1] * ncols)
@@ -123,7 +118,7 @@ def check_codim_zero(spec: GlueSpec, **caps) -> bool:
             p = spec.inter.index[w]
             for target in range(spec.h.n):
                 rows.append([1 if m[p] == target else 0 for m in homs.maps])
-    return len(pivot_columns(rows)) == ncols
+    return len(echelon(rows)[0]) == ncols
 
 
 @dataclass(frozen=True)

@@ -38,7 +38,7 @@ import numpy as np
 
 from .graph import Graph
 from .homset import HomSet, enumerate_homs
-from .util import pivot_columns
+from .util import echelon
 
 
 class ResourceCapExceeded(RuntimeError):
@@ -196,14 +196,22 @@ class ToricSystem:
         # independent of the rows above them; the Gram matrix M M^T has the
         # same ones (x^T M M^T = 0 exactly when x^T M = 0) and is the
         # smaller matrix when M has fewer rows than columns.
-        m = np.zeros((len(self.rows) + 1, len(self.homs)), dtype=np.int64)
-        m[0] = 1
-        for j, col in enumerate(self.cols):
-            for r in col:
-                m[r + 1, j] += 1
+        m = np.ones((len(self.rows) + 1, len(self.homs)), dtype=np.int64)
+        m[1:] = self.dense_matrix()
         small = m @ m.T if m.shape[0] <= m.shape[1] else m.T
-        rows = [p for p in pivot_columns(small.tolist()) if p]
+        rows = [p for p in echelon(small.tolist())[0] if p]
         return m[rows].astype(np.int16)
+
+    def dense_matrix(self):
+        """A as an int64 array, one row per row of A, one column per
+        variable.  The constructor gives every column exactly one row per
+        edge of G, so the column entries form a (variables x edges) index
+        array and one assignment fills A."""
+        n = len(self.cols)
+        entries = np.array(self.cols, dtype=np.intp).reshape(n, len(self.g.edges))
+        a = np.zeros((len(self.rows), n), dtype=np.int64)
+        a[entries, np.arange(n)[:, None]] = 1
+        return a
 
     # -- exact images ----------------------------------------------------------
 
@@ -242,10 +250,6 @@ class ToricSystem:
             raise ValueError("variable indices must be strictly increasing and nonnegative")
         maps = [self.homs.maps[v] for v in idx]
         return ToricSystem(self.g, self.h, HomSet(self.g, self.h, maps))
-
-    def column_sums_homogeneous(self) -> bool:
-        m = len(self.g.edges)
-        return all(len(c) == m for c in self.cols)
 
 
 def build_system(g: Graph, h: Graph, **caps) -> ToricSystem:

@@ -1,16 +1,20 @@
-"""Small shared helpers."""
+"""Exact integer elimination, the one such routine in the package."""
 
 from __future__ import annotations
 
 
-def pivot_columns(matrix) -> tuple:
-    """Pivot columns of an integer matrix by fraction-free (Bareiss)
-    Gaussian elimination: the first column is a pivot when nonzero, each
-    later one when it is independent of the columns before it.  Their
-    number is the rank."""
+def echelon(matrix) -> tuple:
+    """Fraction-free (Bareiss) Gaussian elimination of an integer matrix.
+
+    Returns ``(pivots, rows)``: the pivot columns (the first column is a
+    pivot when nonzero, each later one when it is independent of the
+    columns before it; their number is the rank) and the eliminated rows,
+    a row echelon form with the pivot rows first.  After k pivots every
+    entry of a lower row is, up to sign, a (k + 1)-minor of the input.
+    Elimination stops once every row holds a pivot."""
     m = [list(map(int, row)) for row in matrix]
     if not m:
-        return ()
+        return (), m
     rows, cols = len(m), len(m[0])
     pivots = []
     prev_pivot = 1
@@ -33,4 +37,4 @@ def pivot_columns(matrix) -> tuple:
         pivots.append(c)
         if len(pivots) == rows:
             break
-    return tuple(pivots)
+    return tuple(pivots), m

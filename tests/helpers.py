@@ -4,6 +4,7 @@ independent brute-force oracles for cross-checking the library."""
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, combinations_with_replacement, permutations, product
+from math import gcd
 
 import numpy as np
 
@@ -94,6 +95,48 @@ def naive_pivot_columns(matrix):
         if r == len(mat):
             break
     return tuple(pivots)
+
+
+def _naive_det(mat):
+    """Fraction-free integer determinant by its own Bareiss loop."""
+    m = [row[:] for row in mat]
+    n = len(m)
+    if n == 0:
+        return 1
+    sign = 1
+    prev = 1
+    for c in range(n - 1):
+        pr = next((i for i in range(c, n) if m[i][c] != 0), None)
+        if pr is None:
+            return 0
+        if pr != c:
+            m[c], m[pr] = m[pr], m[c]
+            sign = -sign
+        for i in range(c + 1, n):
+            for cc in range(c + 1, n):
+                m[i][cc] = (m[i][cc] * m[c][c] - m[i][c] * m[c][cc]) // prev
+            m[i][c] = 0
+        prev = m[c][c]
+    return sign * m[n - 1][n - 1]
+
+
+def naive_hyperplane_through(points):
+    """Primitive integer normal of the hyperplane through d points of Z^d
+    by cofactor expansion (generalized cross product of the differences),
+    first nonzero entry positive; None when the points are dependent."""
+    d = len(points[0])
+    base = points[0]
+    rows = [[x - b for x, b in zip(p, base)] for p in points[1:]]
+    normal = [(-1) ** i * _naive_det([[row[c] for c in range(d) if c != i] for row in rows])
+              for i in range(d)]
+    if all(x == 0 for x in normal):
+        return None
+    offset = sum(a * b for a, b in zip(normal, base))
+    g = 0
+    for x in normal + [offset]:
+        g = gcd(g, abs(x))
+    sign = 1 if next(x for x in normal if x) > 0 else -1
+    return tuple(sign * x // g for x in normal), sign * offset // g
 
 
 def naive_fibers(system, degree):

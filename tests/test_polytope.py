@@ -3,12 +3,13 @@ import random
 import pytest
 
 from homtoric import graph as G
+from homtoric import polytope
 from homtoric.graph import Graph
 from homtoric.polytope import (PolytopeCapExceeded, build_polytope,
                                face_check, facets, simplicity,
                                stable_set_iso, stable_set_polytope)
 
-from helpers import naive_independent_sets
+from helpers import naive_hyperplane_through, naive_independent_sets
 
 
 def square_sets(maps):
@@ -164,6 +165,45 @@ def test_vertex_cap():
     poly = stable_set_polytope(G.cycle(5))
     with pytest.raises(PolytopeCapExceeded):
         facets(poly, vertex_cap=5)
+
+
+def test_vertex_cap_refuses_before_elimination(monkeypatch):
+    # 3,120 vertices: the cap must fire before any vertex difference is
+    # eliminated
+    poly = build_polytope(G.cycle(5), G.complete(6))
+
+    def fail(matrix):
+        raise AssertionError("eliminated before the vertex cap")
+
+    monkeypatch.setattr(polytope, "echelon", fail)
+    with pytest.raises(PolytopeCapExceeded, match="3120 vertices"):
+        facets(poly)
+
+
+def _random_point_sets(rng):
+    for d in range(1, 9):
+        for _ in range(400):
+            pts = [tuple(rng.randint(-3, 3) for _ in range(d)) for _ in range(d)]
+            kind = rng.randrange(4)
+            if kind == 1 and d > 1:         # a repeated point
+                pts[rng.randrange(1, d)] = pts[rng.randrange(d)]
+            elif kind == 2 and d > 2:       # a point on the line of two others
+                i, j = rng.sample(range(d), 2)
+                k = rng.choice([x for x in range(d) if x not in (i, j)])
+                pts[k] = tuple(2 * a - b for a, b in zip(pts[i], pts[j]))
+            elif kind == 3:                 # 0/1 points, as polytope vertices are
+                pts = [tuple(rng.randint(0, 1) for _ in range(d)) for _ in range(d)]
+            yield pts
+
+
+def test_hyperplane_matches_cofactor_normal():
+    rng = random.Random(11)
+    outcomes = set()
+    for pts in _random_point_sets(rng):
+        ours = polytope._hyperplane_through(pts)
+        assert ours == naive_hyperplane_through(pts), pts
+        outcomes.add(ours is None)
+    assert outcomes == {True, False}
 
 
 def test_isolated_source_vertex_rejected():

@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 
 from homtoric import graph as G
@@ -100,7 +101,18 @@ def test_column_sums_homogeneous():
     for g in (G.cycle(4), G.path(5), G.octahedron()):
         for h in (G.spoon(), G.complete(3)):
             system = build_system(g, h)
-            assert system.column_sums_homogeneous()
+            assert (system.dense_matrix().sum(axis=0) == len(g.edges)).all()
+
+
+def test_dense_matrix_matches_columns():
+    cases = [(g, h) for g, h, _ in _fiber_cases()]
+    cases += [(G.build_named("edges:3:"), G.path(3)), (G.cycle(3), G.cycle(4))]
+    for g, h in cases:
+        system = build_system(g, h)
+        a = system.dense_matrix()
+        assert a.dtype == np.int64 and a.shape == (system.num_rows, system.num_vars)
+        assert a.tolist() == [[col.count(j) for col in system.cols]
+                              for j in range(system.num_rows)]
 
 
 # ---------------------------------------------------------------------------
