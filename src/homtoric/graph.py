@@ -276,17 +276,7 @@ def delete_vertex(g: Graph, v: int) -> InducedSubgraph:
 
 
 def is_connected(g: Graph) -> bool:
-    if g.n <= 1:
-        return True
-    seen = {0}
-    queue = deque([0])
-    while queue:
-        u = queue.popleft()
-        for w in g.neighbors(u):
-            if w not in seen:
-                seen.add(w)
-                queue.append(w)
-    return len(seen) == g.n
+    return len(components(g)) <= 1
 
 
 def components(g: Graph):

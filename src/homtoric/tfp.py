@@ -274,7 +274,7 @@ def glue_grobner(spec: GlueSpec, gb1: OrientedBasis, gb2: OrientedBasis, *,
     if gb1.weights is None or gb2.weights is None:
         raise GlueError("glue_grobner needs weighted bases")
     ctx = spec.context(**caps)
-    for system, gb in ((ctx.sys1, gb1), (ctx.sys2, gb2)):
+    for gb in (gb1, gb2):
         for b in gb:
             if gb.monomial_weight(b.plus) == gb.monomial_weight(b.minus):
                 raise GlueError("input weights do not separate a basis element")
@@ -286,14 +286,7 @@ def glue_grobner(spec: GlueSpec, gb1: OrientedBasis, gb2: OrientedBasis, *,
                                            _pad(gb2.weights[y], width)))
         weights.append(main + (x * y,))
     weights = tuple(weights)
-
-    def wsum(mono):
-        total = [0] * (width + 1)
-        for v in mono:
-            for i, a in enumerate(weights[v]):
-                total[i] += a
-        return tuple(total)
-
+    wsum = OrientedBasis((), weights).monomial_weight
     result = glue_basis(spec, gb1, gb2, lift_cap=lift_cap, **caps)
     oriented = []
     for b in result.basis:

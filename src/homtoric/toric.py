@@ -23,9 +23,9 @@ components of a degree-t fiber are the classes of "shares a variable",
 joined further only by moves of degree exactly t.  numpy groups each
 layer into fibers and computes those classes for all fibers at once.
 
-All arithmetic is exact integer arithmetic.  numpy is used only to group
-monomials of a fixed degree into fibers and to split the fibers into
-components; membership and basis decisions work on exact Python integers.
+All arithmetic is exact integer arithmetic.  numpy groups each layer into
+fibers, splits them, turns a basis into moves between layer rows and peels
+the sinks of directed fiber graphs; membership works on Python integers.
 """
 
 from __future__ import annotations
@@ -33,6 +33,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from itertools import combinations
+from math import comb
 
 import numpy as np
 
@@ -292,13 +293,15 @@ def _monomials_with_images(system, degree: int, mono_cap: int):
 
 def _colex_rank(mono, n_vars: int):
     """Row of each sorted monomial (a row of ``mono``) in the layer order of
-    ``_monomials_with_images``: sum over i of C(m_i + i, i + 1)."""
+    ``_monomials_with_images``: sum over i of C(m_i + i, i + 1); int32 when
+    every row of the layer fits."""
     t = mono.shape[1]
-    table = np.empty((t, n_vars), dtype=np.int64)
+    dtype = np.int32 if comb(n_vars + t - 1, t) < 2**31 else np.int64
+    table = np.empty((t, n_vars), dtype=dtype)
     table[0] = np.arange(n_vars)
     for i in range(1, t):
         np.cumsum(table[i - 1], out=table[i])      # C(x + i, i + 1), hockey stick
-    rank = np.zeros(mono.shape[0], dtype=np.int64)
+    rank = np.zeros(mono.shape[0], dtype=dtype)
     for i in range(t):
         rank += table[i, mono[:, i]]
     return rank
@@ -377,7 +380,7 @@ def _split_layer(system, degree: int, mono_cap: int, pairs=None):
         where[rows] = np.arange(n, dtype=ix)
         pairs = where[pairs]
         del where
-        pairs = pairs[(pairs[:, 0] >= 0) & (pairs[:, 0] != pairs[:, 1])]
+        pairs = pairs[pairs[:, 0] >= 0]
     del rows
 
     # entries: (fiber, variable) of every factor of every monomial, then
@@ -541,6 +544,46 @@ def markov_width(system, degree_cap: int, **kw) -> int:
     return markov_basis(system, degree_cap, **kw).width
 
 
+def _basis_sides(system, basis: OrientedBasis):
+    """Check the basis (members whose sides have one degree, else
+    ValueError) and group the sides of its elements by degree: {d:
+    (elements, 2, d) int32 array}, lead first, each sorted.  An element
+    with lead == trail moves a monomial only to itself and is left out."""
+    system.check_basis_members(basis)
+    groups = {}
+    for b in basis:
+        if len(b.plus) != len(b.minus):
+            raise ValueError(f"binomial {b.plus} - {b.minus} is not homogeneous")
+        if sorted(b.plus) != sorted(b.minus):
+            groups.setdefault(len(b.plus), []).append(b.plus + b.minus)
+    return {d: np.sort(np.array(g, dtype=np.int32).reshape(-1, 2, d), axis=2)
+            for d, g in groups.items()}
+
+
+def _layer_moves(sides, layers, t: int, n_vars: int):
+    """The moves u*lead -> u*trail in layer t as a (k, 2) array of rows
+    (colex ranks): one for every element of degree d in ``sides`` and every
+    monomial u of ``layers[t - d]``, if given.  Each side is built in place
+    as one int32 array, sorted and ranked."""
+    out = []
+    for d, s in sides.items():
+        u = layers.get(t - d)
+        if u is not None:
+            ends = []
+            for side in (0, 1):
+                mono = np.empty((len(u), len(s), t), dtype=np.int32)
+                mono[:, :, :t - d] = u[:, None]
+                mono[:, :, t - d:] = s[:, side]
+                mono.sort(axis=2)
+                ends.append(_colex_rank(mono.reshape(-1, t), n_vars))
+                del mono
+            out.append(np.stack(ends, axis=1))
+    return np.concatenate(out) if out else np.zeros((0, 2), dtype=np.int64)
+
+
+_UNIT = {0: np.zeros((1, 0), dtype=np.int32)}    # layer 0: the monomial 1
+
+
 def verify_markov(system, basis: OrientedBasis, degree_cap: int, *,
                   mono_cap: int = DEFAULT_MONO_CAP) -> bool:
     """True when every fiber of degree <= cap is connected under the moves.
@@ -551,14 +594,9 @@ def verify_markov(system, basis: OrientedBasis, degree_cap: int, *,
     and moves of degree < t stay inside those classes, so only the basis
     elements of degree exactly t can join two of them.
     """
-    system.check_basis_members(basis)
-    for b in basis:
-        if len(b.plus) != len(b.minus):
-            raise ValueError(f"binomial {b.plus} - {b.minus} is not homogeneous")
+    sides = _basis_sides(system, basis)
     for t in range(1, degree_cap + 1):
-        sides = [b.plus + b.minus for b in basis if len(b.plus) == t]
-        sides = np.sort(np.array(sides, dtype=np.int64).reshape(-1, 2, t), axis=2)
-        pairs = _colex_rank(sides.reshape(-1, t), system.num_vars).reshape(-1, 2)
+        pairs = _layer_moves(sides, _UNIT, t, system.num_vars)
         _, root, lead = _split_layer(system, t, mono_cap, pairs)
         if (root != lead).any():
             return False
@@ -567,51 +605,29 @@ def verify_markov(system, basis: OrientedBasis, degree_cap: int, *,
 
 def verify_grobner(system, basis: OrientedBasis, degree_cap: int, *,
                    mono_cap: int = DEFAULT_MONO_CAP) -> bool:
-    """Directed fiber-graph criterion: every fiber graph of degree 1..cap
-    must be connected, acyclic, and have a unique sink.  Degree 1 matters
-    when two variables have equal columns (a source vertex on no edge).
-    Singleton fibers pass: moves preserve the image, so no edge can leave
-    a fiber and a lone monomial is connected and its own unique sink."""
-    system.check_basis_members(basis)
-    index = MoveIndex(basis)
+    """Directed fiber-graph criterion (Sturmfels, Groebner Bases and Convex
+    Polytopes, 1996): every fiber graph of degree 1..cap is acyclic with
+    one sink, so every walk ends in that sink and the fiber is connected.
+    Degree 1 matters when a source vertex on no edge gives equal columns.
+    Each layer is checked whole: its moves are u*lead -> u*trail for every
+    element of degree d <= t and monomial u of layer t - d; sinks are
+    counted per fiber, then peeled round by round (Kahn's algorithm)."""
+    sides = _basis_sides(system, basis)
+    layers = dict(_UNIT)
     for t in range(1, degree_cap + 1):
-        for _, monos in iter_fibers(system, t, min_size=2, mono_cap=mono_cap):
-            if not _fiber_is_grobner(monos, index):
+        layers[t], fid = _layer(system, t, mono_cap)
+        src, dst = _layer_moves(sides, layers, t, system.num_vars).T
+        left = np.bincount(src, minlength=len(fid))     # moves out not yet peeled
+        # an acyclic fiber has a sink, so one sink each means never two
+        if np.bincount(fid[left == 0]).max(initial=0) > 1:
+            return False
+        while len(src):
+            into = left[dst] == 0
+            if not into.any():          # every row left has a move out: a cycle
                 return False
+            left -= np.bincount(src[into], minlength=len(left))
+            src, dst = src[~into], dst[~into]
     return True
-
-
-def _fiber_is_grobner(monos, index: MoveIndex) -> bool:
-    pos = {m: i for i, m in enumerate(monos)}
-    n = len(monos)
-    out_edges = [set() for _ in range(n)]
-    for i, m in enumerate(monos):
-        for nb in index.directed_neighbors(m):
-            j = pos.get(nb)
-            if j is None:
-                raise AssertionError("move left the fiber; non-member basis element?")
-            if j != i:
-                out_edges[i].add(j)
-    # no connectivity pass: in an acyclic graph every walk ends in a sink,
-    # so a unique sink is reachable from every monomial
-    sinks = [i for i in range(n) if not out_edges[i]]
-    if len(sinks) != 1:
-        return False
-    # acyclicity (Kahn)
-    indeg = [0] * n
-    for i in range(n):
-        for j in out_edges[i]:
-            indeg[j] += 1
-    stack = [i for i in range(n) if indeg[i] == 0]
-    seen = 0
-    while stack:
-        i = stack.pop()
-        seen += 1
-        for j in out_edges[i]:
-            indeg[j] -= 1
-            if indeg[j] == 0:
-                stack.append(j)
-    return seen == n
 
 
 @dataclass(frozen=True)

@@ -120,6 +120,19 @@ def test_unreadable_files_exit_2(tmp_path, capsys):
         assert err.startswith("error: ") and err.count("\n") == 1
 
 
+def test_verify_grobner_non_homogeneous_exit_2(tmp_path, capsys):
+    # without edges every image is empty, so x0 - x1*x2 is in the ideal;
+    # its sides differ in degree, which is a usage error, not a verdict
+    basis_file = tmp_path / "basis.txt"
+    basis_file.write_text("0 - 1*2\n")
+    code = main(["verify-grobner", "edges:2:", "path:3", "--basis", str(basis_file),
+                 "--cap", "2"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == "error: binomial (0,) - (1, 2) is not homogeneous\n"
+
+
 def test_polytope_isolated_vertex_exit_2(capsys):
     code = main(["polytope", "edges:3:0-1", "complete:3", "--facets"])
     err = capsys.readouterr().err

@@ -341,8 +341,11 @@ def test_verify_markov_rejects_sides_of_different_degree():
     # fiber, and x0 - x1*x2 is in the ideal
     system = build_system(Graph(2, []), G.path(3))
     assert markov_basis(system, 2).width == 1
+    bad = OrientedBasis.make([Binomial((0,), (1, 2))])
     with pytest.raises(ValueError):
-        verify_markov(system, OrientedBasis.make([Binomial((0,), (1, 2))]), 2)
+        verify_markov(system, bad, 2)
+    with pytest.raises(ValueError):
+        verify_grobner(system, bad, 2)
 
 
 def test_engine_matches_naive_oracles():
@@ -454,7 +457,7 @@ def test_verify_grobner_matches_naive_check_with_connectivity_pass():
             if elems:
                 variants.append(OrientedBasis.make(elems[:-1]))
                 variants.append(OrientedBasis.make([elems[0].flipped()] + elems[1:]))
-            fibers = [monos for t in range(2, 5)
+            fibers = [monos for t in range(1, 5)
                       for monos in naive_fibers(isys.system, t).values()
                       if len(monos) >= 2]
             for variant in variants:
@@ -463,6 +466,41 @@ def test_verify_grobner_matches_naive_check_with_connectivity_pass():
                 assert verify_grobner(isys.system, variant, 4) == naive, (g, variant)
                 verdicts.append(naive)
     assert True in verdicts and False in verdicts
+
+
+def test_verify_grobner_matches_naive_check_on_random_orientations():
+    # Markov bases oriented at random: each variant drops, flips or adds
+    # the reverse of elements; every degree-1..3 fiber is checked by the
+    # reference, degree-1 fibers included (the sources with a vertex on no
+    # edge have equal columns)
+    rng = random.Random(11)
+    pairs = [(g, h) for n in range(1, 5) for g in graphs_upto_iso(n, connected=True)
+             for h in (G.path(3), G.complete(3), G.spoon())]
+    pairs += [(Graph(4, [(0, 1), (1, 2)]), G.path(3)), (Graph(4, [(0, 1), (1, 2)]), G.spoon()),
+              (Graph(2, []), G.path(3))]
+    verdicts = []
+    for g, h in pairs:
+        system = build_system(g, h)
+        basis = markov_basis(system, 3).basis
+        fibers = [monos for t in range(1, 4) for monos in naive_fibers(system, t).values()
+                  if len(monos) >= 2]
+        variants = [basis]
+        for _ in range(6):
+            elems = []
+            for b in basis:
+                r = rng.random()
+                if r >= 0.15:
+                    elems.append(b.flipped() if r < 0.45 else b)
+                if rng.random() < 0.05:
+                    elems.append(b.flipped())
+            variants.append(OrientedBasis.make(elems))
+        for variant in variants:
+            index = MoveIndex(variant)
+            naive = all(naive_fiber_is_grobner(monos, index) for monos in fibers)
+            assert verify_grobner(system, variant, 3) == naive, (g.edges, h.edges, variant)
+            verdicts.append(naive)
+    assert len(verdicts) == 231
+    assert verdicts.count(True) > 50 and verdicts.count(False) > 50
 
 
 def test_verify_grobner_rejects_cycle_beside_unique_sink():
@@ -486,6 +524,9 @@ def test_verify_grobner_rejects_cycle_beside_unique_sink():
 def test_verify_grobner_trivial_ideal():
     system = build_system(G.complete(2), G.complete(4))
     assert verify_grobner(system, OrientedBasis.make(()), 3)
+    # a member whose two sides are equal moves every monomial it divides
+    # to itself; that is no edge, so the single sinks stay single
+    assert verify_grobner(system, OrientedBasis((Binomial((0,), (0,)),)), 3)
 
 
 def test_two_cycle_orientation_rejected():
