@@ -13,6 +13,15 @@ elimination.  Every other row of A is a combination of those rows and
 the all-ones row, which is constant (the degree) on a layer, so the key
 separates exactly the monomials that A separates.
 
+The key is never stored row by row.  At degree t every key entry of a
+monomial lies in 0..t < 2**b, b = t.bit_length(), so row i of the key
+takes the bits [b*j, b*(j+1)) of int64 word i // per, j = i % per and per
+= 63 // b rows to a word.  Each variable then has one packed column per
+word, and the packed key of a monomial is the plain sum of the packed
+columns of its factors: no row can carry into the next.  A layer is its
+monomials plus one to a few int64 words per monomial, and fibers are runs
+of equal words.
+
 Markov bases are built and verified one degree layer at a time, t = 1, 2,
 ..., by the gcd rule (Takemura-Aoki, Ann. Inst. Stat. Math. 56, 2004; see
 also Diaconis-Sturmfels, Ann. Statist. 1998).  Once every fiber of degree
@@ -25,7 +34,8 @@ layer into fibers and computes those classes for all fibers at once.
 
 All arithmetic is exact integer arithmetic.  numpy groups each layer into
 fibers, splits them, turns a basis into moves between layer rows and peels
-the sinks of directed fiber graphs; membership works on Python integers.
+the sinks of directed fiber graphs; membership compares the images of
+the two sides under A, packed the same way into Python integers.
 """
 
 from __future__ import annotations
@@ -149,7 +159,8 @@ class OrientedBasis:
 class ToricSystem:
     """Edge-separator matrix of Hom(G, H) with exact column data."""
 
-    __slots__ = ("g", "h", "homs", "rows", "row_index", "cols", "_key")
+    __slots__ = ("g", "h", "homs", "rows", "row_index", "cols", "_key", "_packed",
+                 "_packed_a")
 
     def __init__(self, g: Graph, h: Graph, homs: HomSet):
         self.g = g
@@ -174,6 +185,8 @@ class ToricSystem:
             cols.append(tuple(sorted(entries)))
         self.cols = tuple(cols)
         self._key = None
+        self._packed = {}
+        self._packed_a = {}
 
     # -- fiber key -------------------------------------------------------------
 
@@ -203,6 +216,22 @@ class ToricSystem:
         rows = [p for p in echelon(small.tolist())[0] if p]
         return m[rows].astype(np.int16)
 
+    def packed_columns(self, bits: int):
+        """The columns of the key packed into int64 words, one row per
+        variable, cached per ``bits``: key row i takes ``bits`` bits of word
+        i // per, per = 63 // bits (see the module docstring for why sums
+        of them stay exact)."""
+        packed = self._packed.get(bits)
+        if packed is None:
+            key, per = self.key_matrix, 63 // bits
+            packed = np.zeros((key.shape[1], -(-key.shape[0] // per)), dtype=np.int64)
+            for w in range(packed.shape[1]):
+                block = key[w * per:(w + 1) * per].astype(np.int64)
+                shift = bits * np.arange(len(block), dtype=np.int64)
+                packed[:, w] = (block << shift[:, None]).sum(axis=0)
+            self._packed[bits] = packed
+        return packed
+
     def dense_matrix(self):
         """A as an int64 array, one row per row of A, one column per
         variable.  The constructor gives every column exactly one row per
@@ -231,10 +260,20 @@ class ToricSystem:
         return tuple(sorted(img.items()))
 
     def membership(self, binomial: Binomial) -> bool:
-        for v in binomial.plus + binomial.minus:
+        """True when both sides have the same image under A.  The image
+        entries of a side of degree d are at most d, so with row e of A at
+        the bits [b*e, b*(e+1)) of one Python integer, b = d.bit_length(),
+        the image of a side packs into the sum of the packed columns of its
+        factors (as in the module docstring, in one unbounded word)."""
+        plus, minus = binomial.plus, binomial.minus
+        for v in plus + minus:
             if not (0 <= v < self.num_vars):
                 raise IndexError(f"variable {v} out of range")
-        return self.image(binomial.plus) == self.image(binomial.minus)
+        bits = max(len(plus), len(minus), 1).bit_length()
+        packed = self._packed_a.get(bits)
+        if packed is None:
+            packed = self._packed_a[bits] = [sum(1 << bits * e for e in col) for col in self.cols]
+        return sum(packed[v] for v in plus) == sum(packed[v] for v in minus)
 
     def check_basis_members(self, basis: OrientedBasis):
         for b in basis:
@@ -260,15 +299,15 @@ def build_system(g: Graph, h: Graph, **caps) -> ToricSystem:
 # ---------------------------------------------------------------------------
 # fiber enumeration
 
-def _monomials_with_images(system, degree: int, mono_cap: int):
-    """(IDX, IMG) arrays for all degree-``degree`` monomials, IDX sorted so
-    the last column is nondecreasing."""
-    key = system.key_matrix
-    n_vars = key.shape[1]
-    if n_vars == 0:
-        return np.zeros((0, degree), dtype=np.int32), np.zeros((0, key.shape[0]), dtype=np.int16)
+def _monomials_with_keys(system, degree: int, mono_cap: int):
+    """(IDX, WORDS) arrays for all degree-``degree`` monomials: IDX sorted
+    so the last column is nondecreasing, WORDS the packed key of each row
+    (``ToricSystem.packed_columns`` at bits = degree.bit_length()), the sum
+    of the packed columns of its factors."""
+    packed = system.packed_columns(degree.bit_length())
+    n_vars, n_words = packed.shape
     idx = np.arange(n_vars, dtype=np.int32).reshape(n_vars, 1)
-    img = np.ascontiguousarray(key.T)
+    words = packed
     for t in range(2, degree + 1):
         last = idx[:, -1]
         ends = np.searchsorted(last, np.arange(n_vars), side="right")
@@ -277,7 +316,7 @@ def _monomials_with_images(system, degree: int, mono_cap: int):
             raise ResourceCapExceeded(
                 f"{total} monomials of degree {t} exceed the cap {mono_cap}")
         new_idx = np.empty((total, t), dtype=np.int32)
-        new_img = np.empty((total, key.shape[0]), dtype=np.int16)
+        new_words = np.empty((total, n_words), dtype=np.int64)
         pos = 0
         for j in range(n_vars):
             e = int(ends[j])
@@ -285,15 +324,15 @@ def _monomials_with_images(system, degree: int, mono_cap: int):
                 continue
             new_idx[pos:pos + e, :-1] = idx[:e]
             new_idx[pos:pos + e, -1] = j
-            new_img[pos:pos + e] = img[:e] + key[:, j]
+            np.add(words[:e], packed[j], out=new_words[pos:pos + e])
             pos += e
-        idx, img = new_idx, new_img
-    return idx, img
+        idx, words = new_idx, new_words
+    return idx, words
 
 
 def _colex_rank(mono, n_vars: int):
     """Row of each sorted monomial (a row of ``mono``) in the layer order of
-    ``_monomials_with_images``: sum over i of C(m_i + i, i + 1); int32 when
+    ``_monomials_with_keys``: sum over i of C(m_i + i, i + 1); int32 when
     every row of the layer fits."""
     t = mono.shape[1]
     dtype = np.int32 if comb(n_vars + t - 1, t) < 2**31 else np.int64
@@ -310,19 +349,31 @@ def _colex_rank(mono, n_vars: int):
 def _layer(system, degree: int, mono_cap: int):
     """(idx, fid): every degree-``degree`` monomial as a sorted row of
     variable indices, row r being the monomial of colex rank r, and the
-    fiber id of each row, fibers numbered in the order of their key."""
-    idx, img = _monomials_with_images(system, degree, mono_cap)
-    if img.shape[1] == 0:           # no edges: every image is empty
+    fiber id of each row, fibers numbered in the order of their packed key
+    (word 0 first).  A one-word key is grouped by ``np.unique`` on int64; a
+    longer one by one ``np.lexsort`` of its words and a diff of the sorted
+    rows."""
+    idx, words = _monomials_with_keys(system, degree, mono_cap)
+    n_words = words.shape[1]
+    if n_words == 0:                # no key rows: the whole layer is one fiber
         return idx, np.zeros(idx.shape[0], dtype=np.intp)
-    void = img.view(np.dtype((np.void, img.dtype.itemsize * img.shape[1]))).ravel()
-    del img
-    return idx, np.unique(void, return_inverse=True)[1]
+    if n_words == 1:
+        return idx, np.unique(words[:, 0], return_inverse=True)[1]
+    order = np.lexsort(words.T[::-1])
+    words = words[order]
+    new = np.zeros(len(order), dtype=np.intp)
+    new[1:] = (words[1:] != words[:-1]).any(axis=1)
+    del words
+    fid = np.empty(len(order), dtype=np.intp)
+    fid[order] = np.cumsum(new)
+    return idx, fid
 
 
 def iter_fibers(system, degree: int, *, min_size: int = 1,
                 mono_cap: int = DEFAULT_MONO_CAP):
     """Yield (key_bytes, [monomial, ...]) for every fiber of the given
-    degree, in a canonical deterministic order."""
+    degree, in a deterministic order: the order of the packed keys (see
+    ``_layer``), the monomials of a fiber in colex order."""
     idx, fid = _layer(system, degree, mono_cap)
     if idx.shape[0] == 0:
         return

@@ -147,6 +147,52 @@ def naive_fibers(system, degree):
     return {k: sorted(v) for k, v in fibers.items()}
 
 
+def naive_layer_fibers(system, degree):
+    """(idx, fid) like ``toric._layer`` by the earlier grouping: one int16
+    image row under ``key_matrix`` per monomial, built factor by factor in
+    colex order, and ``np.unique`` over a void view of those rows."""
+    key = system.key_matrix
+    n_vars = key.shape[1]
+    idx = np.array(list(combinations_with_replacement(range(n_vars), degree)),
+                   dtype=np.int64).reshape(-1, degree)
+    idx = idx[np.lexsort(idx.T)]            # colex: last factor first
+    img = np.zeros((len(idx), key.shape[0]), dtype=np.int16)
+    for i in range(degree):
+        img += key.T[idx[:, i]]
+    if img.shape[1] == 0:
+        return idx, np.zeros(len(idx), dtype=np.intp)
+    void = np.ascontiguousarray(img).view(
+        np.dtype((np.void, img.dtype.itemsize * img.shape[1]))).ravel()
+    return idx, np.unique(void, return_inverse=True)[1].reshape(-1)
+
+
+def same_partition(a, b):
+    """True when the label arrays ``a`` and ``b`` cut their rows into the
+    same classes, whatever the numbering."""
+    a, b = np.asarray(a), np.asarray(b)
+    if a.shape != b.shape:
+        return False
+    pairs = {(x, y) for x, y in zip(a.tolist(), b.tolist())}
+    return len(pairs) == len(set(a.tolist())) == len(set(b.tolist()))
+
+
+def naive_membership(system, binomial):
+    """Membership by exact images as Counters, no numpy involved: raises
+    IndexError for a variable out of range, as ``ToricSystem.membership``."""
+    for v in binomial.plus + binomial.minus:
+        if not 0 <= v < system.num_vars:
+            raise IndexError(f"variable {v} out of range")
+    return system.image(binomial.plus) == system.image(binomial.minus)
+
+
+def naive_check_basis_members(system, elements):
+    """The element-by-element basis check: IndexError or ValueError at the
+    first element out of range or not in the ideal."""
+    for b in elements:
+        if not naive_membership(system, b):
+            raise ValueError(f"binomial {b.plus} - {b.minus} is not in the ideal")
+
+
 def _naive_moves(pairs):
     """Map each side of every (plus, minus) pair to the sides it moves to,
     both directions."""

@@ -1,20 +1,24 @@
 import random
+from itertools import combinations
+from math import comb
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from homtoric import graph as G
 from homtoric.graph import Graph
 from homtoric.indep import IndepSystem, complement_cycle_basis
-from homtoric.toric import (Binomial, MoveIndex, OrientedBasis, ResourceCapExceeded,
-                            build_system, fiber_graph, fiber_of, format_binomial,
-                            iter_fibers, markov_basis, markov_width,
-                            normality_witness, parse_basis_text, restrict_basis,
-                            strip_common, verify_grobner, verify_markov)
+from homtoric.toric import (DEFAULT_MONO_CAP, Binomial, MoveIndex, OrientedBasis,
+                            ResourceCapExceeded, _layer, build_system, fiber_graph,
+                            fiber_of, format_binomial, iter_fibers, markov_basis,
+                            markov_width, normality_witness, parse_basis_text,
+                            restrict_basis, strip_common, verify_grobner, verify_markov)
 
-from helpers import (graphs_upto_iso, naive_fiber_is_grobner, naive_fibers,
-                     naive_markov_basis, naive_markov_width, naive_pivot_columns,
-                     naive_verify_markov)
+from helpers import (graphs_upto_iso, naive_check_basis_members, naive_fiber_is_grobner,
+                     naive_fibers, naive_layer_fibers, naive_markov_basis,
+                     naive_markov_width, naive_membership, naive_pivot_columns,
+                     naive_verify_markov, same_partition)
 
 
 def spoon_sets(g):
@@ -348,27 +352,127 @@ def test_verify_markov_rejects_sides_of_different_degree():
         verify_grobner(system, bad, 2)
 
 
+def _engine_cases():
+    sources = [g for n in range(1, 6) for g in graphs_upto_iso(n, connected=True)]
+    sources += [Graph(3, [(0, 1)]), Graph(4, [(0, 1), (1, 2)])]
+    for h, cap in ((G.spoon(), 3), (G.complete(3), 2), (G.path(3), 3)):
+        for g in sources:
+            yield g, h, cap
+
+
 def test_engine_matches_naive_oracles():
     # the gcd-component engine against fiber-by-fiber searches over all
     # moves: same minimal basis, and the same verdict on that basis and on
     # every basis with one element left out
-    sources = [g for n in range(1, 6) for g in graphs_upto_iso(n, connected=True)]
-    sources += [Graph(3, [(0, 1)]), Graph(4, [(0, 1), (1, 2)])]
     verdicts = set()
-    for h, cap in ((G.spoon(), 3), (G.complete(3), 2), (G.path(3), 3)):
-        for g in sources:
-            system = build_system(g, h)
-            basis = markov_basis(system, cap).basis
-            assert ({(b.plus, b.minus) for b in basis}
-                    == set(naive_markov_basis(system, cap))), (g.edges, h.edges)
-            layers = [naive_fibers(system, t) for t in range(1, cap + 1)]
-            for drop in range(-1, len(basis)):
-                kept = OrientedBasis.make(b for i, b in enumerate(basis) if i != drop)
-                ok = verify_markov(system, kept, cap)
-                assert ok == naive_verify_markov(system, kept, cap, layers), \
-                    (g.edges, h.edges, drop)
-                verdicts.add(ok)
+    for g, h, cap in _engine_cases():
+        system = build_system(g, h)
+        basis = markov_basis(system, cap).basis
+        assert ({(b.plus, b.minus) for b in basis}
+                == set(naive_markov_basis(system, cap))), (g.edges, h.edges)
+        layers = [naive_fibers(system, t) for t in range(1, cap + 1)]
+        for drop in range(-1, len(basis)):
+            kept = OrientedBasis.make(b for i, b in enumerate(basis) if i != drop)
+            ok = verify_markov(system, kept, cap)
+            assert ok == naive_verify_markov(system, kept, cap, layers), \
+                (g.edges, h.edges, drop)
+            verdicts.add(ok)
     assert verdicts == {True, False}
+
+
+def test_packed_layer_matches_void_view_grouping():
+    # the packed int64 key against the int16 image rows it replaced: same
+    # monomial rows, same partition into fibers (numbered differently)
+    edgeless = (Graph(2, []), Graph(3, []))
+    cases = [(g, h, range(1, cap + 1)) for g, h, cap in _engine_cases()]
+    cases += [(g, h, (1, 2, 3)) for g in edgeless for h in (G.spoon(), G.complete(3))]
+    cases += [(G.complement(G.cycle(8)), G.spoon(), range(1, 6)),
+              (G.cycle(6), G.complete_looped(3), (2,))]
+    for g, h, degrees in cases:
+        system = build_system(g, h)
+        for t in degrees:
+            idx, fid = _layer(system, t, DEFAULT_MONO_CAP)
+            ref_idx, ref_fid = naive_layer_fibers(system, t)
+            assert np.array_equal(idx, ref_idx), (g.edges, h.edges, t)
+            assert same_partition(fid, ref_fid), (g.edges, h.edges, t)
+    # 36 key rows of 2 bits: the last case takes the two-word lexsort path
+    wide = build_system(G.cycle(6), G.complete_looped(3))
+    assert wide.key_matrix.shape[0] == 36
+    assert wide.packed_columns(2).shape[1] == 2
+
+
+def _outcome(f, *args):
+    try:
+        return "returned", f(*args)
+    except (IndexError, ValueError) as e:
+        return type(e).__name__, str(e)
+
+
+def test_packed_membership_matches_counter_images():
+    # members, flipped, truncated, mixed-degree, random and out-of-range
+    # elements: the same verdict one by one, and the same first error when
+    # a basis is checked whole
+    rng = random.Random(11)
+    edgeless = [(Graph(2, []), G.spoon(), 2), (Graph(3, []), G.complete(3), 2)]
+    seen = set()
+    for g, h, cap in list(_engine_cases()) + edgeless:
+        system = build_system(g, h)
+        n = system.num_vars
+        basis = markov_basis(system, cap).basis
+        elems = [Binomial((), ()), Binomial((n,), (0,)), Binomial((0,), (-1,))]
+        for b in basis:
+            elems += [b, b.flipped(), Binomial(b.plus[1:], b.minus),
+                      Binomial(b.plus + b.minus[:1], b.minus)]
+        for _ in range(12 if n else 0):
+            p, q = rng.randint(0, 3), rng.randint(0, 3)
+            elems.append(Binomial(tuple(sorted(rng.randrange(n) for _ in range(p))),
+                                  tuple(sorted(rng.randrange(n) for _ in range(q)))))
+        for b in elems:
+            out = _outcome(system.membership, b)
+            assert out == _outcome(naive_membership, system, b), (g.edges, h.edges, b)
+            seen.add(out[1] if out[0] == "returned" else out[0])
+        for _ in range(4):
+            rng.shuffle(elems)
+            k = rng.randint(0, len(elems))
+            assert (_outcome(system.check_basis_members, OrientedBasis(tuple(elems[:k])))
+                    == _outcome(naive_check_basis_members, system, elems[:k]))
+    assert seen == {True, False, "IndexError"}
+    # maps that differ only on the last vertex of the path differ only in
+    # the last rows of A, past the first 63 bits at two bits a row
+    system = build_system(G.path(5), G.complete_looped(3))
+    assert system.num_rows * 2 > 63
+    maps = system.homs.maps
+    for i, m in enumerate(maps):
+        for j in range(i + 1, len(maps)):
+            if maps[j][:-1] == m[:-1]:
+                b = Binomial((i, i), (i, j))
+                assert not system.membership(b) and not naive_membership(system, b)
+
+
+@st.composite
+def _small_graphs(draw):
+    n = draw(st.integers(1, 6))
+    pairs = list(combinations(range(n), 2))
+    edges = draw(st.sets(st.sampled_from(pairs)) if pairs else st.just(set()))
+    loops = draw(st.sets(st.integers(0, n - 1), max_size=1))
+    return Graph(n, sorted(edges) + [(v, v) for v in loops])
+
+
+_TARGETS = {"spoon": G.spoon(), "K3": G.complete(3), "P3": G.path(3),
+            "looped2": G.complete_looped(2)}
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(g=_small_graphs(), target=st.sampled_from(sorted(_TARGETS)), t=st.integers(1, 3))
+def test_layer_partition_matches_naive_fibers(g, target, t):
+    system = build_system(g, _TARGETS[target])
+    while t > 1 and comb(system.num_vars + t - 1, t) > 3000:
+        t -= 1                          # keep the pure-python oracle fast
+    idx, fid = _layer(system, t, DEFAULT_MONO_CAP)
+    label = {m: i for i, monos in enumerate(naive_fibers(system, t).values())
+             for m in monos}
+    assert len(label) == len(idx)
+    assert same_partition(fid, [label[m] for m in map(tuple, idx.tolist())])
 
 
 # ---------------------------------------------------------------------------
