@@ -173,31 +173,30 @@ def cmd_glue(args, cfg: RunConfig) -> int:
         raise GraphError("glued labels must cover 0..n-1 without gaps")
     union = Graph(len(all_labels), edges1 + edges2)
     h = load_graph(args.H)
-    spec = GlueSpec(union, labels1, labels2, h)
-    if not check_codim_zero(spec, count_cap=cfg.mono_cap):
+    spec = GlueSpec(union, labels1, labels2, h, count_cap=cfg.mono_cap)
+    if not check_codim_zero(spec):
         rep = Report("glue", cfg)
         rep.say("intersection configuration is not linearly independent; "
                 "the lift construction does not apply")
         rep.payload = {"codim_zero": False, "shared": list(spec.shared)}
         rep.emit()
         return EXIT_NEGATIVE
-    ctx = spec.context(count_cap=cfg.mono_cap)
     basis1 = OrientedBasis.make(())
     basis2 = OrientedBasis.make(())
     if args.basis1:
         with open(args.basis1) as fh:
-            basis1 = parse_basis_text(fh.read(), ctx.sys1)
+            basis1 = parse_basis_text(fh.read(), spec.sys1)
     if args.basis2:
         with open(args.basis2) as fh:
-            basis2 = parse_basis_text(fh.read(), ctx.sys2)
+            basis2 = parse_basis_text(fh.read(), spec.sys2)
     res = glue_basis(spec, basis1, basis2, lift_cap=args.lift_cap)
     rep = Report("glue", cfg)
     rep.say(f"# intersection vertices {list(spec.shared)}")
     for b in res.basis:
-        rep.say(format_binomial(b, ctx.sys_union))
+        rep.say(format_binomial(b, spec.sys_union))
     rep.say(f"degrees {list(res.degrees_full)}")
     rep.payload = {"shared": list(spec.shared),
-                   "basis": _basis_lines(res.basis, ctx.sys_union),
+                   "basis": _basis_lines(res.basis, spec.sys_union),
                    "degrees": list(res.degrees_full)}
     rep.emit()
     return EXIT_OK

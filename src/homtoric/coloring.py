@@ -52,7 +52,6 @@ def find_low_degree_binomial(g: Graph, degree_cap: int = 6, *,
     for t in range(2, degree_cap + 1):
         best = None
         for _, monos in iter_fibers(system, t, min_size=2, mono_cap=mono_cap):
-            monos = sorted(monos)
             for i in range(len(monos)):
                 for j in range(i + 1, len(monos)):
                     if set(monos[i]).isdisjoint(monos[j]):

@@ -12,7 +12,7 @@ complement.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, permutations
+from itertools import combinations, permutations, product
 
 from .graph import Graph
 from .indep import IndepSystem, TopGraded, top_graded
@@ -184,7 +184,7 @@ def all_posets(n: int):
     pairs = list(combinations(range(n), 2))
     seen = set()
     out = []
-    for assignment in _ternary(len(pairs)):
+    for assignment in product((0, 1, 2), repeat=len(pairs)):
         rel = set()
         ok = True
         for (a, b), state in zip(pairs, assignment):
@@ -209,12 +209,3 @@ def all_posets(n: int):
         seen.add(canon)
         out.append(Poset(n, rel))
     return out
-
-
-def _ternary(k):
-    if k == 0:
-        yield ()
-        return
-    for rest in _ternary(k - 1):
-        for s in (0, 1, 2):
-            yield rest + (s,)

@@ -29,12 +29,16 @@ class LiftTooLarge(RuntimeError):
 
 
 class GlueSpec:
-    """A separation of a graph into two induced sides covering all edges."""
+    """A separation of a graph into two induced sides covering all edges,
+    with the systems over ``h`` of the union, both sides and their
+    intersection (each hom enumeration bounded by ``caps``) and the
+    restriction tables."""
 
-    __slots__ = ("union", "side1", "side2", "shared", "h",
-                 "sub1", "sub2", "inter", "_ctx")
+    __slots__ = ("union", "side1", "side2", "shared", "h", "sub1", "sub2", "inter",
+                 "sys_union", "sys1", "sys2", "sys_inter", "cls1", "cls2",
+                 "pair_index", "r1", "r2", "xs_by_class", "ys_by_class")
 
-    def __init__(self, union: Graph, side1, side2, h: Graph):
+    def __init__(self, union: Graph, side1, side2, h: Graph, **caps):
         self.union = union
         self.side1 = tuple(sorted(set(side1)))
         self.side2 = tuple(sorted(set(side2)))
@@ -49,29 +53,14 @@ class GlueSpec:
         self.sub1 = induced_subgraph(union, self.side1)
         self.sub2 = induced_subgraph(union, self.side2)
         self.inter = induced_subgraph(union, self.shared)
-        self._ctx = None
 
-    # -- hom bookkeeping -----------------------------------------------------
+        self.sys_union = build_system(union, h, **caps)
+        self.sys1 = build_system(self.sub1.graph, h, **caps)
+        self.sys2 = build_system(self.sub2.graph, h, **caps)
+        self.sys_inter = build_system(self.inter.graph, h, **caps)
 
-    def context(self, **caps):
-        if self._ctx is None:
-            self._ctx = _GlueContext(self, **caps)
-        return self._ctx
-
-
-class _GlueContext:
-    """Hom sets of both sides, the union, and the restriction tables."""
-
-    def __init__(self, spec: GlueSpec, **caps):
-        self.spec = spec
-        h = spec.h
-        self.sys_union = build_system(spec.union, h, **caps)
-        self.sys1 = build_system(spec.sub1.graph, h, **caps)
-        self.sys2 = build_system(spec.sub2.graph, h, **caps)
-        self.sys_inter = build_system(spec.inter.graph, h, **caps)
-
-        pos1 = [spec.sub1.index[w] for w in spec.shared]
-        pos2 = [spec.sub2.index[w] for w in spec.shared]
+        pos1 = [self.sub1.index[w] for w in self.shared]
+        pos2 = [self.sub2.index[w] for w in self.shared]
         self.cls1 = [tuple(m[p] for p in pos1) for m in self.sys1.homs.maps]
         self.cls2 = [tuple(m[p] for p in pos2) for m in self.sys2.homs.maps]
 
@@ -79,8 +68,8 @@ class _GlueContext:
         self.r1 = []
         self.r2 = []
         for k, m in enumerate(self.sys_union.homs.maps):
-            x = self.sys1.homs.index[tuple(m[v] for v in spec.sub1.vertices)]
-            y = self.sys2.homs.index[tuple(m[v] for v in spec.sub2.vertices)]
+            x = self.sys1.homs.index[tuple(m[v] for v in self.sub1.vertices)]
+            y = self.sys2.homs.index[tuple(m[v] for v in self.sub2.vertices)]
             self.pair_index[(x, y)] = k
             self.r1.append(x)
             self.r2.append(y)
@@ -93,7 +82,7 @@ class _GlueContext:
             self.ys_by_class.setdefault(c, []).append(y)
 
 
-def check_codim_zero(spec: GlueSpec, **caps) -> bool:
+def check_codim_zero(spec: GlueSpec) -> bool:
     """Exact integer rank test on the intersection configuration.
 
     The columns are indexed by Hom(G1 n G2, H).  Besides the edge rows of
@@ -102,12 +91,11 @@ def check_codim_zero(spec: GlueSpec, **caps) -> bool:
     edge) and the vertex-image statistics of every shared vertex lying on
     an edge in both sides.
     """
-    ctx = spec.context(**caps)
-    homs = ctx.sys_inter.homs
+    homs = spec.sys_inter.homs
     ncols = len(homs)
     if ncols <= 1:
         return True
-    rows = ctx.sys_inter.dense_matrix().tolist()
+    rows = spec.sys_inter.dense_matrix().tolist()
     g1, g2 = spec.sub1.graph, spec.sub2.graph
     if g1.edges and g2.edges:
         rows.append([1] * ncols)
@@ -140,11 +128,11 @@ def _distinct_matchings(ps, qs):
             yield pairing
 
 
-def _lift_plan(ctx, b: Binomial, side: int):
+def _lift_plan(spec, b: Binomial, side: int):
     """Grouping of a binomial's factors by intersection class together with
     the exact (pre-deduplication) size of its lift family."""
-    cls = ctx.cls1 if side == 1 else ctx.cls2
-    others = ctx.ys_by_class if side == 1 else ctx.xs_by_class
+    cls = spec.cls1 if side == 1 else spec.cls2
+    others = spec.ys_by_class if side == 1 else spec.xs_by_class
     by_class_p, by_class_q = {}, {}
     for v in b.plus:
         by_class_p.setdefault(cls[v], []).append(v)
@@ -165,13 +153,13 @@ def _lift_plan(ctx, b: Binomial, side: int):
     return liftable, (attempted if liftable else 0), class_list, matchings
 
 
-def _lift_materialize(ctx, side: int, class_list, matchings, budget):
+def _lift_materialize(spec, side: int, class_list, matchings, budget):
     """Yield lifted binomials in a deterministic order, at most ``budget``
     enumeration steps."""
-    others = ctx.ys_by_class if side == 1 else ctx.xs_by_class
+    others = spec.ys_by_class if side == 1 else spec.xs_by_class
 
     def embed(v, w):
-        return ctx.pair_index[(v, w)] if side == 1 else ctx.pair_index[(w, v)]
+        return spec.pair_index[(v, w)] if side == 1 else spec.pair_index[(w, v)]
 
     steps = 0
     for match_combo in product(*matchings):
@@ -190,24 +178,23 @@ def _lift_materialize(ctx, side: int, class_list, matchings, budget):
                 yield lifted
 
 
-def _quad_binomials(ctx):
-    for c in sorted(ctx.xs_by_class):
-        xs = ctx.xs_by_class[c]
-        ys = ctx.ys_by_class.get(c, [])
+def _quad_binomials(spec):
+    for c in sorted(spec.xs_by_class):
+        xs = spec.xs_by_class[c]
+        ys = spec.ys_by_class.get(c, [])
         for i in range(len(xs)):
             for j in range(i + 1, len(xs)):
                 for k in range(len(ys)):
                     for l in range(k + 1, len(ys)):
-                        plus = tuple(sorted((ctx.pair_index[(xs[i], ys[k])],
-                                             ctx.pair_index[(xs[j], ys[l])])))
-                        minus = tuple(sorted((ctx.pair_index[(xs[i], ys[l])],
-                                              ctx.pair_index[(xs[j], ys[k])])))
+                        plus = tuple(sorted((spec.pair_index[(xs[i], ys[k])],
+                                             spec.pair_index[(xs[j], ys[l])])))
+                        minus = tuple(sorted((spec.pair_index[(xs[i], ys[l])],
+                                              spec.pair_index[(xs[j], ys[k])])))
                         yield Binomial(plus, minus)
 
 
 def glue_basis(spec: GlueSpec, basis1: OrientedBasis, basis2: OrientedBasis, *,
-               lift_cap: int = 200_000, allow_truncation: bool = False,
-               **caps) -> GlueResult:
+               lift_cap: int = 200_000, allow_truncation: bool = False) -> GlueResult:
     """Lift(B1) u Lift(B2) u Quad for a codimension-zero separation.
 
     Lifting enumerates, for every binomial, all pairings of its two sides
@@ -216,23 +203,22 @@ def glue_basis(spec: GlueSpec, basis1: OrientedBasis, basis2: OrientedBasis, *,
     truncated (with ``allow_truncation``) or an error is raised; the degree
     set of the complete family is reported exactly either way.
     """
-    if not check_codim_zero(spec, **caps):
+    if not check_codim_zero(spec):
         raise GlueError("intersection configuration is not linearly independent")
-    ctx = spec.context(**caps)
     # exact accounting pass: liftability and family size, no enumeration
     degrees = set()
     attempted = 0
     plans = []
     for side, basis in ((1, basis1), (2, basis2)):
-        system = ctx.sys1 if side == 1 else ctx.sys2
+        system = spec.sys1 if side == 1 else spec.sys2
         system.check_basis_members(basis)
         for b in basis:
-            liftable, n, class_list, matchings = _lift_plan(ctx, b, side)
+            liftable, n, class_list, matchings = _lift_plan(spec, b, side)
             attempted += n
             if liftable:
                 degrees.add(b.degree)
                 plans.append((side, class_list, matchings, n))
-    quads = list(_quad_binomials(ctx))
+    quads = list(_quad_binomials(spec))
     attempted += len(quads)
     if quads:
         degrees.add(2)
@@ -247,7 +233,7 @@ def glue_basis(spec: GlueSpec, basis1: OrientedBasis, basis2: OrientedBasis, *,
     for side, class_list, matchings, n in plans:
         if budget <= 0:
             break
-        for lifted in _lift_materialize(ctx, side, class_list, matchings, budget):
+        for lifted in _lift_materialize(spec, side, class_list, matchings, budget):
             out.add(lifted)
         budget -= n
     basis = OrientedBasis.make(out)
@@ -262,7 +248,7 @@ def _pad(w, width):
 
 
 def glue_grobner(spec: GlueSpec, gb1: OrientedBasis, gb2: OrientedBasis, *,
-                 lift_cap: int = 200_000, **caps) -> OrientedBasis:
+                 lift_cap: int = 200_000) -> OrientedBasis:
     """Glue two weighted Groebner bases.
 
     The output orientation compares, lexicographically, the pulled-back
@@ -273,21 +259,20 @@ def glue_grobner(spec: GlueSpec, gb1: OrientedBasis, gb2: OrientedBasis, *,
     """
     if gb1.weights is None or gb2.weights is None:
         raise GlueError("glue_grobner needs weighted bases")
-    ctx = spec.context(**caps)
     for gb in (gb1, gb2):
         for b in gb:
             if gb.monomial_weight(b.plus) == gb.monomial_weight(b.minus):
                 raise GlueError("input weights do not separate a basis element")
     width = max([len(w) for w in gb1.weights + gb2.weights] or [0])
     weights = []
-    for k in range(ctx.sys_union.num_vars):
-        x, y = ctx.r1[k], ctx.r2[k]
+    for k in range(spec.sys_union.num_vars):
+        x, y = spec.r1[k], spec.r2[k]
         main = tuple(a + b for a, b in zip(_pad(gb1.weights[x], width),
                                            _pad(gb2.weights[y], width)))
         weights.append(main + (x * y,))
     weights = tuple(weights)
     wsum = OrientedBasis((), weights).monomial_weight
-    result = glue_basis(spec, gb1, gb2, lift_cap=lift_cap, **caps)
+    result = glue_basis(spec, gb1, gb2, lift_cap=lift_cap)
     oriented = []
     for b in result.basis:
         wp, wm = wsum(b.plus), wsum(b.minus)
@@ -336,11 +321,10 @@ def forest_pipeline(g: Graph, h: Graph, *, lift_cap: int = 500_000,
             nbr = next(iter(graph.neighbors(leaf)))
             side1 = [v for v in range(graph.n) if v != leaf]
             side2 = [leaf, nbr]
-        spec = GlueSpec(graph, side1, side2, h)
+        spec = GlueSpec(graph, side1, side2, h, **caps)
         b1, d1, t1 = build(spec.sub1.graph)
         b2, d2, t2 = build(spec.sub2.graph)
-        res = glue_basis(spec, b1, b2, lift_cap=lift_cap,
-                         allow_truncation=allow_truncation, **caps)
+        res = glue_basis(spec, b1, b2, lift_cap=lift_cap, allow_truncation=allow_truncation)
         return res.basis, d1 | d2 | set(res.degrees_full), t1 or t2 or res.truncated
 
     basis, degrees, truncated = build(g)
@@ -411,10 +395,10 @@ def outerplanar_pipeline(g: Graph, h: Graph, base_basis: OrientedBasis = None, *
         a, b = sorted(graph.neighbors(ear))
         side1 = [v for v in range(graph.n) if v != ear]
         side2 = [a, b, ear]
-        spec = GlueSpec(graph, side1, side2, h)
+        spec = GlueSpec(graph, side1, side2, h, **caps)
         b1, d1, t1 = build(spec.sub1.graph)
         res = glue_basis(spec, b1, base_basis, lift_cap=lift_cap,
-                         allow_truncation=allow_truncation, **caps)
+                         allow_truncation=allow_truncation)
         return res.basis, d1 | set(res.degrees_full), t1 or res.truncated
 
     basis, degrees, truncated = build(g)

@@ -20,7 +20,9 @@ takes the bits [b*j, b*(j+1)) of int64 word i // per, j = i % per and per
 word, and the packed key of a monomial is the plain sum of the packed
 columns of its factors: no row can carry into the next.  A layer is its
 monomials plus one to a few int64 words per monomial, and fibers are runs
-of equal words.
+of equal words.  The monomials of a layer are in lexicographic order, the
+one order of the engine: a row number is a lex rank, and every list of
+monomials the engine returns is in lex order without a sort.
 
 Markov bases are built and verified one degree layer at a time, t = 1, 2,
 ..., by the gcd rule (Takemura-Aoki, Ann. Inst. Stat. Math. 56, 2004; see
@@ -299,166 +301,142 @@ def build_system(g: Graph, h: Graph, **caps) -> ToricSystem:
 # ---------------------------------------------------------------------------
 # fiber enumeration
 
-def _monomials_with_keys(system, degree: int, mono_cap: int):
-    """(IDX, WORDS) arrays for all degree-``degree`` monomials: IDX sorted
-    so the last column is nondecreasing, WORDS the packed key of each row
-    (``ToricSystem.packed_columns`` at bits = degree.bit_length()), the sum
-    of the packed columns of its factors."""
+def _layer(system, degree: int, mono_cap: int):
+    """(idx, fid): every degree-``degree`` monomial as a sorted row of
+    variable indices, the rows in lexicographic order, and the fiber id of
+    each row, fibers numbered in the order of their packed key (word 0
+    first).
+
+    Layer t puts each variable j in front of the rows of layer t - 1 that
+    start at j or later, a suffix of that layer, and the packed key of a
+    new row is the key of its suffix row plus the packed column of j (see
+    ``ToricSystem.packed_columns``).  Fibers are refined one key word at a
+    time: the ids so far times the row count n, plus the rank of the word,
+    stay below n**2 and fit int64."""
     packed = system.packed_columns(degree.bit_length())
     n_vars, n_words = packed.shape
     idx = np.arange(n_vars, dtype=np.int32).reshape(n_vars, 1)
     words = packed
     for t in range(2, degree + 1):
-        last = idx[:, -1]
-        ends = np.searchsorted(last, np.arange(n_vars), side="right")
-        total = int(ends.sum())
+        starts = np.searchsorted(idx[:, 0], np.arange(n_vars))
+        total = int((len(idx) - starts).sum())
         if total > mono_cap:
             raise ResourceCapExceeded(
                 f"{total} monomials of degree {t} exceed the cap {mono_cap}")
         new_idx = np.empty((total, t), dtype=np.int32)
         new_words = np.empty((total, n_words), dtype=np.int64)
         pos = 0
-        for j in range(n_vars):
-            e = int(ends[j])
-            if e == 0:
-                continue
-            new_idx[pos:pos + e, :-1] = idx[:e]
-            new_idx[pos:pos + e, -1] = j
-            np.add(words[:e], packed[j], out=new_words[pos:pos + e])
-            pos += e
+        for j, s in enumerate(starts.tolist()):
+            e = pos + len(idx) - s
+            new_idx[pos:e, 0] = j
+            new_idx[pos:e, 1:] = idx[s:]
+            np.add(words[s:], packed[j], out=new_words[pos:e])
+            pos = e
         idx, words = new_idx, new_words
-    return idx, words
+    n = len(idx)
+    ranks = (np.unique(word, return_inverse=True)[1] for word in words.T)
+    fid = next(ranks, np.zeros(n, dtype=np.intp))      # no key rows: one fiber
+    for rank in ranks:
+        fid *= n
+        fid += rank
+        fid = np.unique(fid, return_inverse=True)[1]
+    return idx, fid
 
 
-def _colex_rank(mono, n_vars: int):
+def _rank(mono, n_vars: int):
     """Row of each sorted monomial (a row of ``mono``) in the layer order of
-    ``_monomials_with_keys``: sum over i of C(m_i + i, i + 1); int32 when
-    every row of the layer fits."""
+    ``_layer``; int32 when every row of the layer fits.  Reversing a
+    monomial m and complementing its variables turns lex order into
+    reversed colex order, so the lex rank of m is C(n_vars + t - 1, t) - 1
+    minus the colex rank of x = n_vars - 1 - m reversed, the sum over i of
+    C(x_i + i, i + 1)."""
     t = mono.shape[1]
-    dtype = np.int32 if comb(n_vars + t - 1, t) < 2**31 else np.int64
+    n_rows = comb(n_vars + t - 1, t)
+    dtype = np.int32 if n_rows < 2**31 else np.int64
     table = np.empty((t, n_vars), dtype=dtype)
     table[0] = np.arange(n_vars)
     for i in range(1, t):
         np.cumsum(table[i - 1], out=table[i])      # C(x + i, i + 1), hockey stick
-    rank = np.zeros(mono.shape[0], dtype=dtype)
+    rank = np.full(mono.shape[0], n_rows - 1, dtype=dtype)
     for i in range(t):
-        rank += table[i, mono[:, i]]
+        rank -= table[i, n_vars - 1 - mono[:, t - 1 - i]]
     return rank
-
-
-def _layer(system, degree: int, mono_cap: int):
-    """(idx, fid): every degree-``degree`` monomial as a sorted row of
-    variable indices, row r being the monomial of colex rank r, and the
-    fiber id of each row, fibers numbered in the order of their packed key
-    (word 0 first).  A one-word key is grouped by ``np.unique`` on int64; a
-    longer one by one ``np.lexsort`` of its words and a diff of the sorted
-    rows."""
-    idx, words = _monomials_with_keys(system, degree, mono_cap)
-    n_words = words.shape[1]
-    if n_words == 0:                # no key rows: the whole layer is one fiber
-        return idx, np.zeros(idx.shape[0], dtype=np.intp)
-    if n_words == 1:
-        return idx, np.unique(words[:, 0], return_inverse=True)[1]
-    order = np.lexsort(words.T[::-1])
-    words = words[order]
-    new = np.zeros(len(order), dtype=np.intp)
-    new[1:] = (words[1:] != words[:-1]).any(axis=1)
-    del words
-    fid = np.empty(len(order), dtype=np.intp)
-    fid[order] = np.cumsum(new)
-    return idx, fid
 
 
 def iter_fibers(system, degree: int, *, min_size: int = 1,
                 mono_cap: int = DEFAULT_MONO_CAP):
     """Yield (key_bytes, [monomial, ...]) for every fiber of the given
-    degree, in a deterministic order: the order of the packed keys (see
-    ``_layer``), the monomials of a fiber in colex order."""
+    degree with at least ``min_size`` monomials, in a deterministic order:
+    the order of the packed keys (see ``_layer``), the monomials of a fiber
+    in lex order."""
     idx, fid = _layer(system, degree, mono_cap)
-    if idx.shape[0] == 0:
-        return
-    order = np.argsort(fid, kind="stable")
+    counts = np.bincount(fid)
+    rows = np.flatnonzero(counts[fid] >= min_size)
+    rows = rows[np.argsort(fid[rows], kind="stable")]
     start = 0
-    for c in np.bincount(fid).tolist():
-        if c >= min_size:
-            rows = idx[order[start:start + c]]
-            key = system.key_matrix[:, rows[0]].sum(axis=1, dtype=np.int16)
-            yield key.tobytes(), list(map(tuple, rows.tolist()))
+    for c in counts[counts >= min_size].tolist():
+        mono = idx[rows[start:start + c]]
+        key = system.key_matrix[:, mono[0]].sum(axis=1, dtype=np.int16)
+        yield key.tobytes(), list(map(tuple, mono.tolist()))
         start += c
 
 
 def fiber_of(system, mono, *, mono_cap: int = DEFAULT_MONO_CAP):
-    """All monomials sharing the image of ``mono`` (same degree)."""
+    """All monomials sharing the image of ``mono`` (same degree), in lex
+    order."""
     mono = np.array(sorted(mono), dtype=np.int64).reshape(1, -1)
     idx, fid = _layer(system, mono.shape[1], mono_cap)
-    rows = idx[fid == fid[_colex_rank(mono, system.num_vars)[0]]]
-    return sorted(map(tuple, rows.tolist()))
+    rows = idx[fid == fid[_rank(mono, system.num_vars)[0]]]
+    return list(map(tuple, rows.tolist()))
 
 
 def _split_layer(system, degree: int, mono_cap: int, pairs=None):
     """Components of every fiber of two or more degree-``degree``
     monomials under "shares a variable", joined further by ``pairs``, an
-    optional (k, 2) array of layer rows (colex ranks).
+    optional (k, 2) array of layer rows whose two ends lie in one such
+    fiber.
 
     Returns (mono, root, lead): the monomials of those fibers as rows of
-    ``mono`` in lexicographic order, the positions in ``mono`` of the
-    smallest monomial of every component, and for each root the position
-    of the smallest monomial of its fiber."""
+    ``mono`` in lex order, the positions in ``mono`` of the smallest
+    monomial of every component, and for each root the position of the
+    smallest monomial of its fiber."""
     idx, fid = _layer(system, degree, mono_cap)
     n_rows, t = idx.shape
-    n_fibers = int(fid.max()) + 1 if n_rows else 0
+    counts = np.bincount(fid)           # monomials per fiber
+    n_fibers = len(counts)
     if n_fibers == n_rows:              # every fiber is a single monomial
         none = np.zeros(0, dtype=np.intp)
         return idx, none, none
     n_vars = system.num_vars
     ix = np.int32 if n_rows < 2**31 else np.int64
-    # lexicographic order without a sort: reversing a monomial and
-    # complementing its variables turns lex order into reversed colex order
-    lexpos = np.full(n_rows, n_rows - 1, dtype=np.int64)
-    lexpos -= _colex_rank(n_vars - 1 - idx[:, ::-1], n_vars)
-    order = np.empty(n_rows, dtype=ix)
-    order[lexpos] = np.arange(n_rows, dtype=ix)
-    del lexpos
-    rows = order[(np.bincount(fid) >= 2)[fid[order]]]
-    del order
-    mono, fib = idx[rows], fid[rows].astype(ix)
-    del idx, fid
-    n = len(rows)
-    if pairs is None:
-        pairs = np.zeros((0, 2), dtype=ix)
-    else:
-        where = np.full(n_rows, -1, dtype=ix)
-        where[rows] = np.arange(n, dtype=ix)
-        pairs = where[pairs]
-        del where
-        pairs = pairs[pairs[:, 0] >= 0]
-    del rows
+    rows = np.flatnonzero(counts[fid] >= 2)
+    fib, mono = fid[rows].astype(ix), idx[rows]
+    if pairs is not None:
+        pairs = np.searchsorted(rows, pairs).astype(ix)
+    del idx, fid, counts, rows
+    n = len(mono)
 
-    # entries: (fiber, variable) of every factor of every monomial, then
-    # both sides of every pair, each pair as a group of its own
-    n_keys = n_fibers * n_vars + len(pairs)
-    kt = np.int32 if n_keys < 2**31 else np.int64
+    # groups: the (fiber, variable) of every factor of every monomial, then
+    # each pair as a group of two
+    kt = np.int32 if n_fibers * n_vars < 2**31 else np.int64
     keys = mono.astype(kt)
     keys += fib.astype(kt)[:, None] * n_vars
     keys = keys.ravel()
-    if len(pairs):
-        own = np.arange(n_fibers * n_vars, n_keys, dtype=kt)
-        keys = np.concatenate([keys, own, own])
     sort = np.argsort(keys)
     keys = keys[sort]
     starts = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
     del keys
-    extra = np.flatnonzero(sort >= n * t)
-    sides = pairs.T.ravel()[sort[extra] - n * t]
     sort //= t
-    sort[extra] = sides
     owner = sort.astype(ix)
-    del sort, extra, sides
+    del sort
     sizes = np.diff(np.append(starts, len(owner))).astype(np.int32)
     shared = sizes >= 2                 # a group of one joins nothing
     owner = owner[np.repeat(shared, sizes)]
     sizes = sizes[shared]
     del shared, starts
+    if pairs is not None:
+        owner = np.concatenate([owner, pairs.ravel()])
+        sizes = np.concatenate([sizes, np.full(len(pairs), 2, dtype=np.int32)])
     label = _min_labels(np.arange(n, dtype=ix), owner, sizes)
     del owner
 
@@ -580,9 +558,9 @@ def markov_basis(system, degree_cap: int, *,
     counts = Counter()
     for t in range(1, degree_cap + 1):
         mono, root, lead = _split_layer(system, t, mono_cap)
-        split = root != lead
-        new = [Binomial.make(p, m) for p, m in zip(mono[lead[split]].tolist(),
-                                                   mono[root[split]].tolist())]
+        split = root != lead            # two components share no variable
+        new = [Binomial(tuple(p), tuple(m))
+               for p, m in zip(mono[lead[split]].tolist(), mono[root[split]].tolist())]
         additions.extend(new)
         counts[max(t, 2)] += len(new)
     additions_by_degree = {t: counts[t] for t in range(2, degree_cap + 1)}
@@ -613,7 +591,7 @@ def _basis_sides(system, basis: OrientedBasis):
 
 def _layer_moves(sides, layers, t: int, n_vars: int):
     """The moves u*lead -> u*trail in layer t as a (k, 2) array of rows
-    (colex ranks): one for every element of degree d in ``sides`` and every
+    (lex ranks): one for every element of degree d in ``sides`` and every
     monomial u of ``layers[t - d]``, if given.  Each side is built in place
     as one int32 array, sorted and ranked."""
     out = []
@@ -626,7 +604,7 @@ def _layer_moves(sides, layers, t: int, n_vars: int):
                 mono[:, :, :t - d] = u[:, None]
                 mono[:, :, t - d:] = s[:, side]
                 mono.sort(axis=2)
-                ends.append(_colex_rank(mono.reshape(-1, t), n_vars))
+                ends.append(_rank(mono.reshape(-1, t), n_vars))
                 del mono
             out.append(np.stack(ends, axis=1))
     return np.concatenate(out) if out else np.zeros((0, 2), dtype=np.int64)

@@ -149,13 +149,13 @@ def naive_fibers(system, degree):
 
 def naive_layer_fibers(system, degree):
     """(idx, fid) like ``toric._layer`` by the earlier grouping: one int16
-    image row under ``key_matrix`` per monomial, built factor by factor in
-    colex order, and ``np.unique`` over a void view of those rows."""
+    image row under ``key_matrix`` per monomial, the monomials in lex order
+    (the order of ``combinations_with_replacement``), and ``np.unique`` over
+    a void view of those rows."""
     key = system.key_matrix
     n_vars = key.shape[1]
     idx = np.array(list(combinations_with_replacement(range(n_vars), degree)),
                    dtype=np.int64).reshape(-1, degree)
-    idx = idx[np.lexsort(idx.T)]            # colex: last factor first
     img = np.zeros((len(idx), key.shape[0]), dtype=np.int16)
     for i in range(degree):
         img += key.T[idx[:, i]]

@@ -4,6 +4,7 @@ import pytest
 
 from homtoric import graph as G
 from homtoric.graph import Graph
+from homtoric.homset import HomTooLarge
 from homtoric.tfp import (GlueError, GlueSpec, LiftTooLarge, check_codim_zero,
                           forest_pipeline, glue_basis, glue_grobner,
                           outerplanar_pipeline, trivial_weighted_basis)
@@ -40,6 +41,12 @@ def test_gluespec_rejects_crossing_edge():
 def test_gluespec_rejects_uncovered_vertex():
     with pytest.raises(GlueError):
         GlueSpec(G.path(4), [0, 1], [1, 2], G.spoon())
+
+
+def test_gluespec_applies_its_caps():
+    # the caps bound every system of the spec, so no later call can skip them
+    with pytest.raises(HomTooLarge):
+        GlueSpec(G.path(3), [0, 1], [1, 2], G.complete(3), count_cap=2)
 
 
 def test_codim_zero_small_intersections():
@@ -135,7 +142,7 @@ def build_tree_grobner(tree, h):
         side2 = [leaf, next(iter(graph.neighbors(leaf)))]
         spec = GlueSpec(graph, side1, side2, h)
         gb1 = build(spec.sub1.graph)
-        gb2 = trivial_weighted_basis(spec.context().sys2)
+        gb2 = trivial_weighted_basis(spec.sys2)
         return glue_grobner(spec, gb1, gb2)
     return build(tree)
 
@@ -159,8 +166,8 @@ def test_glue_grobner_trees_verify():
 def test_glue_grobner_disjoint_union():
     two = Graph(4, [(0, 1), (2, 3)])
     spec = GlueSpec(two, [0, 1], [2, 3], G.complete(3))
-    gb1 = trivial_weighted_basis(spec.context().sys1)
-    gb2 = trivial_weighted_basis(spec.context().sys2)
+    gb1 = trivial_weighted_basis(spec.sys1)
+    gb2 = trivial_weighted_basis(spec.sys2)
     gb = glue_grobner(spec, gb1, gb2)
     system = build_system(two, G.complete(3))
     assert verify_grobner(system, gb, 3)

@@ -1,5 +1,5 @@
 import random
-from itertools import combinations
+from itertools import combinations, combinations_with_replacement
 from math import comb
 
 import numpy as np
@@ -10,7 +10,7 @@ from homtoric import graph as G
 from homtoric.graph import Graph
 from homtoric.indep import IndepSystem, complement_cycle_basis
 from homtoric.toric import (DEFAULT_MONO_CAP, Binomial, MoveIndex, OrientedBasis,
-                            ResourceCapExceeded, _layer, build_system, fiber_graph,
+                            ResourceCapExceeded, _layer, _rank, build_system, fiber_graph,
                             fiber_of, format_binomial, iter_fibers, markov_basis,
                             markov_width, normality_witness, parse_basis_text,
                             restrict_basis, strip_common, verify_grobner, verify_markov)
@@ -395,10 +395,26 @@ def test_packed_layer_matches_void_view_grouping():
             ref_idx, ref_fid = naive_layer_fibers(system, t)
             assert np.array_equal(idx, ref_idx), (g.edges, h.edges, t)
             assert same_partition(fid, ref_fid), (g.edges, h.edges, t)
-    # 36 key rows of 2 bits: the last case takes the two-word lexsort path
+    # 36 key rows of 2 bits: the last case refines its fibers by two words
     wide = build_system(G.cycle(6), G.complete_looped(3))
     assert wide.key_matrix.shape[0] == 36
     assert wide.packed_columns(2).shape[1] == 2
+
+
+def test_rank_is_the_lex_position():
+    for n in range(1, 7):
+        for t in range(1, 5):
+            monos = np.array(list(combinations_with_replacement(range(n), t)))
+            assert np.array_equal(_rank(monos, n), np.arange(len(monos))), (n, t)
+    # C(2003, 4) rows do not fit int32: the int64 ranks keep their order
+    n, t = 2000, 4
+    top = comb(n + t - 1, t) - 1
+    assert top >= 2**31
+    ends = np.array([[0] * t, [n - 1] * t])
+    assert _rank(ends, n).tolist() == [0, top]
+    rng = np.random.default_rng(5)
+    monos = np.unique(np.sort(rng.integers(0, n, size=(500, t)), axis=1), axis=0)
+    assert (np.diff(_rank(monos, n)) > 0).all()
 
 
 def _outcome(f, *args):
