@@ -1,11 +1,11 @@
 """Algebraic obstructions to 4-colorability.
 
 The ideal of triangle placements into K4 is generated by a single binomial
-of degree 12, so any binomial of smaller degree in the triangle ideal of a
-test graph must collapse under every 4-coloring: some permutation matches
-the two sides factor by factor, forcing vertex-color identifications.  A
-certificate is such a binomial plus the table of identifications forced by
-each choice of matching.
+of degree 12, so any binomial of smaller degree in the triangle-placement
+ideal of a graph must collapse under every 4-coloring: some permutation
+matches the two sides factor by factor, forcing vertex-color
+identifications.  A certificate is such a binomial plus the table of
+identifications forced by each choice of matching.
 """
 
 from __future__ import annotations
@@ -38,47 +38,41 @@ class ObstructionCertificate:
 
 
 def find_low_degree_binomial(g: Graph, degree_cap: int = 6, *,
-                             test_graph: Graph = None,
                              mono_cap: int = 10**7, **homcaps):
-    """Smallest-degree binomial with disjoint monomial supports in the
-    test-graph ideal of ``g`` (triangle placements by default);
-    lexicographically smallest such pair.  None when nothing exists up to
-    the cap."""
-    if test_graph is None:
-        test_graph = graphs.complete(3)
-    system = build_system(test_graph, g, **homcaps)
+    """(system, binomial): the system of triangle placements into ``g`` and
+    a smallest-degree binomial with disjoint monomial supports in its
+    ideal, the lexicographically smallest such pair; None for the binomial
+    when nothing exists up to the cap.
+
+    A placement is fixed by its edge maps, so the degree-1 fibers are
+    single monomials.  At the first degree t with a fiber of two or more
+    monomials, no two monomials of one fiber share a variable: dividing
+    both by it would give such a fiber at degree t - 1.  So the answer is
+    the first two monomials of the fiber whose first monomial is
+    smallest."""
+    system = build_system(graphs.complete(3), g, **homcaps)
     if system.num_vars == 0:
         raise ValueError("no placements of the test graph; the ideal is empty")
     for t in range(2, degree_cap + 1):
-        best = None
-        for _, monos in iter_fibers(system, t, min_size=2, mono_cap=mono_cap):
-            for i in range(len(monos)):
-                for j in range(i + 1, len(monos)):
-                    if set(monos[i]).isdisjoint(monos[j]):
-                        pair = (monos[i], monos[j])
-                        if best is None or pair < best:
-                            best = pair
-                        break
-        if best is not None:
-            return system, Binomial(*best)
+        fiber = min((monos for _, monos in iter_fibers(system, t, min_size=2,
+                                                       mono_cap=mono_cap)), default=None)
+        if fiber is not None:
+            return system, Binomial(fiber[0], fiber[1])
     return system, None
 
 
 def analyze_certificate(g: Graph, system: ToricSystem, b: Binomial,
-                        relation=(), *,
-                        generator_degree: int = GENERATOR_DEGREE_K3_K4
-                        ) -> ObstructionCertificate:
-    """Scan all matchings of the two sides.  NOT_4_COLORABLE when every
-    permutation forces an identification of adjacent vertices; PROPERTY
-    when every permutation forces a pair from the supplied relation.
-
-    ``generator_degree`` is the known minimal generator degree of the
-    test-graph-into-coloring-target ideal (12 for triangles into K4); test
-    graphs other than the triangle need a caller-supplied threshold.
+                        relation=()) -> ObstructionCertificate:
+    """Scan all matchings of the two sides of a binomial in the triangle
+    ideal of ``g``.  NOT_4_COLORABLE when every permutation forces an
+    identification of adjacent vertices; PROPERTY when every permutation
+    forces a pair from the supplied relation.  The degree must be below
+    GENERATOR_DEGREE_K3_K4, the degree of the one generator of the ideal
+    of triangles into K4.
     """
     d = b.degree
-    if d >= generator_degree:
-        raise ValueError(f"certificate degree must be below {generator_degree}")
+    if d >= GENERATOR_DEGREE_K3_K4:
+        raise ValueError(f"certificate degree must be below {GENERATOR_DEGREE_K3_K4}")
     if not set(b.plus).isdisjoint(b.minus):
         raise ValueError("certificate binomial must have disjoint supports")
     if not system.membership(b):

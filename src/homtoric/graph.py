@@ -11,6 +11,8 @@ from collections import deque
 from dataclasses import dataclass
 from itertools import combinations
 
+from .util import content_lines
+
 
 class GraphError(ValueError):
     pass
@@ -201,10 +203,7 @@ def parse_graph_text(text: str) -> Graph:
     """Text format: line ``n <count>``, then ``e <u> <v>`` lines; ``#`` comments."""
     n = None
     es = []
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for raw, line in content_lines(text):
         parts = line.split()
         if parts[0] == "n" and len(parts) == 2:
             n = int(parts[1])
@@ -229,10 +228,7 @@ def parse_labeled_graph_text(text: str):
     n = None
     labels = set()
     es = []
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for raw, line in content_lines(text):
         parts = line.split()
         if parts[0] == "n" and len(parts) == 2:
             n = int(parts[1])

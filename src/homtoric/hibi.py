@@ -17,6 +17,7 @@ from itertools import combinations, permutations, product
 from .graph import Graph
 from .indep import IndepSystem, TopGraded, top_graded
 from .toric import Binomial, OrientedBasis, verify_markov
+from .util import content_lines
 
 
 class PosetError(ValueError):
@@ -62,10 +63,7 @@ def parse_poset_text(text: str) -> Poset:
     """Text format: ``p <count>`` then ``c <a> <b>`` cover lines (a < b)."""
     n = None
     covers = []
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for raw, line in content_lines(text):
         parts = line.split()
         if parts[0] == "p" and len(parts) == 2:
             n = int(parts[1])
@@ -145,10 +143,10 @@ class HibiComparison:
     memberships: bool
 
 
-def hibi_vs_topgraded(poset: Poset, *, verify_cap: int = 3, **caps) -> HibiComparison:
+def hibi_vs_topgraded(poset: Poset, **caps) -> HibiComparison:
     """Map the relations r_L1 r_L2 - r_{L1|L2} r_{L1&L2} through xi into the
     top-graded independence ideal of B_P and certify they cut out the same
-    ideal."""
+    ideal, checking that they connect every fiber up to degree 3."""
     bij = xi_bijection(poset)
     bp = build_bp(poset)
     isys = IndepSystem(bp, **caps)
@@ -157,21 +155,18 @@ def hibi_vs_topgraded(poset: Poset, *, verify_cap: int = 3, **caps) -> HibiCompa
     if set(var_of) != set(bij.images):
         raise AssertionError("top variables disagree with the xi images")
     elems = []
-    ideals = bij.ideals
-    for i in range(len(ideals)):
-        for j in range(i + 1, len(ideals)):
-            l1, l2 = ideals[i], ideals[j]
-            u, m = l1 | l2, l1 & l2
-            if {u, m} == {l1, l2}:
-                continue
-            plus = tuple(sorted((var_of[xi(poset, l1)], var_of[xi(poset, l2)])))
-            minus = tuple(sorted((var_of[xi(poset, u)], var_of[xi(poset, m)])))
-            elems.append(Binomial(plus, minus))
+    for l1, l2 in combinations(bij.ideals, 2):
+        u, m = l1 | l2, l1 & l2
+        if {u, m} == {l1, l2}:
+            continue
+        plus = tuple(sorted((var_of[xi(poset, l1)], var_of[xi(poset, l2)])))
+        minus = tuple(sorted((var_of[xi(poset, u)], var_of[xi(poset, m)])))
+        elems.append(Binomial(plus, minus))
     hibi_basis = OrientedBasis.make(elems)
     memberships = all(top.subsystem.membership(b) for b in hibi_basis)
     match = ({b.unordered_key() for b in hibi_basis}
              == {b.unordered_key() for b in top.basis})
-    mutual = memberships and verify_markov(top.subsystem, hibi_basis, verify_cap)
+    mutual = memberships and verify_markov(top.subsystem, hibi_basis, 3)
     return HibiComparison(poset, top, hibi_basis, match, mutual, memberships)
 
 

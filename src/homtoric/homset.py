@@ -12,9 +12,10 @@ from collections import deque
 from dataclasses import dataclass
 
 from .graph import Graph, induced_subgraph, spoon
+from .util import ResourceCapExceeded
 
 
-class HomTooLarge(RuntimeError):
+class HomTooLarge(ResourceCapExceeded):
     """Search space above the configured resource cap."""
 
 

@@ -229,47 +229,36 @@ class ReductionStuck(RuntimeError):
     pass
 
 
-def reduce_to_sink(index: MoveIndex, mono, *, max_steps=None, on_step=None):
-    """Apply oriented moves (smallest resulting monomial first) until no
-    lead divides the monomial."""
+def normal_form(isys: IndepSystem, mono, basis: OrientedBasis = None, *,
+                bip: Bipartition = None) -> tuple:
+    """Reduce a monomial with the oriented moves of the bipartite or
+    almost-bipartite basis, smallest resulting monomial first, until no
+    lead divides it; checks the strictly increasing potential on plain
+    bipartite sources.
+
+    The walk is deterministic, so reaching a monomial a second time means
+    it cycles; that raises ReductionStuck at once."""
+    if basis is None:
+        bip = bip or graphs.is_bipartite(isys.graph)
+        if bip is not None:
+            basis = bipartite_grobner(isys, bip)
+        else:
+            basis = almost_bipartite_grobner(isys).basis
+    index = MoveIndex(basis)
     mono = tuple(sorted(mono))
-    steps = 0
-    cap = max_steps if max_steps is not None else 1000 + 200 * len(mono)
+    seen = set()
     while True:
         nxt = index.directed_neighbors(mono)
         if not nxt:
             return mono
         new = min(nxt)
-        if on_step is not None:
-            on_step(mono, new)
+        if bip is not None and (straightening_potential(isys, bip.part1, new)
+                                <= straightening_potential(isys, bip.part1, mono)):
+            raise AssertionError("sorting move failed to increase the potential")
+        seen.add(mono)
+        if new in seen:
+            raise ReductionStuck(f"move {len(seen)} returns to a monomial already reached")
         mono = new
-        steps += 1
-        if steps > cap:
-            raise ReductionStuck(f"no sink after {steps} moves")
-
-
-def normal_form(isys: IndepSystem, mono, basis: OrientedBasis = None, *,
-                bip: Bipartition = None, max_steps=None) -> tuple:
-    """Reduce a monomial with the oriented moves of the bipartite or
-    almost-bipartite basis; checks the strictly increasing potential on
-    plain bipartite sources."""
-    g = isys.graph
-    if basis is None:
-        bip = bip or graphs.is_bipartite(g)
-        if bip is not None:
-            basis = bipartite_grobner(isys, bip)
-        else:
-            tagged = almost_bipartite_grobner(isys)
-            basis = tagged.basis
-    index = MoveIndex(basis)
-    check = None
-    if bip is not None:
-        def check(old, new):
-            lo = straightening_potential(isys, bip.part1, old)
-            hi = straightening_potential(isys, bip.part1, new)
-            if hi <= lo:
-                raise AssertionError("sorting move failed to increase the potential")
-    return reduce_to_sink(index, mono, max_steps=max_steps, on_step=check)
 
 
 def is_chain_monomial(isys: IndepSystem, part1, mono) -> bool:

@@ -17,10 +17,10 @@ from math import gcd
 
 from .graph import Graph
 from .toric import ToricSystem, build_system
-from .util import echelon
+from .util import ResourceCapExceeded, echelon
 
 
-class PolytopeCapExceeded(RuntimeError):
+class PolytopeCapExceeded(ResourceCapExceeded):
     pass
 
 

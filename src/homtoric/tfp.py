@@ -11,20 +11,20 @@ second components between homomorphisms that agree on the intersection.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import permutations, product
+from itertools import chain, combinations, islice, permutations, product
 
 from . import graph as graphs
 from .graph import Graph, induced_subgraph
 from .toric import (Binomial, OrientedBasis, ToricSystem, build_system,
                     NormalityWitness, markov_basis)
-from .util import echelon
+from .util import ResourceCapExceeded, echelon
 
 
 class GlueError(ValueError):
     pass
 
 
-class LiftTooLarge(RuntimeError):
+class LiftTooLarge(ResourceCapExceeded):
     pass
 
 
@@ -119,13 +119,9 @@ class GlueResult:
 
 
 def _distinct_matchings(ps, qs):
-    """Distinct multiset pairings between two equal-size lists."""
-    seen = set()
-    for perm in permutations(qs):
-        pairing = tuple(sorted(zip(ps, perm)))
-        if pairing not in seen:
-            seen.add(pairing)
-            yield pairing
+    """Distinct multiset pairings between two equal-size lists, in the order
+    they first occur among the permutations of ``qs``."""
+    return list(dict.fromkeys(tuple(sorted(zip(ps, perm))) for perm in permutations(qs)))
 
 
 def _lift_plan(spec, b: Binomial, side: int):
@@ -145,7 +141,7 @@ def _lift_plan(spec, b: Binomial, side: int):
     matchings, liftable, attempted = [], True, 1
     for c in class_list:
         ext = others.get(c, [])
-        ms = list(_distinct_matchings(sorted(by_class_p[c]), sorted(by_class_q[c])))
+        ms = _distinct_matchings(sorted(by_class_p[c]), sorted(by_class_q[c]))
         matchings.append(ms)
         attempted *= len(ms) * (len(ext) ** len(by_class_p[c]))
         if not ext:
@@ -153,44 +149,34 @@ def _lift_plan(spec, b: Binomial, side: int):
     return liftable, (attempted if liftable else 0), class_list, matchings
 
 
-def _lift_materialize(spec, side: int, class_list, matchings, budget):
-    """Yield lifted binomials in a deterministic order, at most ``budget``
-    enumeration steps."""
+def _lift_materialize(spec, side: int, class_list, matchings):
+    """Yield the lifts of one binomial in a deterministic order, one item per
+    enumeration step: the lifted binomial, or None where it strips to
+    zero."""
     others = spec.ys_by_class if side == 1 else spec.xs_by_class
 
     def embed(v, w):
         return spec.pair_index[(v, w)] if side == 1 else spec.pair_index[(w, v)]
 
-    steps = 0
     for match_combo in product(*matchings):
         pairs = [pair for cls_pairs in match_combo for pair in cls_pairs]
         pools = []
         for c, cls_pairs in zip(class_list, match_combo):
             pools.extend([others[c]] * len(cls_pairs))
         for choice in product(*pools):
-            steps += 1
-            if steps > budget:
-                return
-            lifted = Binomial.make(
+            yield Binomial.make(
                 [embed(p, w) for (p, _), w in zip(pairs, choice)],
                 [embed(q, w) for (_, q), w in zip(pairs, choice)])
-            if lifted is not None:
-                yield lifted
 
 
 def _quad_binomials(spec):
     for c in sorted(spec.xs_by_class):
-        xs = spec.xs_by_class[c]
-        ys = spec.ys_by_class.get(c, [])
-        for i in range(len(xs)):
-            for j in range(i + 1, len(xs)):
-                for k in range(len(ys)):
-                    for l in range(k + 1, len(ys)):
-                        plus = tuple(sorted((spec.pair_index[(xs[i], ys[k])],
-                                             spec.pair_index[(xs[j], ys[l])])))
-                        minus = tuple(sorted((spec.pair_index[(xs[i], ys[l])],
-                                              spec.pair_index[(xs[j], ys[k])])))
-                        yield Binomial(plus, minus)
+        pairs = product(combinations(spec.xs_by_class[c], 2),
+                        combinations(spec.ys_by_class.get(c, []), 2))
+        for (x1, x2), (y1, y2) in pairs:
+            plus = tuple(sorted((spec.pair_index[(x1, y1)], spec.pair_index[(x2, y2)])))
+            minus = tuple(sorted((spec.pair_index[(x1, y2)], spec.pair_index[(x2, y1)])))
+            yield Binomial(plus, minus)
 
 
 def glue_basis(spec: GlueSpec, basis1: OrientedBasis, basis2: OrientedBasis, *,
@@ -200,8 +186,9 @@ def glue_basis(spec: GlueSpec, basis1: OrientedBasis, basis2: OrientedBasis, *,
     Lifting enumerates, for every binomial, all pairings of its two sides
     that agree on the intersection and all extensions to the other side.
     When the complete family exceeds ``lift_cap`` the materialized basis is
-    truncated (with ``allow_truncation``) or an error is raised; the degree
-    set of the complete family is reported exactly either way.
+    truncated (with ``allow_truncation``) to the first ``lift_cap``
+    enumeration steps of the lifts, or an error is raised; the degree set
+    of the complete family is reported exactly either way.
     """
     if not check_codim_zero(spec):
         raise GlueError("intersection configuration is not linearly independent")
@@ -217,7 +204,7 @@ def glue_basis(spec: GlueSpec, basis1: OrientedBasis, basis2: OrientedBasis, *,
             attempted += n
             if liftable:
                 degrees.add(b.degree)
-                plans.append((side, class_list, matchings, n))
+                plans.append((side, class_list, matchings))
     quads = list(_quad_binomials(spec))
     attempted += len(quads)
     if quads:
@@ -226,18 +213,12 @@ def glue_basis(spec: GlueSpec, basis1: OrientedBasis, basis2: OrientedBasis, *,
         raise LiftTooLarge(
             f"lift family has {attempted} members, above the cap {lift_cap}; "
             f"pass allow_truncation to keep an exact degree summary")
-    # materialization pass
-    out = set(quads)
-    budget = lift_cap
-    truncated = attempted > lift_cap
-    for side, class_list, matchings, n in plans:
-        if budget <= 0:
-            break
-        for lifted in _lift_materialize(spec, side, class_list, matchings, budget):
-            out.add(lifted)
-        budget -= n
-    basis = OrientedBasis.make(out)
-    return GlueResult(basis, tuple(sorted(degrees)), truncated, len(basis), attempted)
+    # materialization pass: each plan takes as many enumeration steps as it
+    # counted in ``attempted``
+    lifts = chain.from_iterable(_lift_materialize(spec, *plan) for plan in plans)
+    basis = OrientedBasis.make(chain(quads, islice(lifts, max(lift_cap, 0))))
+    return GlueResult(basis, tuple(sorted(degrees)), attempted > lift_cap, len(basis),
+                      attempted)
 
 
 # ---------------------------------------------------------------------------
@@ -372,20 +353,18 @@ def _ear_order(g: Graph):
 
 
 def outerplanar_pipeline(g: Graph, h: Graph, base_basis: OrientedBasis = None, *,
-                         base_cap: int = 3, lift_cap: int = 500_000,
-                         allow_truncation: bool = False, base_normal=None,
-                         **caps) -> PipelineResult:
+                         lift_cap: int = 500_000, allow_truncation: bool = False,
+                         base_normal=None, **caps) -> PipelineResult:
     """Ear-by-ear gluing of a maximal outerplanar graph over shared edges.
 
     ``base_basis`` is the generating set of the triangle ideal I(K3 -> H);
-    when omitted it is computed by the layered fiber search up to
-    ``base_cap``, which is only adequate for small targets.
+    when omitted it is computed by the layered fiber search up to degree
+    3, which is only adequate for small targets.
     """
     if _ear_order(g) is None:
         raise GlueError("graph is not a maximal outerplanar triangulation")
     if base_basis is None:
-        base_basis = markov_basis(build_system(graphs.complete(3), h, **caps),
-                                  base_cap).basis
+        base_basis = markov_basis(build_system(graphs.complete(3), h, **caps), 3).basis
 
     def build(graph: Graph):
         if graph.n == 3:

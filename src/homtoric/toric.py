@@ -51,11 +51,7 @@ import numpy as np
 
 from .graph import Graph
 from .homset import HomSet, enumerate_homs
-from .util import echelon
-
-
-class ResourceCapExceeded(RuntimeError):
-    pass
+from .util import ResourceCapExceeded, content_lines, echelon
 
 
 DEFAULT_MONO_CAP = 10**7
@@ -313,6 +309,8 @@ def _layer(system, degree: int, mono_cap: int):
     ``ToricSystem.packed_columns``).  Fibers are refined one key word at a
     time: the ids so far times the row count n, plus the rank of the word,
     stay below n**2 and fit int64."""
+    if degree < 1:
+        raise ValueError("degree must be at least 1")
     packed = system.packed_columns(degree.bit_length())
     n_vars, n_words = packed.shape
     idx = np.arange(n_vars, dtype=np.int32).reshape(n_vars, 1)
@@ -770,10 +768,7 @@ def parse_basis_text(text: str, system) -> OrientedBasis:
     """One binomial per line, ``<lead> - <trail>``, factors '*'-joined as
     variable indices or parenthesized map literals."""
     elems = []
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for raw, line in content_lines(text):
         lead, sep, trail = line.partition(" - ")
         if not sep:
             raise ValueError(f"bad binomial line: {raw!r}")

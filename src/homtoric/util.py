@@ -1,6 +1,22 @@
-"""Exact integer elimination, the one such routine in the package."""
+"""Helpers shared by every layer: the resource-cap exception, the text
+line reader and exact integer elimination, the one such routine in the
+package."""
 
 from __future__ import annotations
+
+
+class ResourceCapExceeded(RuntimeError):
+    """A computation would exceed one of its resource caps."""
+
+
+def content_lines(text: str):
+    """Yield ``(raw, line)`` for every line of ``text`` that still has text
+    once its ``#`` comment and surrounding spaces are stripped; ``line`` is
+    that text, ``raw`` the whole line for error messages."""
+    for raw in text.splitlines():
+        line = raw.split("#", 1)[0].strip()
+        if line:
+            yield raw, line
 
 
 def echelon(matrix) -> tuple:

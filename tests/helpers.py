@@ -327,3 +327,108 @@ def naive_fiber_is_grobner(monos, index):
             if indeg[j] == 0:
                 stack.append(j)
     return seen == n
+
+
+def naive_low_degree_binomial(g, degree_cap):
+    """The earlier coloring search: at each degree, scan every fiber of the
+    triangle-placement ideal of ``g`` pair by pair for two monomials with
+    disjoint supports, and return the lexicographically smallest such
+    pair (as a Binomial) at the first degree that has one; None when no
+    degree up to the cap has one."""
+    from homtoric.graph import complete
+    from homtoric.toric import Binomial, build_system, iter_fibers
+    system = build_system(complete(3), g)
+    for t in range(2, degree_cap + 1):
+        best = None
+        for _, monos in iter_fibers(system, t, min_size=2):
+            for i in range(len(monos)):
+                for j in range(i + 1, len(monos)):
+                    if set(monos[i]).isdisjoint(monos[j]):
+                        pair = (monos[i], monos[j])
+                        if best is None or pair < best:
+                            best = pair
+                        break
+        if best is not None:
+            return Binomial(*best)
+    return None
+
+
+def naive_distinct_matchings(ps, qs):
+    """Distinct pairings of two equal-size lists, by a seen-set over the
+    permutations of ``qs``, in the order they first occur."""
+    seen, out = set(), []
+    for perm in permutations(qs):
+        pairing = tuple(sorted(zip(ps, perm)))
+        if pairing not in seen:
+            seen.add(pairing)
+            out.append(pairing)
+    return out
+
+
+def naive_glue_basis(spec, basis1, basis2, lift_cap):
+    """The earlier truncated gluing, ``glue_basis`` with allow_truncation:
+    every liftable binomial's lifts are enumerated under its own budget,
+    the steps left of ``lift_cap`` after the binomials before it, with
+    its own class grouping, ``naive_distinct_matchings`` and index loops for
+    the quadratic swaps."""
+    from homtoric.tfp import GlueResult
+    from homtoric.toric import Binomial, OrientedBasis
+    degrees, attempted, plans = set(), 0, []
+    for side, basis in ((1, basis1), (2, basis2)):
+        cls = spec.cls1 if side == 1 else spec.cls2
+        others = spec.ys_by_class if side == 1 else spec.xs_by_class
+        for b in basis:
+            by_p, by_q = {}, {}
+            for v in b.plus:
+                by_p.setdefault(cls[v], []).append(v)
+            for v in b.minus:
+                by_q.setdefault(cls[v], []).append(v)
+            classes, matchings, n = sorted(by_p), [], 1
+            for c in classes:
+                ms = naive_distinct_matchings(sorted(by_p[c]), sorted(by_q[c]))
+                matchings.append(ms)
+                n *= len(ms) * len(others.get(c, [])) ** len(by_p[c])
+            attempted += n
+            if n:
+                degrees.add(b.degree)
+                plans.append((side, others, classes, matchings, n))
+    quads = []
+    for c in sorted(spec.xs_by_class):
+        xs, ys = spec.xs_by_class[c], spec.ys_by_class.get(c, [])
+        for i in range(len(xs)):
+            for j in range(i + 1, len(xs)):
+                for k in range(len(ys)):
+                    for l in range(k + 1, len(ys)):
+                        quads.append(Binomial(
+                            tuple(sorted((spec.pair_index[(xs[i], ys[k])],
+                                          spec.pair_index[(xs[j], ys[l])]))),
+                            tuple(sorted((spec.pair_index[(xs[i], ys[l])],
+                                          spec.pair_index[(xs[j], ys[k])])))))
+    attempted += len(quads)
+    if quads:
+        degrees.add(2)
+    out = set(quads)
+    budget = lift_cap
+    for side, others, classes, matchings, n in plans:
+        if budget <= 0:
+            break
+        steps = 0
+        for combo in product(*matchings):
+            pairs = [pair for cls_pairs in combo for pair in cls_pairs]
+            pools = [others[c] for c, cls_pairs in zip(classes, combo) for _ in cls_pairs]
+            for choice in product(*pools):
+                steps += 1
+                if steps > budget:
+                    break
+                lifted = Binomial.make(
+                    [spec.pair_index[(p, w)] if side == 1 else spec.pair_index[(w, p)]
+                     for (p, _), w in zip(pairs, choice)],
+                    [spec.pair_index[(q, w)] if side == 1 else spec.pair_index[(w, q)]
+                     for (_, q), w in zip(pairs, choice)])
+                if lifted is not None:
+                    out.add(lifted)
+            if steps > budget:
+                break
+        budget -= n
+    basis = OrientedBasis.make(out)
+    return GlueResult(basis, tuple(sorted(degrees)), attempted > lift_cap, len(basis), attempted)

@@ -99,6 +99,17 @@ def test_chromatic_cert_cli(tmp_path, capsys):
     assert "PROPERTY" in out
 
 
+def test_chromatic_cert_bad_relation_lines(tmp_path, capsys):
+    rel = tmp_path / "rel.txt"
+    for line in ("2 3 4", "0 x"):
+        rel.write_text(f"0 1\n{line}\n")
+        code = main(["chromatic-cert", "octahedron", "--relation", str(rel)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == f"error: bad relation line: {line!r}\n"
+
+
 def test_usage_errors(capsys):
     code, _ = run(capsys, "width", "cycle:notanumber", "spoon")
     assert code == 2

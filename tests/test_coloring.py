@@ -1,11 +1,16 @@
+import random
+
 import pytest
 
 from homtoric import graph as G
+from homtoric.graph import Graph
 from homtoric.homset import Hom, enumerate_homs
 from homtoric.coloring import (analyze_certificate, chromatic_number,
                                find_low_degree_binomial, format_certificate,
                                is_k_colorable, pushforward)
 from homtoric.toric import Binomial, build_system, iter_fibers
+
+from helpers import naive_low_degree_binomial
 
 
 def k5_binomial(system):
@@ -101,6 +106,23 @@ def test_search_k4_finds_nothing_small():
 def test_search_k5_nothing_up_to_four():
     system, b = find_low_degree_binomial(G.complete(5), degree_cap=4)
     assert b is None
+
+
+def test_search_matches_pair_scan():
+    # three relabelings of the octahedron have a degree-4 binomial; K4, K5
+    # and K_{2,2,1} have none up to degree 4.  K_{1,1,2,2} has one of degree
+    # 4 too, but its degree-4 layer (1.2M monomials) takes 0.8 s a pass, so
+    # it is compared at cap 3 only
+    rng = random.Random(7)
+    graphs = []
+    for _ in range(3):
+        perm = rng.sample(range(6), 6)
+        graphs.append(Graph(6, [(perm[u], perm[v]) for u, v in G.octahedron().edges]))
+    graphs += [G.complete(4), G.complete(5), G.complement(Graph(5, [(0, 1), (2, 3)]))]
+    cases = [(g, cap) for g in graphs for cap in (3, 4)]
+    cases.append((G.complement(Graph(6, [(2, 3), (4, 5)])), 3))
+    for g, cap in cases:
+        assert find_low_degree_binomial(g, degree_cap=cap)[1] == naive_low_degree_binomial(g, cap)
 
 
 def test_search_requires_triangle():

@@ -7,8 +7,8 @@ from homtoric.graph import Graph
 from homtoric.indep import (IndepSystem, MultiDegree, almost_bipartite_grobner,
                             bipartite_grobner,
                             complement_cycle_basis, is_chain_monomial,
-                            multidegree, normal_form, top_graded)
-from homtoric.toric import (Binomial, markov_basis, verify_grobner,
+                            multidegree, normal_form, ReductionStuck, top_graded)
+from homtoric.toric import (Binomial, OrientedBasis, markov_basis, verify_grobner,
                             verify_markov)
 
 
@@ -216,6 +216,15 @@ def test_normal_form_idempotent():
         m = tuple(sorted(rng.randrange(isys.num_vars) for _ in range(3)))
         nf = normal_form(isys, m, basis, bip=bip)
         assert normal_form(isys, nf, basis, bip=bip) == nf
+
+
+def test_normal_form_stops_on_a_cycle():
+    # b and its flip send b.plus to b.minus and back; the walk must stop at
+    # the first repeat
+    isys = IndepSystem(G.cycle(5))
+    b = almost_bipartite_grobner(isys).basis.elements[0]
+    with pytest.raises(ReductionStuck, match="move 2 returns"):
+        normal_form(isys, b.plus, OrientedBasis.make([b, b.flipped()]))
 
 
 # ---------------------------------------------------------------------------

@@ -5,11 +5,13 @@ import pytest
 from homtoric import graph as G
 from homtoric.graph import Graph
 from homtoric.homset import HomTooLarge
-from homtoric.tfp import (GlueError, GlueSpec, LiftTooLarge, check_codim_zero,
-                          forest_pipeline, glue_basis, glue_grobner,
+from homtoric.tfp import (GlueError, GlueSpec, LiftTooLarge, _distinct_matchings,
+                          check_codim_zero, forest_pipeline, glue_basis, glue_grobner,
                           outerplanar_pipeline, trivial_weighted_basis)
 from homtoric.toric import (Binomial, OrientedBasis, build_system, markov_basis,
                             markov_width, verify_grobner, verify_markov)
+
+from helpers import naive_distinct_matchings, naive_glue_basis
 
 
 def diamond():
@@ -127,6 +129,32 @@ def test_lift_cap_raises_without_truncation():
     base = OrientedBasis.make([degree12_binomial(build_system(G.complete(3), G.complete(4)))])
     with pytest.raises(LiftTooLarge):
         glue_basis(spec, base, base, lift_cap=100)
+
+
+def test_distinct_matchings_in_first_occurrence_order():
+    for ps, qs in (([0, 0, 1, 2], [3, 4, 4, 5]), ([1, 1, 2, 2], [0, 3, 3, 5]),
+                   ([7, 7, 7], [1, 2, 2]), ([4], [9])):
+        assert _distinct_matchings(ps, qs) == naive_distinct_matchings(ps, qs)
+
+
+def test_truncated_glue_matches_per_binomial_budgets():
+    k4 = build_system(G.complete(3), G.complete(4))
+    base = OrientedBasis.make([degree12_binomial(k4)])
+    tri = markov_basis(build_system(G.complete(3), G.spoon()), 3).basis
+    # two 4-cycles on vertex 0: factors share intersection classes, so
+    # lifts repeat and matchings need deduplication
+    bowtie = GlueSpec(Graph(7, [(0, 1), (1, 2), (2, 3), (0, 3), (0, 4), (4, 5), (5, 6), (0, 6)]),
+                      [0, 1, 2, 3], [0, 4, 5, 6], G.complete(3))
+    cases = [(GlueSpec(fan(4), [0, 1, 2], [0, 2, 3], G.complete(4)), base, base,
+              (0, 1, 2, 7, 50, 499, 500, 501, 4000, 12000)),
+             (GlueSpec(diamond(), [0, 1, 2], [1, 2, 3], G.spoon()), tri, tri,
+              (0, 3, 10, 40, 10**6)),
+             (bowtie, markov_basis(bowtie.sys1, 2).basis, markov_basis(bowtie.sys2, 2).basis,
+              (0, 5, 300, 10**6))]
+    for spec, b1, b2, caps in cases:
+        for cap in caps:
+            assert (glue_basis(spec, b1, b2, lift_cap=cap, allow_truncation=True)
+                    == naive_glue_basis(spec, b1, b2, cap))
 
 
 # ---------------------------------------------------------------------------

@@ -217,6 +217,15 @@ def test_mono_cap():
         list(iter_fibers(system, 4, mono_cap=10))
 
 
+def test_layers_start_at_degree_one():
+    system = build_system(G.path(3), G.complete(3))
+    for degree in (0, -1):
+        with pytest.raises(ValueError, match="degree must be at least 1"):
+            list(iter_fibers(system, degree))
+    with pytest.raises(ValueError, match="degree must be at least 1"):
+        fiber_of(system, ())
+
+
 # ---------------------------------------------------------------------------
 # markov bases
 
