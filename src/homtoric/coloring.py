@@ -52,7 +52,7 @@ def find_low_degree_binomial(g: Graph, degree_cap: int = 6, *,
     smallest."""
     system = build_system(graphs.complete(3), g, **homcaps)
     if system.num_vars == 0:
-        raise ValueError("no placements of the test graph; the ideal is empty")
+        raise ValueError("no triangle placements in the graph; the ideal is empty")
     for t in range(2, degree_cap + 1):
         fiber = min((monos for _, monos in iter_fibers(system, t, min_size=2,
                                                        mono_cap=mono_cap)), default=None)

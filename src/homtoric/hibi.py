@@ -12,7 +12,9 @@ complement.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, permutations, product
+from itertools import combinations, permutations
+
+import numpy as np
 
 from .graph import Graph
 from .indep import IndepSystem, TopGraded, top_graded
@@ -173,34 +175,46 @@ def hibi_vs_topgraded(poset: Poset, **caps) -> HibiComparison:
 # ---------------------------------------------------------------------------
 # poset generation (used by the census-style suites)
 
+BLOCK = 1 << 16      # assignments per batch
+
+
 def all_posets(n: int):
-    """All posets on n labeled elements up to isomorphism, via strict-order
-    enumeration with canonical-form deduplication."""
+    """All posets on n labeled elements up to isomorphism.
+
+    A strict order assigns none, a < b or b < a to each pair a < b; the
+    assignments are walked in ``product((0, 1, 2), repeat=C(n, 2))`` order,
+    ``BLOCK`` at a time, each encoded as a bitmask over the n(n - 1)
+    ordered pairs (int32 up to n = 6).  The canonical form of a transitive
+    mask is its least image under the relabelings, and each class is
+    represented by its first occurrence in product order."""
     pairs = list(combinations(range(n), 2))
+    bit = {p: i for i, p in enumerate(permutations(range(n), 2))}
+    dtype = np.int32 if len(bit) < 32 else np.int64
+    triples = [(1 << bit[a, b] | 1 << bit[b, c], 1 << bit[a, c])
+               for a, b, c in permutations(range(n), 3)]
+    total = 3 ** len(pairs)
     seen = set()
     out = []
-    for assignment in product((0, 1, 2), repeat=len(pairs)):
-        rel = set()
-        ok = True
-        for (a, b), state in zip(pairs, assignment):
-            if state == 1:
-                rel.add((a, b))
-            elif state == 2:
-                rel.add((b, a))
-        # transitivity
-        for (a, b) in rel:
-            for c in range(n):
-                if (b, c) in rel and (a, c) not in rel:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if not ok:
-            continue
-        canon = min(tuple(sorted((p[a], p[b]) for a, b in rel))
-                    for p in permutations(range(n)))
-        if canon in seen:
-            continue
-        seen.add(canon)
-        out.append(Poset(n, rel))
+    for start in range(0, total, BLOCK):
+        idx = np.arange(start, min(start + BLOCK, total))
+        masks = np.zeros(len(idx), dtype=dtype)
+        for j, (a, b) in enumerate(pairs):
+            digit = idx // 3 ** (len(pairs) - 1 - j) % 3
+            masks |= (digit == 1).astype(dtype) << bit[a, b]
+            masks |= (digit == 2).astype(dtype) << bit[b, a]
+        transitive = np.ones(len(idx), dtype=bool)
+        for need, implied in triples:
+            transitive &= ((masks & need) != need) | ((masks & implied) != 0)
+        masks = masks[transitive]
+        canon = masks.copy()
+        for perm in permutations(range(n)):
+            moved = np.zeros_like(masks)
+            for (a, b), i in bit.items():
+                moved |= (masks >> i & 1) << bit[perm[a], perm[b]]
+            np.minimum(canon, moved, out=canon)
+        classes, first = np.unique(canon, return_index=True)
+        for i, c in sorted(zip(first.tolist(), classes.tolist())):
+            if c not in seen:
+                seen.add(c)
+                out.append(Poset(n, [p for p, b in bit.items() if masks[i] >> b & 1]))
     return out

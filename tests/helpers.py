@@ -9,6 +9,8 @@ from math import gcd
 import numpy as np
 
 from homtoric.graph import Graph, is_connected
+from homtoric.hibi import Poset
+from homtoric.polytope import Facet, FacetDescription
 
 
 @lru_cache(maxsize=None)
@@ -137,6 +139,71 @@ def naive_hyperplane_through(points):
         g = gcd(g, abs(x))
     sign = 1 if next(x for x in normal if x) > 0 else -1
     return tuple(sign * x // g for x in normal), sign * offset // g
+
+
+def naive_facets(poly):
+    """Facets by brute force: the cofactor normal of every spanning vertex
+    subset, kept when supporting and when its incident set spans a
+    (dim-1)-flat, with ranks over the rationals."""
+    nverts = poly.num_vertices
+    if nverts == 0:
+        return FacetDescription(-1, (), ())
+    base = poly.vertices[0]
+    pivots = naive_pivot_columns([[x - b for x, b in zip(v, base)] for v in poly.vertices[1:]])
+    dim = len(pivots)
+    if dim == 0:
+        return FacetDescription(0, pivots, ())
+    coords = [tuple(v[c] for c in pivots) for v in poly.vertices]
+    found = {}
+    for subset in combinations(range(nverts), dim):
+        plane = naive_hyperplane_through([coords[i] for i in subset])
+        if plane is None:
+            continue
+        n, offset = plane
+        if (n, offset) in found or (tuple(-x for x in n), -offset) in found:
+            continue
+        vals = [sum(a * b for a, b in zip(n, c)) for c in coords]
+        if all(v <= offset for v in vals):
+            pass
+        elif all(v >= offset for v in vals):
+            n = tuple(-x for x in n)
+            offset = -offset
+            vals = [-v for v in vals]
+        else:
+            continue
+        incident = tuple(i for i, v in enumerate(vals) if v == offset)
+        inc_pts = [coords[i] for i in incident]
+        rank = len(naive_pivot_columns([[x - b for x, b in zip(p, inc_pts[0])]
+                                        for p in inc_pts[1:]]))
+        if rank == dim - 1:
+            found[(n, offset)] = Facet(n, offset, incident)
+    ordered = sorted(found.values(), key=lambda f: (f.normal, f.offset))
+    return FacetDescription(dim, pivots, tuple(ordered))
+
+
+def naive_all_posets(n):
+    """Posets on n labeled elements up to isomorphism, one strict order at
+    a time in product order, each kept when no relabeling of an earlier one
+    gives its sorted relation."""
+    pairs = list(combinations(range(n), 2))
+    seen = set()
+    out = []
+    for assignment in product((0, 1, 2), repeat=len(pairs)):
+        rel = set()
+        for (a, b), state in zip(pairs, assignment):
+            if state == 1:
+                rel.add((a, b))
+            elif state == 2:
+                rel.add((b, a))
+        if any((b, c) in rel and (a, c) not in rel
+               for a, b in rel for c in range(n)):
+            continue
+        canon = min(tuple(sorted((p[a], p[b]) for a, b in rel))
+                    for p in permutations(range(n)))
+        if canon not in seen:
+            seen.add(canon)
+            out.append(Poset(n, rel))
+    return out
 
 
 def naive_fibers(system, degree):

@@ -110,6 +110,14 @@ def test_chromatic_cert_bad_relation_lines(tmp_path, capsys):
         assert captured.err == f"error: bad relation line: {line!r}\n"
 
 
+def test_chromatic_cert_triangle_free_exit_2(capsys):
+    code = main(["chromatic-cert", "cycle:5"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == "error: no triangle placements in the graph; the ideal is empty\n"
+
+
 def test_usage_errors(capsys):
     code, _ = run(capsys, "width", "cycle:notanumber", "spoon")
     assert code == 2

@@ -1,12 +1,13 @@
 import pytest
 
 from homtoric import graph as G
+from homtoric import hibi
 from homtoric.hibi import (Poset, PosetError, all_posets,
                            build_bp, hibi_vs_topgraded, lower, lower_ideals,
                            parse_poset_text, upper, xi, xi_bijection)
 from homtoric.indep import IndepSystem, top_graded
 
-from helpers import naive_independent_sets
+from helpers import naive_all_posets, naive_independent_sets
 
 
 def test_poset_transitive_closure():
@@ -113,3 +114,25 @@ def test_poset_text_parsing():
         parse_poset_text("c 0 1\n")
     with pytest.raises(PosetError):
         parse_poset_text("p 2\nz 0 1\n")
+
+
+def _as_relations(posets):
+    return [(p.n, p.leq) for p in posets]
+
+
+def test_all_posets_match_naive():
+    # same posets, same order, same representatives as the one-assignment
+    # loop; the counts are OEIS A000112
+    for n, count in zip(range(1, 6), (1, 2, 5, 16, 63)):
+        got = all_posets(n)
+        assert len(got) == count
+        assert _as_relations(got) == _as_relations(naive_all_posets(n))
+
+
+def test_all_posets_block_boundaries(monkeypatch):
+    # classes that first appear in a later block keep their product-order
+    # representative, and classes seen in an earlier block stay dropped
+    expected = _as_relations(naive_all_posets(4))
+    for block in (1, 7, 100):
+        monkeypatch.setattr(hibi, "BLOCK", block)
+        assert _as_relations(all_posets(4)) == expected

@@ -1,15 +1,17 @@
 import random
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from homtoric import graph as G
 from homtoric import polytope
 from homtoric.graph import Graph
-from homtoric.polytope import (PolytopeCapExceeded, build_polytope,
+from homtoric.polytope import (LatticePolytope, PolytopeCapExceeded, build_polytope,
                                face_check, facets, simplicity,
                                stable_set_iso, stable_set_polytope)
 
-from helpers import naive_hyperplane_through, naive_independent_sets
+from helpers import naive_facets, naive_hyperplane_through, naive_independent_sets
 
 
 def square_sets(maps):
@@ -197,13 +199,91 @@ def _random_point_sets(rng):
 
 
 def test_hyperplane_matches_cofactor_normal():
+    # one batch per dimension; entries up to 6 in the differences keep
+    # every intermediate of the elimination far inside int64 at d <= 8
     rng = random.Random(11)
-    outcomes = set()
+    by_dim = {}
     for pts in _random_point_sets(rng):
-        ours = polytope._hyperplane_through(pts)
-        assert ours == naive_hyperplane_through(pts), pts
-        outcomes.add(ours is None)
+        by_dim.setdefault(len(pts), []).append(pts)
+    outcomes = set()
+    for batch in by_dim.values():
+        normals, offsets = polytope._hyperplanes(np.array(batch, dtype=np.int64))
+        for pts, n, offset in zip(batch, normals.tolist(), offsets.tolist()):
+            ours = (tuple(n), offset) if any(n) else None
+            assert ours == naive_hyperplane_through(pts), pts
+            outcomes.add(ours is None)
     assert outcomes == {True, False}
+
+
+def _oracle_polytopes():
+    # every polytope of this file and of the golden polytope commands
+    for g, h in ((G.cycle(4), G.spoon()), (G.cycle(5), G.spoon()),
+                 (G.complement(G.cycle(6)), G.spoon()), (G.cycle(3), G.spoon()),
+                 (G.complete(2), G.complete(2)), (G.spoon(), G.complete_looped(1)),
+                 (G.cycle(3), G.cycle(4))):
+        yield build_polytope(g, h)
+    for g in (G.cycle(4), G.cycle(5), G.complete(3)):
+        yield stable_set_polytope(g)
+
+
+def test_facets_match_naive():
+    for poly in _oracle_polytopes():
+        assert facets(poly) == naive_facets(poly)
+
+
+@st.composite
+def _point_sets(draw):
+    # 1-12 distinct 0/1 points in dimension 1-6; few points or repeated
+    # coordinates give lower-dimensional sets
+    d = draw(st.integers(1, 6))
+    size = min(draw(st.integers(1, 12)), 2 ** d)
+    return draw(st.lists(st.tuples(*[st.integers(0, 1)] * d), min_size=size,
+                         max_size=size, unique=True))
+
+
+@settings(derandomize=True, database=None, max_examples=80, deadline=None)
+@given(points=_point_sets())
+def test_facets_match_naive_on_random_point_sets(points):
+    poly = LatticePolytope(tuple(range(len(points[0]))), tuple(points),
+                           tuple(range(len(points))))
+    assert facets(poly) == naive_facets(poly)
+
+
+def test_c6_stable_set_polytope_twelve_facets():
+    # C(18, 6) = 18,564 subsets span several chunks; C6 is bipartite, so
+    # the facets are the 6 nonnegativity and the 6 edge inequalities
+    poly = stable_set_polytope(G.cycle(6))
+    assert poly.num_vertices == 18
+    desc = facets(poly)
+    assert desc.dim == 6
+    assert 18564 > 2 * polytope.CHUNK
+    nonneg = {tuple(-int(i == v) for i in range(6)) for v in range(6)}
+    edges = {tuple(int(i in (u, (u + 1) % 6)) for i in range(6)) for u in range(6)}
+    assert {(f.normal, f.offset) for f in desc.facets} == \
+        {(n, 0) for n in nonneg} | {(n, 1) for n in edges}
+
+
+def test_caps_refuse_before_any_batch(monkeypatch):
+    def fail(points):
+        raise AssertionError("batch built before the cap")
+
+    monkeypatch.setattr(polytope, "_hyperplanes", fail)
+    poly = stable_set_polytope(G.cycle(6))
+    with pytest.raises(PolytopeCapExceeded, match="18 vertices"):
+        facets(poly, vertex_cap=17)
+    with pytest.raises(PolytopeCapExceeded, match="dimension 6"):
+        facets(poly, dim_cap=5)
+    # int64 stays exact only up to dimension 16, whatever the cap asks
+    simplex = LatticePolytope(tuple(range(17)), ((0,) * 17,) + tuple(
+        tuple(int(i == j) for i in range(17)) for j in range(17)), tuple(range(18)))
+    with pytest.raises(PolytopeCapExceeded, match="dimension 17 above the cap 16"):
+        facets(simplex, dim_cap=20)
+
+
+def test_non_01_vertex_rejected():
+    poly = LatticePolytope((0, 1), ((0, 0), (1, 0), (0, 2)), (0, 1, 2))
+    with pytest.raises(ValueError, match="0/1 vertices"):
+        facets(poly)
 
 
 def test_isolated_source_vertex_rejected():
