@@ -6,18 +6,30 @@ configuration of the intersection system is linearly independent, a
 generating set of the glued ideal is obtained by lifting generating sets
 of both sides in all compatible ways and adding the quadratic swaps of
 second components between homomorphisms that agree on the intersection.
+Lift families are counted, not listed: a family's size is the product of
+its factors' extension pool sizes and of each class's pairing count.  Lifts
+are built as ``pair_index[x, y]`` lookups in blocks of at most ``BLOCK``
+rows; a lift's sides share a variable only where its element's sides do.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
-from itertools import chain, combinations, islice, permutations, product
+from functools import cache
+from itertools import accumulate, chain, combinations, groupby, islice, product
+from math import prod
+from operator import add
+
+import numpy as np
 
 from . import graph as graphs
 from .graph import Graph, induced_subgraph
 from .toric import (Binomial, OrientedBasis, ToricSystem, build_system,
                     NormalityWitness, markov_basis)
 from .util import ResourceCapExceeded, echelon
+
+BLOCK = 1 << 14     # lift rows built at a time
 
 
 class GlueError(ValueError):
@@ -31,11 +43,11 @@ class LiftTooLarge(ResourceCapExceeded):
 class GlueSpec:
     """A separation of a graph into two induced sides covering all edges,
     with the systems over ``h`` of the union, both sides and their
-    intersection (each hom enumeration bounded by ``caps``) and the
-    restriction tables."""
+    intersection (each hom enumeration bounded by ``caps``), the restriction
+    tables, the pair table (-1 off the union) and the class ranks."""
 
     __slots__ = ("union", "side1", "side2", "shared", "h", "sub1", "sub2", "inter",
-                 "sys_union", "sys1", "sys2", "sys_inter", "cls1", "cls2",
+                 "sys_union", "sys1", "sys2", "sys_inter", "cls1", "cls2", "cid1", "cid2",
                  "pair_index", "r1", "r2", "xs_by_class", "ys_by_class")
 
     def __init__(self, union: Graph, side1, side2, h: Graph, **caps):
@@ -63,23 +75,20 @@ class GlueSpec:
         pos2 = [self.sub2.index[w] for w in self.shared]
         self.cls1 = [tuple(m[p] for p in pos1) for m in self.sys1.homs.maps]
         self.cls2 = [tuple(m[p] for p in pos2) for m in self.sys2.homs.maps]
+        rank = {c: i for i, c in enumerate(sorted(set(self.cls1) | set(self.cls2)))}
+        self.cid1, self.cid2 = (np.array([rank[c] for c in cls], dtype=np.int64)
+                                for cls in (self.cls1, self.cls2))
 
-        self.pair_index = {}
-        self.r1 = []
-        self.r2 = []
-        for k, m in enumerate(self.sys_union.homs.maps):
-            x = self.sys1.homs.index[tuple(m[v] for v in self.sub1.vertices)]
-            y = self.sys2.homs.index[tuple(m[v] for v in self.sub2.vertices)]
-            self.pair_index[(x, y)] = k
-            self.r1.append(x)
-            self.r2.append(y)
+        index1, index2, maps = self.sys1.homs.index, self.sys2.homs.index, self.sys_union.homs.maps
+        self.r1 = [index1[tuple(m[v] for v in self.sub1.vertices)] for m in maps]
+        self.r2 = [index2[tuple(m[v] for v in self.sub2.vertices)] for m in maps]
+        self.pair_index = np.full((len(self.cls1), len(self.cls2)), -1, dtype=np.int64)
+        self.pair_index[self.r1, self.r2] = range(len(self.r1))
 
-        self.xs_by_class = {}
-        for x, c in enumerate(self.cls1):
-            self.xs_by_class.setdefault(c, []).append(x)
-        self.ys_by_class = {}
-        for y, c in enumerate(self.cls2):
-            self.ys_by_class.setdefault(c, []).append(y)
+        self.xs_by_class, self.ys_by_class = {}, {}
+        for by_class, cls in ((self.xs_by_class, self.cls1), (self.ys_by_class, self.cls2)):
+            for i, c in enumerate(cls):
+                by_class.setdefault(c, []).append(i)
 
 
 def check_codim_zero(spec: GlueSpec) -> bool:
@@ -92,20 +101,16 @@ def check_codim_zero(spec: GlueSpec) -> bool:
     an edge in both sides.
     """
     homs = spec.sys_inter.homs
-    ncols = len(homs)
-    if ncols <= 1:
+    if (ncols := len(homs)) <= 1:
         return True
     rows = spec.sys_inter.dense_matrix().tolist()
     g1, g2 = spec.sub1.graph, spec.sub2.graph
     if g1.edges and g2.edges:
         rows.append([1] * ncols)
     for w in spec.shared:
-        on1 = g1.degree_on_edge(spec.sub1.index[w])
-        on2 = g2.degree_on_edge(spec.sub2.index[w])
-        if on1 and on2:
+        if g1.degree_on_edge(spec.sub1.index[w]) and g2.degree_on_edge(spec.sub2.index[w]):
             p = spec.inter.index[w]
-            for target in range(spec.h.n):
-                rows.append([1 if m[p] == target else 0 for m in homs.maps])
+            rows.extend([1 if m[p] == t else 0 for m in homs.maps] for t in range(spec.h.n))
     return len(echelon(rows)[0]) == ncols
 
 
@@ -118,115 +123,144 @@ class GlueResult:
     attempted: int           # pre-deduplication size of the complete family
 
 
-def _distinct_matchings(ps, qs):
-    """Distinct multiset pairings between two equal-size lists, in the order
-    they first occur among the permutations of ``qs``."""
-    return list(dict.fromkeys(tuple(sorted(zip(ps, perm))) for perm in permutations(qs)))
+@cache
+def _pairing_count(runs, counts, start=0):
+    """Distinct pairings of two multisets with multiplicities ``runs`` and
+    ``counts``: integer matrices with these margins (row 0 filled one unit at
+    a time from column ``start`` on), k! for k ones each."""
+    if not runs or not runs[0]:
+        return _pairing_count(runs[1:], tuple(sorted(c for c in counts if c))) if runs else 1
+    return sum(_pairing_count((runs[0] - 1,) + runs[1:],
+                              counts[:j] + (counts[j] - 1,) + counts[j + 1:], j)
+               for j in range(start, len(counts)) if counts[j])
 
 
-def _lift_plan(spec, b: Binomial, side: int):
-    """Grouping of a binomial's factors by intersection class together with
-    the exact (pre-deduplication) size of its lift family."""
-    cls = spec.cls1 if side == 1 else spec.cls2
-    others = spec.ys_by_class if side == 1 else spec.xs_by_class
-    by_class_p, by_class_q = {}, {}
-    for v in b.plus:
-        by_class_p.setdefault(cls[v], []).append(v)
-    for v in b.minus:
-        by_class_q.setdefault(cls[v], []).append(v)
-    if {c: len(v) for c, v in by_class_p.items()} != {c: len(v) for c, v in by_class_q.items()}:
+@cache
+def _pairings(starts):
+    """Distinct pairings of an element, from the bytes of its run-start flags
+    (class, plus factor, minus factor) at each position, in sorted order."""
+    cls, p, q = (list(accumulate(starts[o::3])) for o in range(3))
+    return prod(_pairing_count(*(tuple(sorted(Counter(r for r, e in zip(side, cls) if e == c)
+                                              .values())) for side in (p, q)))
+                for c in set(cls))
+
+
+def _distinct_matchings(ps, qs, cls):
+    """The partners of ``ps`` among ``qs`` in each class ``cls`` (all sorted by
+    class, then variable) per distinct pairing, in first occurrence order in
+    the ``product`` over classes of the permutations of their qs: lex order,
+    not decreasing within a run of equal ps, ``qs`` first."""
+    yield tuple(qs)
+    left, seq = Counter(qs), []
+    cand = {c: sorted({q for q, e in zip(qs, cls) if e == c}) for c in cls}
+
+    def fill(i):
+        if i == len(ps):
+            yield tuple(seq)
+            return
+        for v in cand[cls[i]]:
+            if left[v] and (not i or ps[i] != ps[i - 1] or v >= seq[-1]):
+                left[v] -= 1
+                seq.append(v)
+                yield from fill(i + 1)
+                seq.pop()
+                left[v] += 1
+    yield from islice(fill(0), 1, None)
+
+
+def _lift_run(spec, side, run):
+    """Count the lifts of a run of elements of one shape without listing them.
+    Returns the family sizes and a generator of the lifts of the first
+    ``steps[j]`` steps of element j (matchings in order, extensions in
+    ``product`` order), in blocks of ``BLOCK`` rows; None for a zero lift."""
+    cid, other = (spec.cid1, spec.cid2) if side == 1 else (spec.cid2, spec.cid1)
+    nv, size = len(cid), np.bincount(other, minlength=cid.max(initial=0) + 1).tolist()
+    p, q = (np.array(x, dtype=np.int64) for x in zip(*((b.plus, b.minus) for b in run)))
+    kp, kq = (np.sort(cid[x] * nv + x, axis=1) for x in (p, q))
+    if p.shape != q.shape or (kp // nv != kq // nv).any():
         raise GlueError("binomial sides disagree on intersection classes; "
                         "not liftable (is it really a member?)")
-    class_list = sorted(by_class_p)
-    matchings, liftable, attempted = [], True, 1
-    for c in class_list:
-        ext = others.get(c, [])
-        ms = _distinct_matchings(sorted(by_class_p[c]), sorted(by_class_q[c]))
-        matchings.append(ms)
-        attempted *= len(ms) * (len(ext) ** len(by_class_p[c]))
-        if not ext:
-            liftable = False
-    return liftable, (attempted if liftable else 0), class_list, matchings
+    runs = np.stack([kp // nv, kp, kq], axis=2)
+    starts = np.ones(runs.shape, dtype=bool)
+    starts[:, 1:] = runs[:, 1:] != runs[:, :-1]
+    cls, plus, minus = runs[..., 0].tolist(), (kp % nv).tolist(), (kq % nv).tolist()
+    fam = [prod(size[x] for x in c) * _pairings(k) for c, k in zip(cls, map(bytes, starts))]
 
-
-def _lift_materialize(spec, side: int, class_list, matchings):
-    """Yield the lifts of one binomial in a deterministic order, one item per
-    enumeration step: the lifted binomial, or None where it strips to
-    zero."""
-    others = spec.ys_by_class if side == 1 else spec.xs_by_class
-
-    def embed(v, w):
-        return spec.pair_index[(v, w)] if side == 1 else spec.pair_index[(w, v)]
-
-    for match_combo in product(*matchings):
-        pairs = [pair for cls_pairs in match_combo for pair in cls_pairs]
-        pools = []
-        for c, cls_pairs in zip(class_list, match_combo):
-            pools.extend([others[c]] * len(cls_pairs))
-        for choice in product(*pools):
-            yield Binomial.make(
-                [embed(p, w) for (p, _), w in zip(pairs, choice)],
-                [embed(q, w) for (_, q), w in zip(pairs, choice)])
+    def lifts(steps):
+        order, first = np.argsort(other, kind="stable"), list(accumulate(size, initial=0))
+        table, d = spec.pair_index if side == 1 else spec.pair_index.T, kp.shape[1]
+        fac, one, combos, ends = [], [], [], [0]
+        for c, ps, qs, r in zip(cls, plus, minus, steps):
+            if r:
+                z = [size[x] for x in c]
+                per, stride = min(prod(z), r), [min(prod(z[i + 1:]), r) for i in range(d)]
+                fac.append((stride, z, [first[x] for x in c], ps))
+                one.append((per, ends[-1], len(combos), not ps or not set(ps).isdisjoint(qs)))
+                ends.append(ends[-1] + r)
+                combos.extend(islice(_distinct_matchings(ps, qs, c), -(-r // per)))
+        fac = np.array(fac, dtype=np.int64).reshape(len(fac), 4, d).transpose(1, 0, 2)
+        one = np.array(one, dtype=np.int64).reshape(len(one), 4).T
+        combos = np.array(combos, dtype=np.int64).reshape(len(combos), d)
+        for lo in range(0, ends[-1], BLOCK):
+            g = np.arange(lo, min(lo + BLOCK, ends[-1]))
+            j = np.searchsorted(ends[1:], g, side="right")
+            (stride, z, base, ps), (per, begin, combo, strip) = fac[:, j], one[:, j]
+            s = g - begin
+            w = order[base + s[:, None] // stride % z]
+            rows = np.sort(table[np.stack([ps, combos[combo + s // per]]), w], axis=2)
+            for lp, lm, x in zip(*rows.tolist(), strip.tolist()):
+                yield Binomial.make(lp, lm) if x else Binomial(tuple(lp), tuple(lm))
+    return fam, lifts
 
 
 def _quad_binomials(spec):
-    for c in sorted(spec.xs_by_class):
-        pairs = product(combinations(spec.xs_by_class[c], 2),
-                        combinations(spec.ys_by_class.get(c, []), 2))
-        for (x1, x2), (y1, y2) in pairs:
-            plus = tuple(sorted((spec.pair_index[(x1, y1)], spec.pair_index[(x2, y2)])))
-            minus = tuple(sorted((spec.pair_index[(x1, y2)], spec.pair_index[(x2, y1)])))
-            yield Binomial(plus, minus)
+    """x1y1 * x2y2 - x1y2 * x2y1 for x1 < x2 and y1 < y2 in one class."""
+    for c, xs in spec.xs_by_class.items():
+        ys = list(combinations(spec.ys_by_class.get(c, ()), 2))
+        rows = spec.pair_index[xs].tolist() if ys else ()
+        for (r1, r2), (y1, y2) in product(combinations(rows, 2), ys):
+            yield Binomial(tuple(sorted((r1[y1], r2[y2]))), tuple(sorted((r1[y2], r2[y1]))))
 
 
 def glue_basis(spec: GlueSpec, basis1: OrientedBasis, basis2: OrientedBasis, *,
                lift_cap: int = 200_000, allow_truncation: bool = False) -> GlueResult:
     """Lift(B1) u Lift(B2) u Quad for a codimension-zero separation.
 
-    Lifting enumerates, for every binomial, all pairings of its two sides
-    that agree on the intersection and all extensions to the other side.
-    When the complete family exceeds ``lift_cap`` the materialized basis is
-    truncated (with ``allow_truncation``) to the first ``lift_cap``
-    enumeration steps of the lifts, or an error is raised; the degree set
-    of the complete family is reported exactly either way.
-    """
+    A binomial lifts by every pairing of its sides that agrees on the
+    intersection and every extension to the other side.  Families are
+    counted, not listed; lifts are pair-table rows built in blocks, cut
+    after ``lift_cap`` steps (with ``allow_truncation``; else an error),
+    and a lift that strips to zero is one step.  Sizes and degrees are exact."""
     if not check_codim_zero(spec):
         raise GlueError("intersection configuration is not linearly independent")
-    # exact accounting pass: liftability and family size, no enumeration
-    degrees = set()
-    attempted = 0
-    plans = []
+    degrees, attempted, runs = set(), 0, []
     for side, basis in ((1, basis1), (2, basis2)):
-        system = spec.sys1 if side == 1 else spec.sys2
-        system.check_basis_members(basis)
-        for b in basis:
-            liftable, n, class_list, matchings = _lift_plan(spec, b, side)
-            attempted += n
-            if liftable:
-                degrees.add(b.degree)
-                plans.append((side, class_list, matchings))
+        (spec.sys1 if side == 1 else spec.sys2).check_basis_members(basis)
+        for shape, run in groupby(basis, key=lambda b: (len(b.plus), len(b.minus))):
+            fam, run_lifts = _lift_run(spec, side, list(run))
+            attempted += sum(fam)
+            degrees |= {max(shape)} if any(fam) else set()
+            runs.append((fam, run_lifts))
     quads = list(_quad_binomials(spec))
     attempted += len(quads)
-    if quads:
-        degrees.add(2)
+    degrees |= {2} if quads else set()
     if attempted > lift_cap and not allow_truncation:
         raise LiftTooLarge(
             f"lift family has {attempted} members, above the cap {lift_cap}; "
             f"pass allow_truncation to keep an exact degree summary")
-    # materialization pass: each plan takes as many enumeration steps as it
-    # counted in ``attempted``
-    lifts = chain.from_iterable(_lift_materialize(spec, *plan) for plan in plans)
-    basis = OrientedBasis.make(chain(quads, islice(lifts, max(lift_cap, 0))))
+    # materialization pass: the first lift_cap enumeration steps, in order
+    lifts, done = [], 0
+    for fam, run_lifts in runs:
+        lifts.append(run_lifts([min(f, max(lift_cap - t, 0)) for f, t in
+                                zip(fam, accumulate(fam, initial=done))]))
+        done += sum(fam)
+    basis = OrientedBasis.make(chain(quads, *lifts))
     return GlueResult(basis, tuple(sorted(degrees)), attempted > lift_cap, len(basis),
                       attempted)
 
 
 # ---------------------------------------------------------------------------
 # lifted Groebner orientation
-
-def _pad(w, width):
-    return tuple(w) + (0,) * (width - len(w))
-
 
 def glue_grobner(spec: GlueSpec, gb1: OrientedBasis, gb2: OrientedBasis, *,
                  lift_cap: int = 200_000) -> OrientedBasis:
@@ -245,13 +279,8 @@ def glue_grobner(spec: GlueSpec, gb1: OrientedBasis, gb2: OrientedBasis, *,
             if gb.monomial_weight(b.plus) == gb.monomial_weight(b.minus):
                 raise GlueError("input weights do not separate a basis element")
     width = max([len(w) for w in gb1.weights + gb2.weights] or [0])
-    weights = []
-    for k in range(spec.sys_union.num_vars):
-        x, y = spec.r1[k], spec.r2[k]
-        main = tuple(a + b for a, b in zip(_pad(gb1.weights[x], width),
-                                           _pad(gb2.weights[y], width)))
-        weights.append(main + (x * y,))
-    weights = tuple(weights)
+    w1, w2 = ([tuple(w) + (0,) * (width - len(w)) for w in gb.weights] for gb in (gb1, gb2))
+    weights = tuple(tuple(map(add, w1[x], w2[y])) + (x * y,) for x, y in zip(spec.r1, spec.r2))
     wsum = OrientedBasis((), weights).monomial_weight
     result = glue_basis(spec, gb1, gb2, lift_cap=lift_cap)
     oriented = []
@@ -288,28 +317,25 @@ def forest_pipeline(g: Graph, h: Graph, *, lift_cap: int = 500_000,
         raise GlueError("graph is not a forest")
 
     def build(graph: Graph):
-        degrees = set()
-        truncated = False
         if len(graph.edges) <= 1:
-            return OrientedBasis.make(()), degrees, truncated
+            return OrientedBasis.make(()), set(), False, None
         comps = graphs.components(graph)
         if len(comps) > 1:
             side2 = comps[-1]
             side1 = sorted(v for c in comps[:-1] for v in c)
         else:
-            degs = {v: len(graph.neighbors(v)) for v in range(graph.n)}
-            leaf = max(v for v in range(graph.n) if degs[v] == 1)
-            nbr = next(iter(graph.neighbors(leaf)))
+            leaf = max(v for v in range(graph.n) if len(graph.neighbors(v)) == 1)
             side1 = [v for v in range(graph.n) if v != leaf]
-            side2 = [leaf, nbr]
+            side2 = [leaf, next(iter(graph.neighbors(leaf)))]
         spec = GlueSpec(graph, side1, side2, h, **caps)
-        b1, d1, t1 = build(spec.sub1.graph)
-        b2, d2, t2 = build(spec.sub2.graph)
+        b1, d1, t1, _ = build(spec.sub1.graph)
+        b2, d2, t2, _ = build(spec.sub2.graph)
         res = glue_basis(spec, b1, b2, lift_cap=lift_cap, allow_truncation=allow_truncation)
-        return res.basis, d1 | d2 | set(res.degrees_full), t1 or t2 or res.truncated
+        return (res.basis, d1 | d2 | set(res.degrees_full), t1 or t2 or res.truncated,
+                spec.sys_union)
 
-    basis, degrees, truncated = build(g)
-    system = build_system(g, h, **caps)
+    basis, degrees, truncated, system = build(g)   # the outermost union system
+    system = system or build_system(g, h, **caps)
     # maps that differ only on isolated vertices have equal columns; the
     # gluing treats each side's maps as distinct, so join them linearly
     first, linear = {}, []
@@ -334,22 +360,13 @@ def _ear_order(g: Graph):
     adj = {v: set(g.neighbors(v)) for v in range(g.n)}
     order = []
     while len(alive) > 3:
-        ear = None
-        for v in sorted(alive):
-            nb = adj[v] & alive
-            if len(nb) == 2:
-                a, b = sorted(nb)
-                if g.adjacent(a, b):
-                    ear = v
-                    break
+        ear = next((v for v in sorted(alive)
+                    if len(adj[v] & alive) == 2 and g.adjacent(*adj[v] & alive)), None)
         if ear is None:
             return None
         alive.remove(ear)
         order.append(ear)
-    a, b, c = sorted(alive)
-    if not (g.adjacent(a, b) and g.adjacent(a, c) and g.adjacent(b, c)):
-        return None
-    return order
+    return order if all(g.adjacent(a, b) for a, b in combinations(sorted(alive), 2)) else None
 
 
 def outerplanar_pipeline(g: Graph, h: Graph, base_basis: OrientedBasis = None, *,
@@ -369,11 +386,9 @@ def outerplanar_pipeline(g: Graph, h: Graph, base_basis: OrientedBasis = None, *
     def build(graph: Graph):
         if graph.n == 3:
             return base_basis, set(b.degree for b in base_basis), False
-        order = _ear_order(graph)
-        ear = order[0]
-        a, b = sorted(graph.neighbors(ear))
+        ear = _ear_order(graph)[0]
         side1 = [v for v in range(graph.n) if v != ear]
-        side2 = [a, b, ear]
+        side2 = sorted(graph.neighbors(ear)) + [ear]
         spec = GlueSpec(graph, side1, side2, h, **caps)
         b1, d1, t1 = build(spec.sub1.graph)
         res = glue_basis(spec, b1, base_basis, lift_cap=lift_cap,

@@ -264,8 +264,9 @@ class ToricSystem:
         the image of a side packs into the sum of the packed columns of its
         factors (as in the module docstring, in one unbounded word)."""
         plus, minus = binomial.plus, binomial.minus
+        n = len(self.homs)
         for v in plus + minus:
-            if not (0 <= v < self.num_vars):
+            if not (0 <= v < n):
                 raise IndexError(f"variable {v} out of range")
         bits = max(len(plus), len(minus), 1).bit_length()
         packed = self._packed_a.get(bits)

@@ -440,6 +440,7 @@ def naive_glue_basis(spec, basis1, basis2, lift_cap):
     the quadratic swaps."""
     from homtoric.tfp import GlueResult
     from homtoric.toric import Binomial, OrientedBasis
+    pair_index = {(x, y): k for k, (x, y) in enumerate(zip(spec.r1, spec.r2))}
     degrees, attempted, plans = set(), 0, []
     for side, basis in ((1, basis1), (2, basis2)):
         cls = spec.cls1 if side == 1 else spec.cls2
@@ -467,10 +468,10 @@ def naive_glue_basis(spec, basis1, basis2, lift_cap):
                 for k in range(len(ys)):
                     for l in range(k + 1, len(ys)):
                         quads.append(Binomial(
-                            tuple(sorted((spec.pair_index[(xs[i], ys[k])],
-                                          spec.pair_index[(xs[j], ys[l])]))),
-                            tuple(sorted((spec.pair_index[(xs[i], ys[l])],
-                                          spec.pair_index[(xs[j], ys[k])])))))
+                            tuple(sorted((pair_index[(xs[i], ys[k])],
+                                          pair_index[(xs[j], ys[l])]))),
+                            tuple(sorted((pair_index[(xs[i], ys[l])],
+                                          pair_index[(xs[j], ys[k])])))))
     attempted += len(quads)
     if quads:
         degrees.add(2)
@@ -488,9 +489,9 @@ def naive_glue_basis(spec, basis1, basis2, lift_cap):
                 if steps > budget:
                     break
                 lifted = Binomial.make(
-                    [spec.pair_index[(p, w)] if side == 1 else spec.pair_index[(w, p)]
+                    [pair_index[(p, w)] if side == 1 else pair_index[(w, p)]
                      for (p, _), w in zip(pairs, choice)],
-                    [spec.pair_index[(q, w)] if side == 1 else spec.pair_index[(w, q)]
+                    [pair_index[(q, w)] if side == 1 else pair_index[(w, q)]
                      for (_, q), w in zip(pairs, choice)])
                 if lifted is not None:
                     out.add(lifted)

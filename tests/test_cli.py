@@ -195,12 +195,17 @@ def test_cli_import_leaves_scipy_out():
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
 
 
-def test_outputs_match_golden(capsys):
+def test_outputs_match_golden(capsys, monkeypatch):
     # default output stays byte-identical; regenerate a file only for a
-    # deliberate, recorded output change
+    # deliberate, recorded output change.  Input files named by a case live
+    # in the golden directory; a case with "stderr" pins that stream too.
     with open(os.path.join(GOLDEN, "cases.json")) as fh:
         cases = json.load(fh)
+    monkeypatch.chdir(GOLDEN)
     for name, case in cases.items():
-        code, out = run(capsys, *case["argv"])
-        with open(os.path.join(GOLDEN, name + ".txt"), newline="") as fh:
-            assert (code, out) == (case["exit"], fh.read()), name
+        code = main(list(case["argv"]))
+        captured = capsys.readouterr()
+        with open(name + ".txt", newline="") as fh:
+            assert (code, captured.out) == (case["exit"], fh.read()), name
+        if "stderr" in case:
+            assert captured.err == case["stderr"], name

@@ -1,13 +1,16 @@
 import random
+from collections import Counter
+from itertools import combinations_with_replacement, product
 
 import pytest
 
 from homtoric import graph as G
+from homtoric import tfp
 from homtoric.graph import Graph
 from homtoric.homset import HomTooLarge
 from homtoric.tfp import (GlueError, GlueSpec, LiftTooLarge, _distinct_matchings,
-                          check_codim_zero, forest_pipeline, glue_basis, glue_grobner,
-                          outerplanar_pipeline, trivial_weighted_basis)
+                          _pairing_count, check_codim_zero, forest_pipeline, glue_basis,
+                          glue_grobner, outerplanar_pipeline, trivial_weighted_basis)
 from homtoric.toric import (Binomial, OrientedBasis, build_system, markov_basis,
                             markov_width, verify_grobner, verify_markov)
 
@@ -132,9 +135,28 @@ def test_lift_cap_raises_without_truncation():
 
 
 def test_distinct_matchings_in_first_occurrence_order():
-    for ps, qs in (([0, 0, 1, 2], [3, 4, 4, 5]), ([1, 1, 2, 2], [0, 3, 3, 5]),
-                   ([7, 7, 7], [1, 2, 2]), ([4], [9])):
-        assert _distinct_matchings(ps, qs) == naive_distinct_matchings(ps, qs)
+    def pattern(xs):
+        return tuple(sorted(Counter(xs).values()))
+
+    cases = [([0, 0, 1, 2], [3, 4, 4, 5]), ([1, 1, 2, 2], [0, 3, 3, 5]), ([7, 7, 7], [1, 2, 2])]
+    # every pair of sorted multisets of one size up to 6 over at most 3 values
+    for k in range(1, 7):
+        sets = [list(c) for c in combinations_with_replacement(range(3), k)]
+        cases += product(sets, sets)
+    for ps, qs in cases:
+        naive = naive_distinct_matchings(ps, qs)
+        assert [tuple(zip(ps, m)) for m in _distinct_matchings(ps, qs, [0] * len(ps))] == naive
+        assert _pairing_count(pattern(ps), pattern(qs)) == len(naive)
+
+
+def test_matchings_stay_inside_classes():
+    # two classes: the product of each class's pairings, first class slowest
+    ps, qs, cls = [0, 0, 1, 5, 6], [2, 3, 3, 7, 8], [0, 0, 0, 1, 1]
+    expected = [a + b for a in _distinct_matchings(ps[:3], qs[:3], cls[:3])
+                for b in _distinct_matchings(ps[3:], qs[3:], cls[3:])]
+    assert list(_distinct_matchings(ps, qs, cls)) == expected
+    assert len(expected) == _pairing_count((1, 2), (1, 2)) * _pairing_count((1, 1), (1, 1))
+    assert _pairing_count((1,) * 12, (1,) * 12) == 479001600
 
 
 def test_truncated_glue_matches_per_binomial_budgets():
@@ -155,6 +177,87 @@ def test_truncated_glue_matches_per_binomial_budgets():
         for cap in caps:
             assert (glue_basis(spec, b1, b2, lift_cap=cap, allow_truncation=True)
                     == naive_glue_basis(spec, b1, b2, cap))
+
+
+def _recorded_glues(monkeypatch, run):
+    """Every glue_basis call that ``run`` makes: its spec, bases and result."""
+    calls = []
+
+    def record(spec, b1, b2, **kw):
+        calls.append((spec, b1, b2, glue_basis(spec, b1, b2, **kw)))
+        return calls[-1][-1]
+    monkeypatch.setattr(tfp, "glue_basis", record)
+    run()
+    monkeypatch.undo()
+    return calls
+
+
+def test_forest_glues_match_naive(monkeypatch):
+    # the 35 tree shapes of the forest-verify benchmark into its 3 targets
+    def run():
+        shapes = random.Random(20240801)
+        for n in range(2, 7):
+            for _ in range(7):
+                tree = Graph(n, [(shapes.randrange(v), v) for v in range(1, n)])
+                for h in (G.spoon(), G.complete(3), G.path(3)):
+                    forest_pipeline(tree, h)
+    calls = _recorded_glues(monkeypatch, run)
+    assert len(calls) == 210
+    for spec, b1, b2, res in calls:
+        assert res == naive_glue_basis(spec, b1, b2, 500_000)
+
+
+def test_fan_k4_glues_match_naive(monkeypatch):
+    base = OrientedBasis.make([degree12_binomial(build_system(G.complete(3), G.complete(4)))])
+    for cap in (5000, 20000):
+        calls = _recorded_glues(monkeypatch, lambda: outerplanar_pipeline(
+            fan(5), G.complete(4), base_basis=base, lift_cap=cap, allow_truncation=True))
+        assert len(calls) == 2
+        for spec, b1, b2, res in calls:
+            assert res == naive_glue_basis(spec, b1, b2, cap)
+        assert res.truncated
+
+
+def test_lift_blocks_cut_inside_an_element(monkeypatch):
+    # blocks of 7 rows: caps end lifts mid-block, mid-matching and mid-element
+    monkeypatch.setattr(tfp, "BLOCK", 7)
+    base = OrientedBasis.make([degree12_binomial(build_system(G.complete(3), G.complete(4)))])
+    spec = GlueSpec(fan(4), [0, 1, 2], [0, 2, 3], G.complete(4))
+    for cap in (1, 6, 7, 8, 13, 15, 4095, 4097):
+        assert (glue_basis(spec, base, base, lift_cap=cap, allow_truncation=True)
+                == naive_glue_basis(spec, base, base, cap))
+
+
+def _bowtie():
+    """Two 4-cycles on vertex 0 into K3, with each side's Markov basis."""
+    spec = GlueSpec(Graph(7, [(0, 1), (1, 2), (2, 3), (0, 3), (0, 4), (4, 5), (5, 6), (0, 6)]),
+                    [0, 1, 2, 3], [0, 4, 5, 6], G.complete(3))
+    return spec, markov_basis(spec.sys1, 2).basis, markov_basis(spec.sys2, 2).basis
+
+
+def test_elements_whose_sides_share_a_variable():
+    spec, b1, b2 = _bowtie()
+    # x * b stays in the ideal; its lifts share the lifts of x and strip them
+    shared = [Binomial(tuple(sorted(b.plus + (v,))), tuple(sorted(b.minus + (v,))))
+              for b, v in zip(b1, (0, 5, 17, 3))]
+    b1 = OrientedBasis.make(list(b1) + shared)
+    for cap in (0, 10, 100, 700, 10**6):
+        assert (glue_basis(spec, b1, b2, lift_cap=cap, allow_truncation=True)
+                == naive_glue_basis(spec, b1, b2, cap))
+
+
+def test_self_move_counts_and_yields_nothing():
+    spec, b1, b2 = _bowtie()
+    empty = glue_basis(spec, OrientedBasis.make(()), b2)
+    pool = len(spec.ys_by_class[spec.cls1[4]])
+    selfmove = OrientedBasis.make([Binomial((4,), (4,))])
+    res = glue_basis(spec, selfmove, b2)
+    assert res.basis == empty.basis
+    assert res.attempted == empty.attempted + pool
+    assert res.degrees_full == (1, 2)
+    for cap in (0, 1, pool, empty.attempted):
+        assert (glue_basis(spec, selfmove, b2, lift_cap=cap, allow_truncation=True)
+                == naive_glue_basis(spec, selfmove, b2, cap))
 
 
 # ---------------------------------------------------------------------------

@@ -151,6 +151,15 @@ def test_membership_trivial_and_errors():
         system.membership(Binomial((999,), (0,)))
 
 
+def test_membership_range_ends():
+    system = build_system(G.path(3), G.path(3))
+    last = system.num_vars - 1
+    assert system.membership(Binomial((last,), (last,)))
+    for v in (-1, system.num_vars):
+        with pytest.raises(IndexError, match=f"^variable {v} out of range$"):
+            system.membership(Binomial((0,), (v,)))
+
+
 # ---------------------------------------------------------------------------
 # fibers
 
