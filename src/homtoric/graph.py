@@ -216,11 +216,6 @@ def parse_graph_text(text: str) -> Graph:
     return Graph(n, es)
 
 
-def graph_to_text(g: Graph) -> str:
-    lines = [f"n {g.n}"] + [f"e {u} {v}" for u, v in g.sorted_edges()]
-    return "\n".join(lines) + "\n"
-
-
 def parse_labeled_graph_text(text: str):
     """Like ``parse_graph_text`` but with optional ``v <label>`` lines that
     pin the vertex set to explicit (possibly non-contiguous) labels, as
@@ -269,10 +264,6 @@ def induced_subgraph(g: Graph, vertices) -> InducedSubgraph:
 
 def delete_vertex(g: Graph, v: int) -> InducedSubgraph:
     return induced_subgraph(g, [u for u in range(g.n) if u != v])
-
-
-def is_connected(g: Graph) -> bool:
-    return len(components(g)) <= 1
 
 
 def components(g: Graph):

@@ -11,7 +11,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
-from .graph import Graph, induced_subgraph, spoon
+from .graph import Graph, spoon
 from .util import ResourceCapExceeded
 
 
@@ -113,13 +113,6 @@ def enumerate_homs(g: Graph, h: Graph, *, search_cap: int = 10**12,
 
     backtrack(0)
     return HomSet(g, h, maps)
-
-
-def restrict(hom: Hom, vertices) -> Hom:
-    """Restriction to the induced subgraph on ``vertices`` (relabeled
-    0..|S|-1 in sorted order)."""
-    sub = induced_subgraph(hom.source, vertices)
-    return Hom(sub.graph, hom.target, tuple(hom.map[v] for v in sub.vertices))
 
 
 def compose(first: Hom, second: Hom) -> Hom:

@@ -15,8 +15,7 @@ from itertools import combinations
 from . import graph as graphs
 from .graph import Graph, Bipartition, AlmostBipartiteSplit
 from .homset import enumerate_homs, indep_encode
-from .toric import (Binomial, MoveIndex, OrientedBasis, ToricSystem,
-                    markov_basis)
+from .toric import Binomial, OrientedBasis, ToricSystem, markov_basis
 
 
 class IndepSystem:
@@ -229,6 +228,50 @@ class ReductionStuck(RuntimeError):
     pass
 
 
+class MoveIndex:
+    """Lookup from a leading monomial side to the binomials it leads."""
+
+    __slots__ = ("directed", "lead_degrees")
+
+    def __init__(self, basis=()):
+        self.directed = {}
+        self.lead_degrees = set()
+        for b in basis:
+            self.add(b)
+
+    def add(self, b: Binomial):
+        self.directed.setdefault(b.plus, []).append(b.minus)
+        self.lead_degrees.add(len(b.plus))
+
+    @staticmethod
+    def _subtuples(mono, d):
+        if d == len(mono):
+            return (mono,)
+        return set(combinations(mono, d))
+
+    def directed_neighbors(self, mono):
+        """Monomials reached by one oriented move lead -> trail."""
+        out = []
+        for d in self.lead_degrees:
+            if d > len(mono):
+                continue
+            for sub in self._subtuples(mono, d):
+                tails = self.directed.get(sub)
+                if not tails:
+                    continue
+                base = _multiset_sub(mono, sub)
+                for q in tails:
+                    out.append(tuple(sorted(base + q)))
+        return out
+
+
+def _multiset_sub(mono, sub):
+    out = list(mono)
+    for x in sub:
+        out.remove(x)
+    return tuple(out)
+
+
 def normal_form(isys: IndepSystem, mono, basis: OrientedBasis = None, *,
                 bip: Bipartition = None) -> tuple:
     """Reduce a monomial with the oriented moves of the bipartite or
@@ -259,19 +302,6 @@ def normal_form(isys: IndepSystem, mono, basis: OrientedBasis = None, *,
         if new in seen:
             raise ReductionStuck(f"move {len(seen)} returns to a monomial already reached")
         mono = new
-
-
-def is_chain_monomial(isys: IndepSystem, part1, mono) -> bool:
-    """Factors form a chain A_1 <= ... <= A_k with B_1 >= ... >= B_k."""
-    pairs = []
-    for v in mono:
-        s = isys.sets[v]
-        pairs.append((s & part1, s - part1))
-    for a1, b1 in pairs:
-        for a2, b2 in pairs:
-            if not ((a1 <= a2 and b1 >= b2) or (a2 <= a1 and b2 >= b1)):
-                return False
-    return True
 
 
 # ---------------------------------------------------------------------------

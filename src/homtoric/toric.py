@@ -44,7 +44,6 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import combinations
 from math import comb
 
 import numpy as np
@@ -190,9 +189,9 @@ class ToricSystem:
 
     @property
     def key_matrix(self):
-        """Fiber-grouping key (int16, one column per variable), built on
+        """Fiber-grouping key (int64, one column per variable), built on
         first use: the rows of A that are linearly independent modulo the
-        all-ones row.
+        all-ones row.  ``packed_columns`` packs it for the layer engine.
 
         Exact: every row of A is a combination of the key rows and the
         all-ones row, and the all-ones row gives every monomial of a layer
@@ -212,7 +211,7 @@ class ToricSystem:
         m[1:] = self.dense_matrix()
         small = m @ m.T if m.shape[0] <= m.shape[1] else m.T
         rows = [p for p in echelon(small.tolist())[0] if p]
-        return m[rows].astype(np.int16)
+        return m[rows]
 
     def packed_columns(self, bits: int):
         """The columns of the key packed into int64 words, one row per
@@ -224,7 +223,7 @@ class ToricSystem:
             key, per = self.key_matrix, 63 // bits
             packed = np.zeros((key.shape[1], -(-key.shape[0] // per)), dtype=np.int64)
             for w in range(packed.shape[1]):
-                block = key[w * per:(w + 1) * per].astype(np.int64)
+                block = key[w * per:(w + 1) * per]
                 shift = bits * np.arange(len(block), dtype=np.int64)
                 packed[:, w] = (block << shift[:, None]).sum(axis=0)
             self._packed[bits] = packed
@@ -246,16 +245,6 @@ class ToricSystem:
     @property
     def num_vars(self):
         return len(self.homs)
-
-    @property
-    def num_rows(self):
-        return len(self.rows)
-
-    def image(self, mono) -> tuple:
-        img = Counter()
-        for v in mono:
-            img.update(self.cols[v])
-        return tuple(sorted(img.items()))
 
     def membership(self, binomial: Binomial) -> bool:
         """True when both sides have the same image under A.  The image
@@ -364,29 +353,19 @@ def _rank(mono, n_vars: int):
 
 def iter_fibers(system, degree: int, *, min_size: int = 1,
                 mono_cap: int = DEFAULT_MONO_CAP):
-    """Yield (key_bytes, [monomial, ...]) for every fiber of the given
-    degree with at least ``min_size`` monomials, in a deterministic order:
-    the order of the packed keys (see ``_layer``), the monomials of a fiber
-    in lex order."""
+    """Yield (fiber number, [monomial, ...]) for every fiber of the given
+    degree with at least ``min_size`` monomials, in the order of the fiber
+    numbers of ``_layer`` (the order of the packed keys), the monomials of
+    a fiber in lex order."""
     idx, fid = _layer(system, degree, mono_cap)
     counts = np.bincount(fid)
     rows = np.flatnonzero(counts[fid] >= min_size)
     rows = rows[np.argsort(fid[rows], kind="stable")]
     start = 0
-    for c in counts[counts >= min_size].tolist():
-        mono = idx[rows[start:start + c]]
-        key = system.key_matrix[:, mono[0]].sum(axis=1, dtype=np.int16)
-        yield key.tobytes(), list(map(tuple, mono.tolist()))
+    fibers = np.flatnonzero(counts >= min_size)
+    for f, c in zip(fibers.tolist(), counts[fibers].tolist()):
+        yield f, list(map(tuple, idx[rows[start:start + c]].tolist()))
         start += c
-
-
-def fiber_of(system, mono, *, mono_cap: int = DEFAULT_MONO_CAP):
-    """All monomials sharing the image of ``mono`` (same degree), in lex
-    order."""
-    mono = np.array(sorted(mono), dtype=np.int64).reshape(1, -1)
-    idx, fid = _layer(system, mono.shape[1], mono_cap)
-    rows = idx[fid == fid[_rank(mono, system.num_vars)[0]]]
-    return list(map(tuple, rows.tolist()))
 
 
 def _split_layer(system, degree: int, mono_cap: int, pairs=None):
@@ -467,53 +446,6 @@ def _min_labels(label, owner, sizes):
                 break
             label = up
     return label
-
-
-# ---------------------------------------------------------------------------
-# moves
-
-class MoveIndex:
-    """Lookup from a leading monomial side to the binomials it leads."""
-
-    __slots__ = ("directed", "lead_degrees")
-
-    def __init__(self, basis=()):
-        self.directed = {}
-        self.lead_degrees = set()
-        for b in basis:
-            self.add(b)
-
-    def add(self, b: Binomial):
-        self.directed.setdefault(b.plus, []).append(b.minus)
-        self.lead_degrees.add(len(b.plus))
-
-    @staticmethod
-    def _subtuples(mono, d):
-        if d == len(mono):
-            return (mono,)
-        return set(combinations(mono, d))
-
-    def directed_neighbors(self, mono):
-        """Monomials reached by one oriented move lead -> trail."""
-        out = []
-        for d in self.lead_degrees:
-            if d > len(mono):
-                continue
-            for sub in self._subtuples(mono, d):
-                tails = self.directed.get(sub)
-                if not tails:
-                    continue
-                base = _multiset_sub(mono, sub)
-                for q in tails:
-                    out.append(tuple(sorted(base + q)))
-        return out
-
-
-def _multiset_sub(mono, sub):
-    out = list(mono)
-    for x in sub:
-        out.remove(x)
-    return tuple(out)
 
 
 # ---------------------------------------------------------------------------
@@ -622,6 +554,8 @@ def verify_markov(system, basis: OrientedBasis, degree_cap: int, *,
     and moves of degree < t stay inside those classes, so only the basis
     elements of degree exactly t can join two of them.
     """
+    if degree_cap < 1:                  # no layer checked: any basis would pass
+        raise ValueError("degree cap must be at least 1")
     sides = _basis_sides(system, basis)
     for t in range(1, degree_cap + 1):
         pairs = _layer_moves(sides, _UNIT, t, system.num_vars)
@@ -640,6 +574,8 @@ def verify_grobner(system, basis: OrientedBasis, degree_cap: int, *,
     Each layer is checked whole: its moves are u*lead -> u*trail for every
     element of degree d <= t and monomial u of layer t - d; sinks are
     counted per fiber, then peeled round by round (Kahn's algorithm)."""
+    if degree_cap < 1:                  # no layer checked: any basis would pass
+        raise ValueError("degree cap must be at least 1")
     sides = _basis_sides(system, basis)
     layers = dict(_UNIT)
     for t in range(1, degree_cap + 1):
@@ -656,27 +592,6 @@ def verify_grobner(system, basis: OrientedBasis, degree_cap: int, *,
             left -= np.bincount(src[into], minlength=len(left))
             src, dst = src[~into], dst[~into]
     return True
-
-
-@dataclass(frozen=True)
-class FiberGraph:
-    key: tuple
-    monomials: tuple
-    edges: tuple          # directed (i, j) pairs into ``monomials``
-
-
-def fiber_graph(system, mono, basis: OrientedBasis, *,
-                mono_cap: int = DEFAULT_MONO_CAP) -> FiberGraph:
-    monos = fiber_of(system, mono, mono_cap=mono_cap)
-    index = MoveIndex(basis)
-    pos = {m: i for i, m in enumerate(monos)}
-    edges = set()
-    for i, m in enumerate(monos):
-        for nb in index.directed_neighbors(m):
-            j = pos[nb]
-            if j != i:
-                edges.add((i, j))
-    return FiberGraph(system.image(mono), tuple(monos), tuple(sorted(edges)))
 
 
 # ---------------------------------------------------------------------------

@@ -152,6 +152,23 @@ def test_verify_grobner_non_homogeneous_exit_2(tmp_path, capsys):
     assert captured.err == "error: binomial (0,) - (1, 2) is not homogeneous\n"
 
 
+def test_verify_grobner_cap_below_one_exit_2(tmp_path, capsys):
+    # a cap below 1 checks no layer, so it must not report a verified basis
+    basis_file = tmp_path / "empty.txt"
+    basis_file.write_text("")
+    for cap in ("0", "-2"):
+        code = main(["verify-grobner", "cycle:4", "spoon", "--basis", str(basis_file),
+                     "--cap", cap])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == "error: degree cap must be at least 1\n"
+    code = main(["verify-grobner", "cycle:4", "spoon", "--basis", str(basis_file),
+                 "--cap", "1"])
+    assert code == 0
+    assert capsys.readouterr().out == "grobner basis verified\n"
+
+
 def test_polytope_isolated_vertex_exit_2(capsys):
     code = main(["polytope", "edges:3:0-1", "complete:3", "--facets"])
     err = capsys.readouterr().err

@@ -4,8 +4,7 @@ import pytest
 
 from homtoric import graph as G
 from homtoric.graph import Graph
-from homtoric.homset import (Hom, HomTooLarge, compose, enumerate_homs,
-                             indep_encode, restrict)
+from homtoric.homset import Hom, HomTooLarge, compose, enumerate_homs, indep_encode
 
 from helpers import graphs_upto_iso, naive_homs, naive_independent_sets
 
@@ -87,25 +86,6 @@ def test_hom_count_antitone_in_source():
 def test_search_cap():
     with pytest.raises(HomTooLarge):
         enumerate_homs(G.complete(8), G.complete(8), search_cap=10)
-
-
-def test_restrict_reads_off_submap():
-    phi = Hom(G.path(4), G.path(3), (0, 1, 2, 1))
-    sub = restrict(phi, {1, 2})
-    assert sub.map == (1, 2)
-    assert sub.source == G.complete(2)
-
-
-def test_restrict_full_vertex_set_is_identity():
-    phi = Hom(G.path(4), G.path(3), (0, 1, 2, 1))
-    assert restrict(phi, range(4)).map == phi.map
-
-
-def test_restrict_to_edge_gives_edge_map():
-    phi = Hom(G.cycle(4), G.spoon(), (0, 1, 0, 1))
-    e = restrict(phi, {0, 1})
-    assert e.map == (0, 1)
-    assert e.source.edges == frozenset({(0, 1)})
 
 
 def test_compose_identity():

@@ -5,11 +5,12 @@ import pytest
 from homtoric import graph as G
 from homtoric.graph import Graph
 from homtoric.indep import (IndepSystem, MultiDegree, almost_bipartite_grobner,
-                            bipartite_grobner,
-                            complement_cycle_basis, is_chain_monomial,
+                            bipartite_grobner, complement_cycle_basis,
                             multidegree, normal_form, ReductionStuck, top_graded)
 from homtoric.toric import (Binomial, OrientedBasis, markov_basis, verify_grobner,
                             verify_markov)
+
+from helpers import is_chain_monomial, naive_image
 
 
 def names(isys, b):
@@ -52,7 +53,7 @@ def test_multidegree_characterizes_membership():
         rng.shuffle(monos)
         for m in monos[:40]:
             for p in monos[:40]:
-                lhs = isys.system.image(m) == isys.system.image(p)
+                lhs = naive_image(isys.system, m) == naive_image(isys.system, p)
                 rhs = multidegree(isys, m) == multidegree(isys, p)
                 assert lhs == rhs
 
@@ -63,7 +64,7 @@ def test_multidegree_fails_with_isolated_vertex():
     isys = IndepSystem(g)
     m = (isys.var({2}),)
     n = (isys.var(()),)
-    assert isys.system.image(m) == isys.system.image(n)
+    assert naive_image(isys.system, m) == naive_image(isys.system, n)
     assert multidegree(isys, m) != multidegree(isys, n)
 
 

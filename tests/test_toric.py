@@ -4,15 +4,14 @@ from math import comb
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from homtoric import graph as G
 from homtoric.graph import Graph
-from homtoric.indep import IndepSystem, complement_cycle_basis
-from homtoric.toric import (DEFAULT_MONO_CAP, Binomial, MoveIndex, OrientedBasis,
-                            ResourceCapExceeded, _layer, _rank, build_system, fiber_graph,
-                            fiber_of, format_binomial, iter_fibers, markov_basis,
-                            markov_width, normality_witness, parse_basis_text,
+from homtoric.indep import IndepSystem, MoveIndex, complement_cycle_basis
+from homtoric.toric import (DEFAULT_MONO_CAP, Binomial, OrientedBasis, ResourceCapExceeded,
+                            _layer, _rank, build_system, format_binomial, iter_fibers,
+                            markov_basis, markov_width, normality_witness, parse_basis_text,
                             restrict_basis, strip_common, verify_grobner, verify_markov)
 
 from helpers import (graphs_upto_iso, naive_check_basis_members, naive_fiber_is_grobner,
@@ -83,7 +82,7 @@ def test_square_spoon_matrix_reproduced_exactly():
             rho = (1, 1)
         return system.row_index[((u, v), rho)]
 
-    dense = [[0] * system.num_vars for _ in range(system.num_rows)]
+    dense = [[0] * system.num_vars for _ in range(len(system.rows))]
     for j, col in enumerate(system.cols):
         for r in col:
             dense[r][j] = 1
@@ -114,9 +113,9 @@ def test_dense_matrix_matches_columns():
     for g, h in cases:
         system = build_system(g, h)
         a = system.dense_matrix()
-        assert a.dtype == np.int64 and a.shape == (system.num_rows, system.num_vars)
+        assert a.dtype == np.int64 and a.shape == (len(system.rows), system.num_vars)
         assert a.tolist() == [[col.count(j) for col in system.cols]
-                              for j in range(system.num_rows)]
+                              for j in range(len(system.rows))]
 
 
 # ---------------------------------------------------------------------------
@@ -181,6 +180,8 @@ def test_fibers_match_naive_grouping():
             for key, monos in iter_fibers(system, t):
                 for m in monos:
                     ours[m] = key
+            idx, fid = _layer(system, t, DEFAULT_MONO_CAP)      # the key is the fiber id
+            assert ours == dict(zip(map(tuple, idx.tolist()), fid.tolist()))
             naive = naive_fibers(system, t)
             assert sum(len(v) for v in naive.values()) == len(ours)
             for monos in naive.values():
@@ -202,22 +203,11 @@ def test_key_rows_independent_modulo_degree():
             assert system.key_matrix.shape[0] == 0
             continue
         ones = [[1] * system.num_vars]
-        a = [[col.count(j) for col in system.cols] for j in range(system.num_rows)]
+        a = [[col.count(j) for col in system.cols] for j in range(len(system.rows))]
         key = system.key_matrix.tolist()
         assert all(row in a for row in key)
         rank = len(naive_pivot_columns(list(zip(*(ones + a)))))
         assert len(naive_pivot_columns(list(zip(*(ones + key))))) == len(key) + 1 == rank
-
-
-def test_fiber_of_and_fiber_graph():
-    system = build_system(G.path(4), G.path(3))
-    res = markov_basis(system, 2)
-    b = res.basis.elements[0]
-    fib = fiber_of(system, b.plus)
-    assert sorted(fib) == sorted([b.plus, b.minus])
-    fg = fiber_graph(system, b.plus, res.basis)
-    assert len(fg.monomials) == 2
-    assert len(fg.edges) == 1
 
 
 def test_mono_cap():
@@ -231,8 +221,6 @@ def test_layers_start_at_degree_one():
     for degree in (0, -1):
         with pytest.raises(ValueError, match="degree must be at least 1"):
             list(iter_fibers(system, degree))
-    with pytest.raises(ValueError, match="degree must be at least 1"):
-        fiber_of(system, ())
 
 
 # ---------------------------------------------------------------------------
@@ -358,6 +346,28 @@ def test_verify_markov_checks_degree_one_fibers():
     assert verify_markov(system, markov_basis(system, 2).basis, 2)
 
 
+def test_verification_needs_a_cap_of_at_least_one():
+    # a cap below 1 would check no layer and accept anything; the cap is
+    # refused before the basis is read, so even a non-member gets that error
+    system = build_system(G.cycle(4), G.spoon())
+    bogus = OrientedBasis.make([Binomial((0,), (1,))])
+    for verify in (verify_markov, verify_grobner):
+        for cap in (0, -2):
+            with pytest.raises(ValueError, match="^degree cap must be at least 1$"):
+                verify(system, bogus, cap)
+            with pytest.raises(ValueError, match="^degree cap must be at least 1$"):
+                verify(system, OrientedBasis.make(()), cap)
+    # cap 1 stays valid: equal columns make degree-1 fibers of two monomials
+    isolated = build_system(Graph(3, [(0, 1)]), G.path(3))
+    assert verify_markov(system, OrientedBasis.make(()), 1)
+    assert not verify_markov(isolated, OrientedBasis.make(()), 1)
+    assert not verify_grobner(isolated, OrientedBasis.make(()), 1)
+    star = markov_basis(isolated, 2).basis          # lead -> each other column
+    assert verify_markov(isolated, star, 1)
+    assert not verify_grobner(isolated, star, 1)    # two sinks in a fiber of three
+    assert verify_grobner(isolated, OrientedBasis.make(b.flipped() for b in star), 1)
+
+
 def test_verify_markov_rejects_sides_of_different_degree():
     # without edges every image is empty: all variables form one degree-1
     # fiber, and x0 - x1*x2 is in the ideal
@@ -474,7 +484,7 @@ def test_packed_membership_matches_counter_images():
     # maps that differ only on the last vertex of the path differ only in
     # the last rows of A, past the first 63 bits at two bits a row
     system = build_system(G.path(5), G.complete_looped(3))
-    assert system.num_rows * 2 > 63
+    assert len(system.rows) * 2 > 63
     maps = system.homs.maps
     for i, m in enumerate(maps):
         for j in range(i + 1, len(maps)):
@@ -484,8 +494,8 @@ def test_packed_membership_matches_counter_images():
 
 
 @st.composite
-def _small_graphs(draw):
-    n = draw(st.integers(1, 6))
+def _small_graphs(draw, max_n=6):
+    n = draw(st.integers(1, max_n))
     pairs = list(combinations(range(n), 2))
     edges = draw(st.sets(st.sampled_from(pairs)) if pairs else st.just(set()))
     loops = draw(st.sets(st.integers(0, n - 1), max_size=1))
@@ -507,6 +517,24 @@ def test_layer_partition_matches_naive_fibers(g, target, t):
              for m in monos}
     assert len(label) == len(idx)
     assert same_partition(fid, [label[m] for m in map(tuple, idx.tolist())])
+
+
+@settings(derandomize=True, database=None, max_examples=40, deadline=None)
+@given(g=_small_graphs(max_n=5), target=st.sampled_from(sorted(_TARGETS)))
+def test_engine_matches_naive_markov_width(g, target):
+    # the layer engine against the fiber-by-fiber oracle: the same width,
+    # its own basis verifies, and the basis is a star per split fiber, so
+    # leaving out any one element leaves a component unjoined
+    system = build_system(g, _TARGETS[target])
+    n = system.num_vars
+    assume(comb(n + 1, 2) <= 3000)      # keep the pure-python oracle fast
+    cap = 3 if comb(n + 2, 3) <= 3000 else 2
+    assert markov_width(system, cap) == naive_markov_width(system, cap)
+    basis = markov_basis(system, cap).basis
+    assert verify_markov(system, basis, cap)
+    for drop in range(len(basis)):
+        kept = OrientedBasis(basis.elements[:drop] + basis.elements[drop + 1:])
+        assert not verify_markov(system, kept, cap), drop
 
 
 # ---------------------------------------------------------------------------
