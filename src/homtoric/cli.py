@@ -517,6 +517,9 @@ def main(argv=None) -> int:
     cfg = RunConfig(mono_cap=args.mono_cap, fmt="json" if args.json else "text",
                     seed=args.seed)
     try:
+        for flag in ("mono_cap", "lift_cap"):
+            if getattr(args, flag, 1) < 1:
+                raise ValueError(f"--{flag.replace('_', '-')} must be at least 1")
         return args.func(args, cfg)
     except (ValueError, OSError) as exc:        # GraphError and GlueError too
         print(f"error: {exc}", file=sys.stderr)

@@ -49,7 +49,9 @@ def find_low_degree_binomial(g: Graph, degree_cap: int = 6, *,
     monomials, no two monomials of one fiber share a variable: dividing
     both by it would give such a fiber at degree t - 1.  So the answer is
     the first two monomials of the fiber whose first monomial is
-    smallest."""
+    smallest.  A cap below 2 would search no layer, so it is refused."""
+    if degree_cap < 2:
+        raise ValueError("degree cap must be at least 2")
     system = build_system(graphs.complete(3), g, **homcaps)
     if system.num_vars == 0:
         raise ValueError("no triangle placements in the graph; the ideal is empty")

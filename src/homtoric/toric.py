@@ -213,20 +213,21 @@ class ToricSystem:
         rows = [p for p in echelon(small.tolist())[0] if p]
         return m[rows]
 
-    def packed_columns(self, bits: int):
+    def packed_columns(self, bits: int, room: int):
         """The columns of the key packed into int64 words, one row per
-        variable, cached per ``bits``: key row i takes ``bits`` bits of word
-        i // per, per = 63 // bits (see the module docstring for why sums
-        of them stay exact)."""
-        packed = self._packed.get(bits)
+        variable, cached per (``bits``, ``room``): key row i takes ``bits``
+        bits of word i // per from bit room + bits * (i % per) on, per = (63
+        - room) // bits (see the module docstring for why sums of them stay
+        exact).  The low ``room`` bits stay free for a row number."""
+        packed = self._packed.get((bits, room))
         if packed is None:
-            key, per = self.key_matrix, 63 // bits
+            key, per = self.key_matrix, (63 - room) // bits
             packed = np.zeros((key.shape[1], -(-key.shape[0] // per)), dtype=np.int64)
             for w in range(packed.shape[1]):
                 block = key[w * per:(w + 1) * per]
-                shift = bits * np.arange(len(block), dtype=np.int64)
+                shift = room + bits * np.arange(len(block), dtype=np.int64)
                 packed[:, w] = (block << shift[:, None]).sum(axis=0)
-            self._packed[bits] = packed
+            self._packed[bits, room] = packed
         return packed
 
     def dense_matrix(self):
@@ -285,55 +286,319 @@ def build_system(g: Graph, h: Graph, **caps) -> ToricSystem:
 
 
 # ---------------------------------------------------------------------------
-# fiber enumeration
+# degree layers in blocks
 
-def _layer(system, degree: int, mono_cap: int):
-    """(idx, fid): every degree-``degree`` monomial as a sorted row of
-    variable indices, the rows in lexicographic order, and the fiber id of
-    each row, fibers numbered in the order of their packed key (word 0
-    first).
+BLOCK = 1 << 16     # rows of a block; a bucket larger than this is a block alone
 
-    Layer t puts each variable j in front of the rows of layer t - 1 that
-    start at j or later, a suffix of that layer, and the packed key of a
-    new row is the key of its suffix row plus the packed column of j (see
-    ``ToricSystem.packed_columns``).  Fibers are refined one key word at a
-    time: the ids so far times the row count n, plus the rank of the word,
-    stay below n**2 and fit int64."""
-    if degree < 1:
-        raise ValueError("degree must be at least 1")
-    packed = system.packed_columns(degree.bit_length())
-    n_vars, n_words = packed.shape
-    idx = np.arange(n_vars, dtype=np.int32).reshape(n_vars, 1)
-    words = packed
-    for t in range(2, degree + 1):
-        starts = np.searchsorted(idx[:, 0], np.arange(n_vars))
-        total = int((len(idx) - starts).sum())
-        if total > mono_cap:
-            raise ResourceCapExceeded(
-                f"{total} monomials of degree {t} exceed the cap {mono_cap}")
-        new_idx = np.empty((total, t), dtype=np.int32)
-        new_words = np.empty((total, n_words), dtype=np.int64)
-        pos = 0
-        for j, s in enumerate(starts.tolist()):
-            e = pos + len(idx) - s
-            new_idx[pos:e, 0] = j
-            new_idx[pos:e, 1:] = idx[s:]
-            np.add(words[s:], packed[j], out=new_words[pos:e])
-            pos = e
-        idx, words = new_idx, new_words
-    n = len(idx)
-    ranks = (np.unique(word, return_inverse=True)[1] for word in words.T)
-    fid = next(ranks, np.zeros(n, dtype=np.intp))      # no key rows: one fiber
-    for rank in ranks:
-        fid *= n
-        fid += rank
-        fid = np.unique(fid, return_inverse=True)[1]
-    return idx, fid
+
+def _ranges(starts, lengths):
+    """The concatenation of arange(s, s + l) over the pairs of ``starts``
+    and ``lengths``."""
+    shift = np.repeat(starts - (np.cumsum(lengths) - lengths), lengths)
+    return np.arange(len(shift), dtype=np.int64) + shift
+
+
+def _columns(t: int, n: int):
+    """An empty (n, t) int32 array of n monomials of degree t, stored
+    factor position by factor position: each column is one contiguous
+    array, which numpy gathers, compares and ranks far faster than rows."""
+    return np.empty((t, n), dtype=np.int32).T
+
+
+def _take(mono, rows):
+    """``mono[rows]``, gathered and stored column by column."""
+    out = _columns(mono.shape[1], len(rows))
+    for q in range(mono.shape[1]):
+        np.take(mono[:, q], rows, out=out[:, q])
+    return out
+
+
+def _sort_rows(mono):
+    """Sort every row of a column-stored monomial array in place by
+    odd-even transposition: t rounds of compare-exchanges between whole
+    columns (a row-wise ``np.sort`` pays a call per row)."""
+    t = mono.shape[1]
+    for r in range(t):
+        for q in range(r % 2, t - 1, 2):
+            a, b = mono[:, q], mono[:, q + 1]
+            low = np.minimum(a, b)
+            np.maximum(a, b, out=b)
+            a[...] = low
+
+
+def _compositions(k: int, t: int):
+    """Every way to write t as an ordered sum of k nonnegative counts, one
+    row each (int16), the rows in lex order."""
+    comps, left = np.zeros((1, 0), dtype=np.int16), np.array([t], dtype=np.int64)
+    for _ in range(k - 1):
+        width = left + 1
+        count = _ranges(np.zeros_like(width), width)
+        comps = np.column_stack([np.repeat(comps, width, axis=0), count.astype(np.int16)])
+        left = np.repeat(left, width) - count
+    return np.column_stack([comps, left.astype(np.int16)])
+
+
+def _largest_bucket(class_sizes, t: int) -> int:
+    """The most monomials in one bucket of degree t over classes of the
+    given sizes: the largest product of C(n_i + c_i - 1, c_i) over the
+    counts c_i summing to t, by dynamic programming over the classes."""
+    best = [1] + [0] * t
+    for n in class_sizes:
+        ways = [comb(n + c - 1, c) for c in range(t + 1)]
+        best = [max(best[s - c] * ways[c] for c in range(s + 1)) for s in range(t + 1)]
+    return best[t]
+
+
+def _bucket_classes(system, cap: int):
+    """The class of every variable: the index of its edge map on the edge
+    of G whose edge maps split the degree-``cap`` layer into the smallest
+    largest bucket, or 0 for all (one class) when the whole layer fits in a
+    block or no edge splits it."""
+    n = system.num_vars
+    classes = np.zeros(n, dtype=np.intp)
+    layer = comb(n + cap - 1, cap)
+    if layer <= BLOCK or not system.g.edges:
+        return classes
+    rows = np.array(system.cols, dtype=np.intp).reshape(n, len(system.g.edges))
+    best, pick = layer, None
+    for e in range(rows.shape[1]):
+        sizes = np.bincount(rows[:, e])
+        largest = _largest_bucket(sizes[sizes > 0].tolist(), cap)
+        if largest < best:
+            best, pick = largest, e
+    if pick is not None:
+        present = np.zeros(len(system.rows), dtype=np.intp)
+        present[rows[:, pick]] = 1
+        classes = (np.cumsum(present) - 1)[rows[:, pick]]
+    return classes
+
+
+@dataclass(frozen=True)
+class _Block:
+    """Whole buckets of one degree layer.  ``mono``: the monomials as
+    sorted rows (stored column by column), in lex order; ``rank``: their
+    lex ranks in the layer, or None when the block is the whole layer (a
+    row is its rank); ``comps``: the class counts of the buckets;
+    ``order``: the rows sorted by fiber, then row; ``counts``: the size of
+    each fiber in that order; ``room``: the low bits of a sort word that
+    hold a row."""
+    mono: np.ndarray
+    rank: object
+    comps: np.ndarray
+    order: np.ndarray
+    counts: np.ndarray
+    room: int
+
+
+class _Layers:
+    """The degree layers of one system, t = 1 up to a cap, each walked as
+    blocks of whole buckets (see the module docstring).  The class layers
+    (every multiset of c variables of one class, in lex order) are built
+    once, degree by degree, and stacked: ``tables[c]`` holds class 0's,
+    then class 1's, ..., from the rows ``offsets[c]``."""
+
+    def __init__(self, system, cap: int):
+        if cap < 1:
+            raise ValueError("degree must be at least 1")
+        self.system, self.n = system, system.num_vars
+        self.classes = _bucket_classes(system, cap)
+        k = self.k = int(self.classes.max(initial=0)) + 1
+        sizes = np.bincount(self.classes, minlength=k)
+        if k == 1:
+            self.members = np.arange(self.n)
+        else:
+            self.members = np.concatenate([np.flatnonzero(self.classes == i) for i in range(k)])
+        self.interleaved = bool((self.members[1:] < self.members[:-1]).any())
+        self.count = np.array([[comb(max(s + c - 1, 0), c) for c in range(cap + 1)]
+                               for s in sizes.tolist()], dtype=np.int64)
+        self.offsets = np.zeros((cap + 1, k + 1), dtype=np.int64)     # [c, class]
+        np.cumsum(self.count.T, axis=1, out=self.offsets[:, 1:])
+        self.tables = [_columns(0, k), _columns(1, self.n)]
+        self.tables[1][:, 0] = self.members
+
+    def _extend(self, t: int):
+        """Class layers up to degree t: each variable in front of the rows
+        of its class one degree down that start at it or later."""
+        n, members = self.n, self.members
+        cls = self.classes[members]
+        for c in range(len(self.tables), t + 1):
+            prev, off = self.tables[c - 1], self.offsets[c - 1]
+            first = prev[:, 0] + np.repeat(np.arange(self.k, dtype=np.int64) * n,
+                                           self.count[:, c - 1])
+            starts = np.searchsorted(first, cls * n + members)
+            lengths = off[cls + 1] - starts
+            table = _columns(c, int(lengths.sum()))
+            table[:, 0] = np.repeat(members, lengths)
+            src = _ranges(starts, lengths)
+            for q in range(c - 1):
+                np.take(prev[:, q], src, out=table[:, q + 1])
+            self.tables.append(table)
+
+    def _rows(self, comps, t: int, mono):
+        """Write the monomials of the buckets ``comps`` (class counts of
+        degree t, a row each) into the first t columns of ``mono``, bucket
+        after bucket, and return the order of the buckets.  A row is its
+        class parts in class order, and a bucket the product of its class
+        layers, the first part varying slowest.  Buckets of one shape (their
+        parts of the same sizes at the same columns, read off the bit set
+        of the parts' ends) are built together."""
+        order = np.arange(len(comps))
+        if self.k == 1:
+            table = self.tables[t]
+            for q in range(t):
+                mono[:, q].reshape(len(comps), -1)[:] = table[:, q]
+            return order
+        if t == 0 or not len(comps):
+            return order
+        bucket, cls = np.nonzero(comps)             # the parts, in class order
+        cnt = comps[bucket, cls].astype(np.int64)
+        end = np.cumsum(cnt) - t * bucket           # end column of each part
+        shape = np.zeros(len(comps), dtype=np.int64)
+        np.add.at(shape, bucket, np.left_shift(1, end))
+        first = np.searchsorted(bucket, order)      # the first part of each bucket
+        groups = [np.flatnonzero(shape == s) for s in sorted(set(shape.tolist()))]
+        lo = 0
+        for group in groups:
+            parts = first[group[0]] + np.arange(np.count_nonzero(comps[group[0]]))
+            c, col = cnt[parts], end[parts] - cnt[parts]
+            a = cls[first[group][:, None] + np.arange(len(parts))]
+            n, off = self.count[a, c], self.offsets[c, a]
+            own, index = np.arange(len(group)), []
+            for p in range(len(parts)):
+                width = n[own, p]
+                index = [np.repeat(i, width) for i in index]
+                index.append(_ranges(off[own, p], width))
+                own = np.repeat(own, width)
+            hi = lo + len(own)
+            for p, i in enumerate(index):
+                table = self.tables[c[p]]
+                for q in range(c[p]):
+                    np.take(table[:, q], i, out=mono[lo:hi, col[p] + q])
+            lo = hi
+        return np.concatenate(groups)
+
+    def blocks(self, t: int, mono_cap: int):
+        """Yield the degree-t layer as ``_Block``s of whole buckets, each at
+        most ``BLOCK`` rows unless it is one bucket.  The cap counts the
+        whole layer, and every layer below it, before anything is built."""
+        if t < 1:
+            raise ValueError("degree must be at least 1")
+        for s in range(2, t + 1):
+            total = comb(self.n + s - 1, s)
+            if total > mono_cap:
+                raise ResourceCapExceeded(
+                    f"{total} monomials of degree {s} exceed the cap {mono_cap}")
+        if not self.n:
+            return
+        self._extend(t)
+        if self.k == 1:
+            comps = np.array([[t]], dtype=np.int16)
+        else:
+            comps = _compositions(self.k, t)
+        sizes = self.count[np.arange(self.k), comps].prod(axis=1)
+        ends = np.cumsum(sizes)
+        room = (max(min(int(ends[-1]), BLOCK), int(sizes.max())) - 1).bit_length()
+        packed = self.system.packed_columns(t.bit_length(), room)
+        a = 0
+        while a < len(sizes):
+            top = (ends[a - 1] if a else 0) + BLOCK
+            b = max(a + 1, int(np.searchsorted(ends, top, side="right")))
+            yield self._block(comps[a:b], sizes[a:b], t, packed, room)
+            a = b
+
+    def _block(self, comps, sizes, t, packed, room):
+        if self.k == 1:                 # the whole layer, already in lex order
+            mono, rank = self.tables[t], None
+        else:
+            mono = _columns(t, int(sizes.sum()))
+            self._rows(comps, t, mono)
+            if self.interleaved:        # the class parts of a row are not in order
+                _sort_rows(mono)
+            rank = _rank(mono, self.n).astype(np.int64) << room
+            rank |= np.arange(len(mono))
+            rank.sort()
+            mono = _take(mono, rank & ((1 << room) - 1))
+            rank >>= room
+        words = packed[mono[:, 0]]
+        for q in range(1, t):
+            words += packed[mono[:, q]]
+        order, counts = _fibers(words, room)
+        return _Block(mono, rank, comps, order, counts, room)
+
+    def moves(self, block, sides, t: int):
+        """The moves u*lead -> u*trail from the rows of ``block``, as a (k, 2)
+        array of block rows: one for every element of degree d <= t in
+        ``sides`` (see ``_basis_sides``) and every monomial u of a bucket of
+        degree t - d that is a bucket of the block minus the classes of the
+        lead.  Both ends of a move have one image, so one bucket."""
+        out = []
+        for d, s in sides.items():
+            if d > t:
+                continue
+            if self.k == 1:             # one bucket: u runs over the whole layer t - d
+                elem = np.arange(len(s))
+                comps = np.full((len(s), 1), t - d, dtype=np.int16)
+                sizes = np.full(len(s), self.count[0, t - d])
+            else:
+                lead = self.classes[s[:, 0]]
+                need = np.zeros((len(s), self.k), dtype=np.int16)
+                np.add.at(need, (np.arange(len(s))[:, None], lead), 1)
+                fits = np.ones((len(s), len(block.comps)), dtype=bool)
+                for q in range(d):
+                    fits &= (block.comps[:, lead[:, q]].T
+                             >= need[np.arange(len(s)), lead[:, q]][:, None])
+                elem, bucket = np.nonzero(fits)
+                comps = block.comps[bucket] - need[elem]
+                sizes = self.count[np.arange(self.k), comps].prod(axis=1)
+            ends = []
+            for side in (0, 1):
+                mono = _columns(t, int(sizes.sum()))
+                order = self._rows(comps, t - d, mono)
+                for q in range(d):
+                    mono[:, t - d + q] = np.repeat(s[elem[order], side, q], sizes[order])
+                if d < t:
+                    _sort_rows(mono)
+                rank = _rank(mono, self.n)
+                del mono
+                ends.append(rank if block.rank is None else np.searchsorted(block.rank, rank))
+            out.append(np.stack(ends, axis=1))
+        return np.concatenate(out) if out else np.zeros((0, 2), dtype=np.int64)
+
+
+def _fibers(words, room: int):
+    """(order, counts): the rows sorted by packed key, then by row, and the
+    size of every run of equal keys, a fiber.  Each key word has its low
+    ``room`` bits free, so one ``np.sort`` of ``word | position`` sorts by
+    the word and keeps the order so far among equal words: a multi-word
+    key sorts least significant word first."""
+    n, n_words = words.shape
+    position = np.arange(n, dtype=np.int64)
+    order, start = position, np.zeros(n, dtype=bool)
+    for w in range(n_words - 1, -1, -1):
+        word = words[order, w]
+        word |= position
+        word.sort()
+        order = order[word & ((1 << room) - 1)]
+    for w in range(n_words):
+        key = words[order, w]
+        start[1:] |= key[1:] != key[:-1]
+    start[:1] = True
+    return order, _run_lengths(start)
+
+
+def _run_lengths(start):
+    """The length of every run of a sequence whose runs begin where
+    ``start`` is True (it is at 0)."""
+    begin = np.flatnonzero(start)
+    lengths = np.empty(len(begin), dtype=np.int64)
+    np.subtract(begin[1:], begin[:-1], out=lengths[:-1])
+    lengths[-1:] = len(start) - begin[-1:]
+    return lengths
 
 
 def _rank(mono, n_vars: int):
-    """Row of each sorted monomial (a row of ``mono``) in the layer order of
-    ``_layer``; int32 when every row of the layer fits.  Reversing a
+    """Row of each sorted monomial (a row of ``mono``) in the lex order of
+    its layer; int32 when every row of the layer fits.  Reversing a
     monomial m and complementing its variables turns lex order into
     reversed colex order, so the lex rank of m is C(n_vars + t - 1, t) - 1
     minus the colex rank of x = n_vars - 1 - m reversed, the sum over i of
@@ -354,74 +619,72 @@ def _rank(mono, n_vars: int):
 def iter_fibers(system, degree: int, *, min_size: int = 1,
                 mono_cap: int = DEFAULT_MONO_CAP):
     """Yield (fiber number, [monomial, ...]) for every fiber of the given
-    degree with at least ``min_size`` monomials, in the order of the fiber
-    numbers of ``_layer`` (the order of the packed keys), the monomials of
-    a fiber in lex order."""
-    idx, fid = _layer(system, degree, mono_cap)
-    counts = np.bincount(fid)
-    rows = np.flatnonzero(counts[fid] >= min_size)
-    rows = rows[np.argsort(fid[rows], kind="stable")]
-    start = 0
-    fibers = np.flatnonzero(counts >= min_size)
-    for f, c in zip(fibers.tolist(), counts[fibers].tolist()):
-        yield f, list(map(tuple, idx[rows[start:start + c]].tolist()))
-        start += c
+    degree with at least ``min_size`` monomials, the monomials of a fiber
+    in lex order.  Fibers are numbered in the order the blocks walk them."""
+    number = 0
+    for block in _Layers(system, degree).blocks(degree, mono_cap):
+        counts = block.counts
+        keep = counts >= min_size
+        monos = list(map(tuple, _take(block.mono, block.order[np.repeat(keep, counts)]).tolist()))
+        start = 0
+        for f, c in zip((number + np.flatnonzero(keep)).tolist(), counts[keep].tolist()):
+            yield f, monos[start:start + c]
+            start += c
+        number += len(counts)
 
 
-def _split_layer(system, degree: int, mono_cap: int, pairs=None):
-    """Components of every fiber of two or more degree-``degree``
-    monomials under "shares a variable", joined further by ``pairs``, an
-    optional (k, 2) array of layer rows whose two ends lie in one such
-    fiber.
+def _split(block, n_vars: int, pairs=None):
+    """Components of every fiber of two or more monomials of the block
+    under "shares a variable", joined further by ``pairs``, an optional
+    (k, 2) array of block rows whose two ends lie in one such fiber.
 
-    Returns (mono, root, lead): the monomials of those fibers as rows of
-    ``mono`` in lex order, the positions in ``mono`` of the smallest
-    monomial of every component, and for each root the position of the
-    smallest monomial of its fiber."""
-    idx, fid = _layer(system, degree, mono_cap)
-    n_rows, t = idx.shape
-    counts = np.bincount(fid)           # monomials per fiber
-    n_fibers = len(counts)
-    if n_fibers == n_rows:              # every fiber is a single monomial
-        none = np.zeros(0, dtype=np.intp)
-        return idx, none, none
-    n_vars = system.num_vars
-    ix = np.int32 if n_rows < 2**31 else np.int64
-    rows = np.flatnonzero(counts[fid] >= 2)
-    fib, mono = fid[rows].astype(ix), idx[rows]
-    if pairs is not None:
-        pairs = np.searchsorted(rows, pairs).astype(ix)
-    del idx, fid, counts, rows
-    n = len(mono)
-
-    # groups: the (fiber, variable) of every factor of every monomial, then
-    # each pair as a group of two
-    kt = np.int32 if n_fibers * n_vars < 2**31 else np.int64
-    keys = mono.astype(kt)
-    keys += fib.astype(kt)[:, None] * n_vars
+    Returns (root, lead): the block row of the smallest monomial of every
+    component, and of the smallest monomial of its fiber.  The fibers are
+    listed one after another, each in lex order, so a smaller position is
+    a smaller monomial within a fiber.  The (fiber, variable) classes of
+    the factors are runs of one ``np.sort`` of ``class << room |
+    position``, which fits: positions stay below 2**room and so do the
+    fibers."""
+    many = block.counts >= 2
+    rows = block.order[np.repeat(many, block.counts)]
+    counts = block.counts[many]
+    n, t, room = len(rows), block.mono.shape[1], block.room
+    if not n:
+        none = np.zeros(0, dtype=np.int64)
+        return none, none
+    ix = np.int32 if n < 2**31 else np.int64
+    fiber = np.repeat(np.arange(len(counts), dtype=np.int64), counts)
+    keys = np.empty((t, n), dtype=np.int64)
+    base = fiber * n_vars
+    for q in range(t):
+        np.add(block.mono[:, q][rows], base, out=keys[q])
+    del base
+    keys <<= room
+    keys |= np.arange(n, dtype=np.int64)
     keys = keys.ravel()
-    sort = np.argsort(keys)
-    keys = keys[sort]
-    starts = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
+    keys.sort()
+    start = np.empty(len(keys), dtype=bool)
+    start[0] = True
+    step = keys[1:] ^ keys[:-1]         # reaches 2**room where the class changes
+    np.greater_equal(step, 1 << room, out=start[1:])
+    del step
+    shared = ~start                     # a factor whose class has another factor
+    shared[:-1] |= ~start[1:]
+    owner = keys[shared]
     del keys
-    sort //= t
-    owner = sort.astype(ix)
-    del sort
-    sizes = np.diff(np.append(starts, len(owner))).astype(np.int32)
-    shared = sizes >= 2                 # a group of one joins nothing
-    owner = owner[np.repeat(shared, sizes)]
-    sizes = sizes[shared]
-    del shared, starts
-    if pairs is not None:
-        owner = np.concatenate([owner, pairs.ravel()])
-        sizes = np.concatenate([sizes, np.full(len(pairs), 2, dtype=np.int32)])
+    owner &= (1 << room) - 1            # the position of the factor's monomial
+    owner = owner.astype(ix)
+    sizes = _run_lengths(start[shared])
+    del start, shared
+    if pairs is not None and len(pairs):
+        where = np.empty(len(block.mono), dtype=ix)
+        where[rows] = np.arange(n, dtype=ix)
+        owner = np.concatenate([owner, where[pairs].ravel()])
+        sizes = np.concatenate([sizes, np.full(len(pairs), 2, dtype=np.int64)])
     label = _min_labels(np.arange(n, dtype=ix), owner, sizes)
-    del owner
-
     root = np.flatnonzero(label == np.arange(n, dtype=ix))
-    first = np.full(n_fibers, n, dtype=np.intp)
-    np.minimum.at(first, fib[root], root)
-    return mono, root, first[fib[root]]
+    first = np.cumsum(counts) - counts
+    return rows[root], rows[first[fiber[root]]]
 
 
 def _min_labels(label, owner, sizes):
@@ -485,15 +748,17 @@ def markov_basis(system, degree_cap: int, *,
     """
     if degree_cap < 2:
         raise ValueError("degree cap must be at least 2")
+    layers = _Layers(system, degree_cap)
     additions = []
     counts = Counter()
     for t in range(1, degree_cap + 1):
-        mono, root, lead = _split_layer(system, t, mono_cap)
-        split = root != lead            # two components share no variable
-        new = [Binomial(tuple(p), tuple(m))
-               for p, m in zip(mono[lead[split]].tolist(), mono[root[split]].tolist())]
-        additions.extend(new)
-        counts[max(t, 2)] += len(new)
+        for block in layers.blocks(t, mono_cap):
+            root, lead = _split(block, system.num_vars)
+            split = root != lead        # two components share no variable
+            new = [Binomial(tuple(p), tuple(m)) for p, m in
+                   zip(block.mono[lead[split]].tolist(), block.mono[root[split]].tolist())]
+            additions.extend(new)
+            counts[max(t, 2)] += len(new)
     additions_by_degree = {t: counts[t] for t in range(2, degree_cap + 1)}
     return MarkovResult(OrientedBasis.make(additions), degree_cap, additions_by_degree)
 
@@ -520,30 +785,6 @@ def _basis_sides(system, basis: OrientedBasis):
             for d, g in groups.items()}
 
 
-def _layer_moves(sides, layers, t: int, n_vars: int):
-    """The moves u*lead -> u*trail in layer t as a (k, 2) array of rows
-    (lex ranks): one for every element of degree d in ``sides`` and every
-    monomial u of ``layers[t - d]``, if given.  Each side is built in place
-    as one int32 array, sorted and ranked."""
-    out = []
-    for d, s in sides.items():
-        u = layers.get(t - d)
-        if u is not None:
-            ends = []
-            for side in (0, 1):
-                mono = np.empty((len(u), len(s), t), dtype=np.int32)
-                mono[:, :, :t - d] = u[:, None]
-                mono[:, :, t - d:] = s[:, side]
-                mono.sort(axis=2)
-                ends.append(_rank(mono.reshape(-1, t), n_vars))
-                del mono
-            out.append(np.stack(ends, axis=1))
-    return np.concatenate(out) if out else np.zeros((0, 2), dtype=np.int64)
-
-
-_UNIT = {0: np.zeros((1, 0), dtype=np.int32)}    # layer 0: the monomial 1
-
-
 def verify_markov(system, basis: OrientedBasis, degree_cap: int, *,
                   mono_cap: int = DEFAULT_MONO_CAP) -> bool:
     """True when every fiber of degree <= cap is connected under the moves.
@@ -557,11 +798,13 @@ def verify_markov(system, basis: OrientedBasis, degree_cap: int, *,
     if degree_cap < 1:                  # no layer checked: any basis would pass
         raise ValueError("degree cap must be at least 1")
     sides = _basis_sides(system, basis)
+    layers = _Layers(system, degree_cap)
     for t in range(1, degree_cap + 1):
-        pairs = _layer_moves(sides, _UNIT, t, system.num_vars)
-        _, root, lead = _split_layer(system, t, mono_cap, pairs)
-        if (root != lead).any():
-            return False
+        top = {t: sides[t]} if t in sides else {}
+        for block in layers.blocks(t, mono_cap):
+            root, lead = _split(block, system.num_vars, layers.moves(block, top, t))
+            if (root != lead).any():
+                return False
     return True
 
 
@@ -577,20 +820,22 @@ def verify_grobner(system, basis: OrientedBasis, degree_cap: int, *,
     if degree_cap < 1:                  # no layer checked: any basis would pass
         raise ValueError("degree cap must be at least 1")
     sides = _basis_sides(system, basis)
-    layers = dict(_UNIT)
+    layers = _Layers(system, degree_cap)
     for t in range(1, degree_cap + 1):
-        layers[t], fid = _layer(system, t, mono_cap)
-        src, dst = _layer_moves(sides, layers, t, system.num_vars).T
-        left = np.bincount(src, minlength=len(fid))     # moves out not yet peeled
-        # an acyclic fiber has a sink, so one sink each means never two
-        if np.bincount(fid[left == 0]).max(initial=0) > 1:
-            return False
-        while len(src):
-            into = left[dst] == 0
-            if not into.any():          # every row left has a move out: a cycle
+        for block in layers.blocks(t, mono_cap):
+            src, dst = layers.moves(block, sides, t).T
+            fid = np.empty(len(block.mono), dtype=np.int64)
+            fid[block.order] = np.repeat(np.arange(len(block.counts)), block.counts)
+            left = np.bincount(src, minlength=len(fid))     # moves out not yet peeled
+            # an acyclic fiber has a sink, so one sink each means never two
+            if np.bincount(fid[left == 0]).max(initial=0) > 1:
                 return False
-            left -= np.bincount(src[into], minlength=len(left))
-            src, dst = src[~into], dst[~into]
+            while len(src):
+                into = left[dst] == 0
+                if not into.any():      # every row left has a move out: a cycle
+                    return False
+                left -= np.bincount(src[into], minlength=len(left))
+                src, dst = src[~into], dst[~into]
     return True
 
 

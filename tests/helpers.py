@@ -516,3 +516,161 @@ def naive_glue_basis(spec, basis1, basis2, lift_cap):
         budget -= n
     basis = OrientedBasis.make(out)
     return GlueResult(basis, tuple(sorted(degrees)), attempted > lift_cap, len(basis), attempted)
+
+
+# ---------------------------------------------------------------------------
+# the unbucketed layer engine: every degree layer built and split whole
+
+def unbucketed_layer(system, degree, mono_cap=10**7):
+    """(idx, fid): every degree-``degree`` monomial as a sorted row of
+    variable indices, the rows in lexicographic order, and the fiber id of
+    each row, fibers numbered in the order of their packed key (word 0
+    first).  Layer t puts each variable j in front of the rows of layer t -
+    1 that start at j or later, and fibers are refined one key word at a
+    time by ``np.unique``."""
+    from homtoric.toric import ResourceCapExceeded
+    if degree < 1:
+        raise ValueError("degree must be at least 1")
+    packed = system.packed_columns(degree.bit_length(), 0)
+    n_vars, n_words = packed.shape
+    idx = np.arange(n_vars, dtype=np.int32).reshape(n_vars, 1)
+    words = packed
+    for t in range(2, degree + 1):
+        starts = np.searchsorted(idx[:, 0], np.arange(n_vars))
+        total = int((len(idx) - starts).sum())
+        if total > mono_cap:
+            raise ResourceCapExceeded(
+                f"{total} monomials of degree {t} exceed the cap {mono_cap}")
+        new_idx = np.empty((total, t), dtype=np.int32)
+        new_words = np.empty((total, n_words), dtype=np.int64)
+        pos = 0
+        for j, s in enumerate(starts.tolist()):
+            e = pos + len(idx) - s
+            new_idx[pos:e, 0] = j
+            new_idx[pos:e, 1:] = idx[s:]
+            np.add(words[s:], packed[j], out=new_words[pos:e])
+            pos = e
+        idx, words = new_idx, new_words
+    n = len(idx)
+    ranks = (np.unique(word, return_inverse=True)[1] for word in words.T)
+    fid = next(ranks, np.zeros(n, dtype=np.intp))
+    for rank in ranks:
+        fid *= n
+        fid += rank
+        fid = np.unique(fid, return_inverse=True)[1]
+    return idx, fid
+
+
+def unbucketed_split_layer(system, degree, mono_cap=10**7, pairs=None):
+    """(mono, root, lead): the monomials of the fibers of two or more
+    monomials in lex order, the position of the smallest monomial of
+    every component under "shares a variable" (joined further by
+    ``pairs``, lex ranks of the layer), and for each root the position of
+    the smallest monomial of its fiber."""
+    from homtoric.toric import _min_labels
+    idx, fid = unbucketed_layer(system, degree, mono_cap)
+    n_rows, t = idx.shape
+    counts = np.bincount(fid)
+    n_fibers = len(counts)
+    if n_fibers == n_rows:
+        none = np.zeros(0, dtype=np.intp)
+        return idx, none, none
+    n_vars = system.num_vars
+    rows = np.flatnonzero(counts[fid] >= 2)
+    fib, mono = fid[rows], idx[rows]
+    n = len(mono)
+    keys = (mono.astype(np.int64) + fib[:, None].astype(np.int64) * n_vars).ravel()
+    sort = np.argsort(keys, kind="stable")
+    keys = keys[sort]
+    starts = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
+    owner = sort // t
+    sizes = np.diff(np.append(starts, len(owner)))
+    shared = sizes >= 2
+    owner = owner[np.repeat(shared, sizes)]
+    sizes = sizes[shared]
+    if pairs is not None and len(pairs):
+        owner = np.concatenate([owner, np.searchsorted(rows, pairs).ravel()])
+        sizes = np.concatenate([sizes, np.full(len(pairs), 2)])
+    label = _min_labels(np.arange(n), owner, sizes)
+    root = np.flatnonzero(label == np.arange(n))
+    first = np.full(n_fibers, n, dtype=np.intp)
+    np.minimum.at(first, fib[root], root)
+    return mono, root, first[fib[root]]
+
+
+def _unbucketed_moves(sides, layers, t, n_vars):
+    """Moves u*lead -> u*trail in layer t as lex ranks, for every element
+    of degree d in ``sides`` and every monomial u of ``layers[t - d]``."""
+    from homtoric.toric import _rank
+    out = [np.zeros((0, 2), dtype=np.int64)]
+    for d, s in sides.items():
+        u = layers.get(t - d)
+        if u is not None:
+            ends = []
+            for side in (0, 1):
+                mono = np.empty((len(u), len(s), t), dtype=np.int32)
+                mono[:, :, :t - d] = u[:, None]
+                mono[:, :, t - d:] = s[:, side]
+                mono.sort(axis=2)
+                ends.append(_rank(mono.reshape(-1, t), n_vars))
+            out.append(np.stack(ends, axis=1))
+    return np.concatenate(out)
+
+
+_UNIT = {0: np.zeros((1, 0), dtype=np.int32)}
+
+
+def unbucketed_markov_basis(system, cap, mono_cap=10**7):
+    """``markov_basis`` on whole layers."""
+    from homtoric.toric import Binomial, MarkovResult, OrientedBasis
+    additions, counts = [], Counter()
+    for t in range(1, cap + 1):
+        mono, root, lead = unbucketed_split_layer(system, t, mono_cap)
+        split = root != lead
+        new = [Binomial(tuple(p), tuple(m))
+               for p, m in zip(mono[lead[split]].tolist(), mono[root[split]].tolist())]
+        additions.extend(new)
+        counts[max(t, 2)] += len(new)
+    return MarkovResult(OrientedBasis.make(additions), cap,
+                        {t: counts[t] for t in range(2, cap + 1)})
+
+
+def unbucketed_verify_markov(system, basis, cap, mono_cap=10**7):
+    """``verify_markov`` on whole layers."""
+    from homtoric.toric import _basis_sides
+    sides = _basis_sides(system, basis)
+    for t in range(1, cap + 1):
+        pairs = _unbucketed_moves(sides, _UNIT, t, system.num_vars)
+        _, root, lead = unbucketed_split_layer(system, t, mono_cap, pairs)
+        if (root != lead).any():
+            return False
+    return True
+
+
+def unbucketed_verify_grobner(system, basis, cap, mono_cap=10**7):
+    """``verify_grobner`` on whole layers."""
+    from homtoric.toric import _basis_sides
+    sides = _basis_sides(system, basis)
+    layers = dict(_UNIT)
+    for t in range(1, cap + 1):
+        layers[t], fid = unbucketed_layer(system, t, mono_cap)
+        src, dst = _unbucketed_moves(sides, layers, t, system.num_vars).T
+        left = np.bincount(src, minlength=len(fid))
+        if np.bincount(fid[left == 0]).max(initial=0) > 1:
+            return False
+        while len(src):
+            into = left[dst] == 0
+            if not into.any():
+                return False
+            left -= np.bincount(src[into], minlength=len(left))
+            src, dst = src[~into], dst[~into]
+    return True
+
+
+def engine_layer(system, degree):
+    """(idx, fid) like ``unbucketed_layer`` read off ``iter_fibers``: the
+    layer's monomials in lex order and the fiber number of each."""
+    from homtoric.toric import iter_fibers
+    fiber = {m: f for f, monos in iter_fibers(system, degree) for m in monos}
+    idx = np.array(sorted(fiber), dtype=np.int64).reshape(-1, degree)
+    return idx, np.array([fiber[m] for m in map(tuple, idx.tolist())], dtype=np.intp)

@@ -181,6 +181,37 @@ def test_resource_cap_exit(capsys):
     assert code == 3
 
 
+def test_chromatic_cert_cap_below_two_exit_2(capsys):
+    # a cap of 1 searches no layer, so it must not report that nothing exists
+    for cap in ("1", "0"):
+        code = main(["chromatic-cert", "octahedron", "--cap", cap])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == "error: degree cap must be at least 2\n"
+
+
+def test_mono_cap_below_one_exit_2(capsys):
+    for cap in ("0", "-1"):
+        code = main(["--mono-cap", cap, "markov", "cycle:4", "spoon", "--cap", "2"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == "error: --mono-cap must be at least 1\n"
+
+
+def test_lift_cap_below_one_exit_2(tmp_path, capsys):
+    g1, g2 = tmp_path / "g1.txt", tmp_path / "g2.txt"
+    g1.write_text("v 0 1 2\ne 0 1\ne 0 2\ne 1 2\n")
+    g2.write_text("v 1 2 3\ne 1 2\ne 1 3\ne 2 3\n")
+    for cap in ("0", "-5"):
+        code = main(["glue", str(g1), str(g2), "spoon", "--lift-cap", cap])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == "error: --lift-cap must be at least 1\n"
+
+
 def test_reproduce_all(capsys):
     code, out = run(capsys, "reproduce", "--all")
     assert code == 0

@@ -130,6 +130,14 @@ def test_search_requires_triangle():
         find_low_degree_binomial(G.cycle(5), degree_cap=3)
 
 
+def test_search_cap_below_two_is_refused():
+    # binomials start at degree 2: a lower cap would search no layer and
+    # report that no binomial exists
+    for cap in (1, 0, -3):
+        with pytest.raises(ValueError, match="^degree cap must be at least 2$"):
+            find_low_degree_binomial(G.octahedron(), degree_cap=cap)
+
+
 def test_certificate_preconditions():
     k5 = G.complete(5)
     system = build_system(G.complete(3), k5)

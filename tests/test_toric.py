@@ -1,4 +1,6 @@
 import random
+import tracemalloc
+from unittest import mock
 from itertools import combinations, combinations_with_replacement
 from math import comb
 
@@ -9,15 +11,18 @@ from hypothesis import assume, given, settings, strategies as st
 from homtoric import graph as G
 from homtoric.graph import Graph
 from homtoric.indep import IndepSystem, MoveIndex, complement_cycle_basis
-from homtoric.toric import (DEFAULT_MONO_CAP, Binomial, OrientedBasis, ResourceCapExceeded,
-                            _layer, _rank, build_system, format_binomial, iter_fibers,
-                            markov_basis, markov_width, normality_witness, parse_basis_text,
-                            restrict_basis, strip_common, verify_grobner, verify_markov)
+from homtoric import toric
+from homtoric.toric import (Binomial, OrientedBasis, ResourceCapExceeded, _rank, build_system,
+                            format_binomial, iter_fibers, markov_basis, markov_width,
+                            normality_witness, parse_basis_text, restrict_basis, strip_common,
+                            verify_grobner, verify_markov)
 
-from helpers import (graphs_upto_iso, naive_check_basis_members, naive_fiber_is_grobner,
-                     naive_fibers, naive_layer_fibers, naive_markov_basis,
-                     naive_markov_width, naive_membership, naive_pivot_columns,
-                     naive_verify_markov, same_partition)
+from helpers import (engine_layer, graphs_upto_iso, naive_check_basis_members,
+                     naive_fiber_is_grobner, naive_fibers, naive_layer_fibers,
+                     naive_markov_basis, naive_markov_width, naive_membership,
+                     naive_pivot_columns, naive_verify_markov, same_partition,
+                     unbucketed_layer, unbucketed_markov_basis, unbucketed_verify_grobner,
+                     unbucketed_verify_markov)
 
 
 def spoon_sets(g):
@@ -178,10 +183,12 @@ def test_fibers_match_naive_grouping():
         for t in degrees:
             ours = {}
             for key, monos in iter_fibers(system, t):
+                assert monos == sorted(monos)
                 for m in monos:
                     ours[m] = key
-            idx, fid = _layer(system, t, DEFAULT_MONO_CAP)      # the key is the fiber id
-            assert ours == dict(zip(map(tuple, idx.tolist()), fid.tolist()))
+            idx, fid = unbucketed_layer(system, t)
+            assert sorted(ours) == list(map(tuple, idx.tolist()))
+            assert same_partition([ours[m] for m in map(tuple, idx.tolist())], fid)
             naive = naive_fibers(system, t)
             assert sum(len(v) for v in naive.values()) == len(ours)
             for monos in naive.values():
@@ -390,14 +397,17 @@ def _engine_cases():
 
 def test_engine_matches_naive_oracles():
     # the gcd-component engine against fiber-by-fiber searches over all
-    # moves: same minimal basis, and the same verdict on that basis and on
-    # every basis with one element left out
+    # moves: same minimal basis, also when blocks of 16 rows cut the larger
+    # layers into buckets, and the same verdict on that basis and on every
+    # basis with one element left out
     verdicts = set()
     for g, h, cap in _engine_cases():
         system = build_system(g, h)
         basis = markov_basis(system, cap).basis
         assert ({(b.plus, b.minus) for b in basis}
                 == set(naive_markov_basis(system, cap))), (g.edges, h.edges)
+        with mock.patch.object(toric, "BLOCK", 16):
+            assert markov_basis(system, cap).basis == basis
         layers = [naive_fibers(system, t) for t in range(1, cap + 1)]
         for drop in range(-1, len(basis)):
             kept = OrientedBasis.make(b for i, b in enumerate(basis) if i != drop)
@@ -406,6 +416,87 @@ def test_engine_matches_naive_oracles():
                 (g.edges, h.edges, drop)
             verdicts.add(ok)
     assert verdicts == {True, False}
+
+
+def _block_walk(system, t):
+    """(blocks, one bucket larger than a block) for the degree-t layer."""
+    blocks = list(toric._Layers(system, t).blocks(t, 10**7))
+    return len(blocks), any(len(b.comps) == 1 and len(b.mono) > toric.BLOCK for b in blocks)
+
+
+def test_block_engine_matches_unbucketed_engine():
+    # blocks of whole buckets against the whole-layer engine they replace:
+    # the same MarkovResult; the same verdicts on the basis, on its flip
+    # and on every basis with one element left out; the same fibers, each
+    # in lex order.  A block of 16 rows cuts these small layers into many
+    # blocks and leaves some buckets larger than a block.
+    cases = list(_engine_cases()) + [(G.path(5), G.complete(3), 3),
+                                     (G.cycle(4), G.complete_looped(3), 2)]
+    seen = set()
+    for block in (toric.BLOCK, 16):
+        with mock.patch.object(toric, "BLOCK", block):
+            for g, h, cap in cases:
+                system = build_system(g, h)
+                n_blocks, oversized = _block_walk(system, cap)
+                seen.add((block, n_blocks > 1, oversized))
+                res = markov_basis(system, cap)
+                assert res == unbucketed_markov_basis(system, cap), (block, g.edges, h.edges)
+                basis = res.basis
+                small = block == 16 and system.num_vars <= 20    # few blocks a layer
+                for drop in range(-1, len(basis) if small else 0):
+                    kept = OrientedBasis(basis.elements[:drop] + basis.elements[drop + 1:]
+                                         if drop >= 0 else basis.elements)
+                    assert (verify_markov(system, kept, cap)
+                            == unbucketed_verify_markov(system, kept, cap)), (g.edges, drop)
+                    if drop < 3:
+                        for b in (kept, OrientedBasis.make(e.flipped() for e in kept)):
+                            assert (verify_grobner(system, b, cap)
+                                    == unbucketed_verify_grobner(system, b, cap)), (g.edges, drop)
+                for t in range(1, cap + 1):
+                    fibers = [monos for _, monos in iter_fibers(system, t)]
+                    assert all(monos == sorted(monos) for monos in fibers)
+                    assert (sorted(fibers)
+                            == sorted(sorted(v) for v in naive_fibers(system, t).values()))
+    assert {(toric.BLOCK, False, False), (16, True, True)} <= seen
+
+
+def test_block_memory_follows_the_block_constant():
+    # path:6 -> K3 has 152,096 monomials at t = 3, more than two blocks; the
+    # arrays of one block peak at about 110 B a row, the whole-layer engine
+    # at more than twice the bound
+    system = build_system(G.path(6), G.complete(3))
+    assert comb(system.num_vars + 2, 3) == 152_096
+    bound = 160 * toric.BLOCK
+    markov_basis(system, 2)                         # build the key once
+    peaks = []
+    for engine in (markov_basis, unbucketed_markov_basis):
+        tracemalloc.start()
+        try:
+            engine(system, 3)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[0] < bound < peaks[1], peaks
+
+
+def test_largest_bucket_of_the_best_edge():
+    # the buckets of one edge's edge maps, counted combinatorially
+    cases = ((G.cycle(6), G.complete_looped(3), 3, 64_836_045, 531_441),
+             (G.path(7), G.complete(3), 3, 1_198_144, 32_768),
+             (G.complement(G.cycle(8)), G.spoon(), 5, 20_349, 3_003))
+    for g, h, t, layer, largest in cases:
+        system = build_system(g, h)
+        assert comb(system.num_vars + t - 1, t) == layer
+        classes = toric._bucket_classes(system, t)
+        if layer <= toric.BLOCK:                    # one class: the layer is one block
+            assert not classes.any()
+            continue
+        sizes = np.bincount(classes)
+        assert toric._largest_bucket(sizes.tolist(), t) == largest
+        comps = toric._compositions(len(sizes), t)
+        counts = [[comb(n + c - 1, c) for c in range(t + 1)] for n in sizes]
+        total = sum(np.prod([counts[i][c] for i, c in enumerate(row)]) for row in comps.tolist())
+        assert total == layer and len(comps) == comb(t + len(sizes) - 1, t)
 
 
 def test_packed_layer_matches_void_view_grouping():
@@ -419,14 +510,14 @@ def test_packed_layer_matches_void_view_grouping():
     for g, h, degrees in cases:
         system = build_system(g, h)
         for t in degrees:
-            idx, fid = _layer(system, t, DEFAULT_MONO_CAP)
+            idx, fid = engine_layer(system, t)
             ref_idx, ref_fid = naive_layer_fibers(system, t)
             assert np.array_equal(idx, ref_idx), (g.edges, h.edges, t)
             assert same_partition(fid, ref_fid), (g.edges, h.edges, t)
     # 36 key rows of 2 bits: the last case refines its fibers by two words
     wide = build_system(G.cycle(6), G.complete_looped(3))
     assert wide.key_matrix.shape[0] == 36
-    assert wide.packed_columns(2).shape[1] == 2
+    assert wide.packed_columns(2, 0).shape[1] == 2
 
 
 def test_rank_is_the_lex_position():
@@ -512,7 +603,8 @@ def test_layer_partition_matches_naive_fibers(g, target, t):
     system = build_system(g, _TARGETS[target])
     while t > 1 and comb(system.num_vars + t - 1, t) > 3000:
         t -= 1                          # keep the pure-python oracle fast
-    idx, fid = _layer(system, t, DEFAULT_MONO_CAP)
+    with mock.patch.object(toric, "BLOCK", 5):     # many blocks, one bucket too large
+        idx, fid = engine_layer(system, t)
     label = {m: i for i, monos in enumerate(naive_fibers(system, t).values())
              for m in monos}
     assert len(label) == len(idx)
@@ -524,7 +616,8 @@ def test_layer_partition_matches_naive_fibers(g, target, t):
 def test_engine_matches_naive_markov_width(g, target):
     # the layer engine against the fiber-by-fiber oracle: the same width,
     # its own basis verifies, and the basis is a star per split fiber, so
-    # leaving out any one element leaves a component unjoined
+    # leaving out any one element leaves a component unjoined; in blocks of
+    # 5 rows, the same result as the whole-layer engine
     system = build_system(g, _TARGETS[target])
     n = system.num_vars
     assume(comb(n + 1, 2) <= 3000)      # keep the pure-python oracle fast
@@ -535,6 +628,11 @@ def test_engine_matches_naive_markov_width(g, target):
     for drop in range(len(basis)):
         kept = OrientedBasis(basis.elements[:drop] + basis.elements[drop + 1:])
         assert not verify_markov(system, kept, cap), drop
+    with mock.patch.object(toric, "BLOCK", 5):
+        assert markov_basis(system, cap).basis == basis
+        for drop in range(len(basis)):
+            kept = OrientedBasis(basis.elements[:drop] + basis.elements[drop + 1:])
+            assert not verify_markov(system, kept, cap), drop
 
 
 # ---------------------------------------------------------------------------
