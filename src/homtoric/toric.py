@@ -14,15 +14,31 @@ the all-ones row, which is constant (the degree) on a layer, so the key
 separates exactly the monomials that A separates.
 
 The key is never stored row by row.  At degree t every key entry of a
-monomial lies in 0..t < 2**b, b = t.bit_length(), so row i of the key
-takes the bits [b*j, b*(j+1)) of int64 word i // per, j = i % per and per
-= 63 // b rows to a word.  Each variable then has one packed column per
-word, and the packed key of a monomial is the plain sum of the packed
-columns of its factors: no row can carry into the next.  A layer is its
-monomials plus one to a few int64 words per monomial, and fibers are runs
-of equal words.  The monomials of a layer are in lexicographic order, the
-one order of the engine: a row number is a lex rank, and every list of
-monomials the engine returns is in lex order without a sort.
+monomial lies in 0..t < 2**b, b = t.bit_length().  A sort word keeps its
+low ``room`` bits for a row number, so row i of the key takes the bits
+[room + b*j, room + b*(j+1)) of int64 word i // per, j = i % per and per
+= (63 - room) // b rows to a word.  Each variable then has one packed
+column per word, and the packed key of a monomial is the plain sum of the
+packed columns of its factors: no row can carry into the next.
+
+A degree layer is walked in blocks.  Take one edge e of G: the e-image
+of a monomial, the multiset of the edge maps its factors give e, is read
+off e's rows of A, so it is constant on a fiber.  A bucket is the set of
+monomials of one e-image; it is the product of the multisets of the
+right sizes over the variables of each edge map (the class layers, built
+once per call).  The edge chosen is the one whose largest bucket at the
+cap is smallest, and none (one class, one bucket) when the whole top
+layer fits in one block.  A block is a run of whole buckets of at most
+``BLOCK`` rows, or one larger bucket alone, so every fiber, every gcd
+class and both ends of every move lie in one block, and the peak memory
+follows the largest block, not the layer; ``mono_cap`` still caps the
+whole layer, counted before anything is built.  The rows of a block are
+in lexicographic order (re-sorted by lex rank when there are several
+classes), so the smallest monomial of a fiber or a component is its
+first row, and every list of monomials the engine returns is in lex
+order.  Fibers, and the (fiber, variable) classes of the gcd rule, are
+runs of one ``np.sort`` of ``key << room | row`` words, least significant
+key word first.
 
 Markov bases are built and verified one degree layer at a time, t = 1, 2,
 ..., by the gcd rule (Takemura-Aoki, Ann. Inst. Stat. Math. 56, 2004; see
@@ -32,12 +48,12 @@ variable x are connected too: divide both by x, join the quotients and
 multiply back.  A move of degree < t always leaves a shared factor, so the
 components of a degree-t fiber are the classes of "shares a variable",
 joined further only by moves of degree exactly t.  numpy groups each
-layer into fibers and computes those classes for all fibers at once.
+block into fibers and computes those classes for all its fibers at once.
 
-All arithmetic is exact integer arithmetic.  numpy groups each layer into
-fibers, splits them, turns a basis into moves between layer rows and peels
-the sinks of directed fiber graphs; membership compares the images of
-the two sides under A, packed the same way into Python integers.
+All arithmetic is exact integer arithmetic.  numpy groups each block into
+fibers, splits them, turns a basis into moves between block rows and
+peels the sinks of directed fiber graphs; membership compares the images
+of the two sides under A, packed the same way into Python integers.
 """
 
 from __future__ import annotations
@@ -814,9 +830,10 @@ def verify_grobner(system, basis: OrientedBasis, degree_cap: int, *,
     Polytopes, 1996): every fiber graph of degree 1..cap is acyclic with
     one sink, so every walk ends in that sink and the fiber is connected.
     Degree 1 matters when a source vertex on no edge gives equal columns.
-    Each layer is checked whole: its moves are u*lead -> u*trail for every
-    element of degree d <= t and monomial u of layer t - d; sinks are
-    counted per fiber, then peeled round by round (Kahn's algorithm)."""
+    Each block of a layer is checked on its own: its moves are u*lead ->
+    u*trail for every element of degree d <= t and monomial u of degree t -
+    d with u*lead in the block (see ``_Layers.moves``); sinks are counted
+    per fiber, then peeled round by round (Kahn's algorithm)."""
     if degree_cap < 1:                  # no layer checked: any basis would pass
         raise ValueError("degree cap must be at least 1")
     sides = _basis_sides(system, basis)

@@ -1,0 +1,127 @@
+"""Record perfbench runs of one or more checkouts into a BENCH json file.
+
+    python3 tools/bench_record.py --out BENCH_13.json \
+        --checkout parent=../parent --checkout change=. \
+        [--seeds 701 702 703] [--workload markov-large ...] [--seconds 28] \
+        [--cli "markov cycle:6 complete-looped:3 --cap 3"]
+
+For every workload and seed, each checkout runs ``perfbench/run.py
+--trace 0`` in its own directory; the order of the checkouts alternates
+from seed to seed.  The file gets one entry per checkout label: the
+commit, the ``src/`` line count and the host facts perfbench reports, and
+per workload the min and median of every end-to-end metric, the
+``complete_passes`` of every run and the raw result lines.  Each ``--cli``
+command runs once per checkout as ``python3 -m homtoric.cli`` with that
+checkout's ``src`` on the path; its exit code, wall time and peak RSS are
+recorded.  An existing output file is updated label by label.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import shlex
+import statistics
+import subprocess
+import sys
+from time import perf_counter
+
+WORKLOADS = ("markov-large", "forest-verify", "spoon-census", "geometry-cli")
+BENCH_TIMEOUT_S = 300
+
+
+def run_bench(root, workload, seed, seconds):
+    """One ``perfbench/run.py`` run: (facts, info, result) from its three
+    output lines."""
+    cmd = [sys.executable, os.path.join("perfbench", "run.py"), "--workload", workload,
+           "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
+    out = subprocess.run(cmd, cwd=root, capture_output=True, text=True, check=True,
+                         timeout=BENCH_TIMEOUT_S).stdout.splitlines()
+    facts = json.loads(next(l for l in out if l.startswith("facts "))[len("facts "):])
+    info = json.loads(next(l for l in out if l.startswith("info "))[len("info "):])
+    return facts, info, json.loads(out[-1])
+
+
+def run_cli(root, argv):
+    """Exit code, wall seconds and peak RSS (MB) of one CLI command."""
+    env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"))
+    start = perf_counter()
+    proc = subprocess.Popen([sys.executable, "-m", "homtoric.cli"] + argv, cwd=root, env=env,
+                            stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True)
+    err = proc.stderr.read()
+    _, status, usage = os.wait4(proc.pid, 0)
+    wall = perf_counter() - start
+    proc.returncode = os.waitstatus_to_exitcode(status)
+    return {"argv": argv, "exit": proc.returncode, "wall_s": round(wall, 3),
+            "peak_rss_mb": round(usage.ru_maxrss / 1024, 1),
+            "stderr": err.strip().splitlines()[-1:]}
+
+
+def summarize(runs):
+    """min and median of every end-to-end metric over the runs."""
+    out = {}
+    for name in sorted({m for r in runs for m in r["result"]["metrics"]}):
+        values = [r["result"]["metrics"][name]["value"] for r in runs
+                  if name in r["result"]["metrics"]]
+        unit = next(r["result"]["metrics"][name]["unit"] for r in runs
+                    if name in r["result"]["metrics"])
+        out[name] = {"unit": unit, "min": min(values), "median": statistics.median(values),
+                     "n": len(values)}
+    return out
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--out", required=True)
+    parser.add_argument("--checkout", action="append", default=[],
+                        help="LABEL=DIR, repeatable; default change=.")
+    parser.add_argument("--seeds", type=int, nargs="*", default=[701, 702, 703])
+    parser.add_argument("--workload", action="append", choices=WORKLOADS)
+    parser.add_argument("--seconds", type=float, default=28)
+    parser.add_argument("--cli", action="append", default=[])
+    args = parser.parse_args(argv)
+    checkouts = [c.split("=", 1) for c in args.checkout] or [["change", "."]]
+    checkouts = [(label, os.path.abspath(path)) for label, path in checkouts]
+    record = {}
+    if os.path.exists(args.out):
+        with open(args.out) as fh:
+            record = json.load(fh)
+    runs = {label: {} for label, _ in checkouts}
+    facts = {}
+    for workload in args.workload or WORKLOADS:
+        for i, seed in enumerate(args.seeds):
+            order = checkouts if i % 2 == 0 else checkouts[::-1]
+            for label, root in order:
+                f, info, result = run_bench(root, workload, seed, args.seconds)
+                facts[label] = f
+                runs[label].setdefault(workload, []).append(
+                    {"seed": seed, "info": info, "result": result})
+                print(f"{workload} seed {seed} {label}: " + json.dumps(
+                    {k: round(v["value"], 4) for k, v in result["metrics"].items()}),
+                    flush=True)
+    for label, root in checkouts:
+        entry = record.setdefault(label, {})
+        if label in facts:
+            entry["facts"] = facts[label]
+        for workload, wruns in runs[label].items():
+            entry.setdefault("workloads", {})[workload] = {
+                "seconds": args.seconds,
+                "seeds": [r["seed"] for r in wruns],
+                "metrics": summarize(wruns),
+                "complete_passes": [r["info"]["complete_passes"] for r in wruns],
+                "failed": [r["result"]["failed"] for r in wruns],
+                "raw": [r["result"] for r in wruns],
+            }
+        for command in args.cli:
+            result = run_cli(root, shlex.split(command))
+            entry.setdefault("cli", {})[command] = result
+            print(f"cli {label}: {json.dumps(result)}", flush=True)
+    with open(args.out, "w") as fh:
+        json.dump(record, fh, indent=1, sort_keys=True)
+        fh.write("\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
