@@ -231,14 +231,15 @@ class ToricSystem:
 
     def packed_columns(self, bits: int, room: int):
         """The columns of the key packed into int64 words, one row per
-        variable, cached per (``bits``, ``room``): key row i takes ``bits``
+        variable and stored word by word, cached per (``bits``, ``room``):
+        key row i takes ``bits``
         bits of word i // per from bit room + bits * (i % per) on, per = (63
         - room) // bits (see the module docstring for why sums of them stay
         exact).  The low ``room`` bits stay free for a row number."""
         packed = self._packed.get((bits, room))
         if packed is None:
             key, per = self.key_matrix, (63 - room) // bits
-            packed = np.zeros((key.shape[1], -(-key.shape[0] // per)), dtype=np.int64)
+            packed = np.zeros((-(-key.shape[0] // per), key.shape[1]), dtype=np.int64).T
             for w in range(packed.shape[1]):
                 block = key[w * per:(w + 1) * per]
                 shift = room + bits * np.arange(len(block), dtype=np.int64)
@@ -535,9 +536,11 @@ class _Layers:
             rank.sort()
             mono = _take(mono, rank & ((1 << room) - 1))
             rank >>= room
-        words = packed[mono[:, 0]]
-        for q in range(1, t):
-            words += packed[mono[:, q]]
+        words = np.empty((packed.shape[1], len(mono)), dtype=np.int64).T
+        for w in range(packed.shape[1]):
+            np.take(packed[:, w], mono[:, 0], out=words[:, w])
+            for q in range(1, t):
+                words[:, w] += packed[:, w][mono[:, q]]
         order, counts = _fibers(words, room)
         return _Block(mono, rank, comps, order, counts, room)
 
@@ -591,12 +594,12 @@ def _fibers(words, room: int):
     position = np.arange(n, dtype=np.int64)
     order, start = position, np.zeros(n, dtype=bool)
     for w in range(n_words - 1, -1, -1):
-        word = words[order, w]
+        word = words[:, w][order]
         word |= position
         word.sort()
         order = order[word & ((1 << room) - 1)]
     for w in range(n_words):
-        key = words[order, w]
+        key = words[:, w][order]
         start[1:] |= key[1:] != key[:-1]
     start[:1] = True
     return order, _run_lengths(start)
