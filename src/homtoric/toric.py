@@ -554,21 +554,16 @@ class _Layers:
         for d, s in sides.items():
             if d > t:
                 continue
-            if self.k == 1:             # one bucket: u runs over the whole layer t - d
-                elem = np.arange(len(s))
-                comps = np.full((len(s), 1), t - d, dtype=np.int16)
-                sizes = np.full(len(s), self.count[0, t - d])
-            else:
-                lead = self.classes[s[:, 0]]
-                need = np.zeros((len(s), self.k), dtype=np.int16)
-                np.add.at(need, (np.arange(len(s))[:, None], lead), 1)
-                fits = np.ones((len(s), len(block.comps)), dtype=bool)
-                for q in range(d):
-                    fits &= (block.comps[:, lead[:, q]].T
-                             >= need[np.arange(len(s)), lead[:, q]][:, None])
-                elem, bucket = np.nonzero(fits)
-                comps = block.comps[bucket] - need[elem]
-                sizes = self.count[np.arange(self.k), comps].prod(axis=1)
+            lead = self.classes[s[:, 0]]
+            need = np.zeros((len(s), self.k), dtype=np.int16)
+            np.add.at(need, (np.arange(len(s))[:, None], lead), 1)
+            fits = np.ones((len(s), len(block.comps)), dtype=bool)
+            for q in range(d):
+                fits &= (block.comps[:, lead[:, q]].T
+                         >= need[np.arange(len(s)), lead[:, q]][:, None])
+            elem, bucket = np.nonzero(fits)
+            comps = block.comps[bucket] - need[elem]
+            sizes = self.count[np.arange(self.k), comps].prod(axis=1)
             ends = []
             for side in (0, 1):
                 mono = _columns(t, int(sizes.sum()))
