@@ -554,15 +554,19 @@ class _Layers:
         for d, s in sides.items():
             if d > t:
                 continue
-            lead = self.classes[s[:, 0]]
-            need = np.zeros((len(s), self.k), dtype=np.int16)
-            np.add.at(need, (np.arange(len(s))[:, None], lead), 1)
-            fits = np.ones((len(s), len(block.comps)), dtype=bool)
-            for q in range(d):
-                fits &= (block.comps[:, lead[:, q]].T
-                         >= need[np.arange(len(s)), lead[:, q]][:, None])
-            elem, bucket = np.nonzero(fits)
-            comps = block.comps[bucket] - need[elem]
+            if self.k == 1:             # one bucket: every u of degree t - d
+                elem = np.arange(len(s))
+                comps = np.full((len(s), 1), t - d, dtype=np.int16)
+            else:
+                lead = self.classes[s[:, 0]]
+                need = np.zeros((len(s), self.k), dtype=np.int16)
+                np.add.at(need, (np.arange(len(s))[:, None], lead), 1)
+                fits = np.ones((len(s), len(block.comps)), dtype=bool)
+                for q in range(d):
+                    fits &= (block.comps[:, lead[:, q]].T
+                             >= need[np.arange(len(s)), lead[:, q]][:, None])
+                elem, bucket = np.nonzero(fits)
+                comps = block.comps[bucket] - need[elem]
             sizes = self.count[np.arange(self.k), comps].prod(axis=1)
             ends = []
             for side in (0, 1):
