@@ -508,10 +508,7 @@ class _Layers:
         if not self.n:
             return
         self._extend(t)
-        if self.k == 1:
-            comps = np.array([[t]], dtype=np.int16)
-        else:
-            comps = _compositions(self.k, t)
+        comps = _compositions(self.k, t)
         sizes = self.count[np.arange(self.k), comps].prod(axis=1)
         ends = np.cumsum(sizes)
         room = (max(min(int(ends[-1]), BLOCK), int(sizes.max())) - 1).bit_length()
