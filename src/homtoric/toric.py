@@ -311,7 +311,7 @@ BLOCK = 1 << 16     # rows of a block; a bucket larger than this is a block alon
 def _ranges(starts, lengths):
     """The concatenation of arange(s, s + l) over the pairs of ``starts``
     and ``lengths``."""
-    shift = np.repeat(starts - (np.cumsum(lengths) - lengths), lengths)
+    shift = (starts - (lengths.cumsum() - lengths)).repeat(lengths)
     return np.arange(len(shift), dtype=np.int64) + shift
 
 
@@ -326,7 +326,7 @@ def _take(mono, rows):
     """``mono[rows]``, gathered and stored column by column."""
     out = _columns(mono.shape[1], len(rows))
     for q in range(mono.shape[1]):
-        np.take(mono[:, q], rows, out=out[:, q])
+        mono[:, q].take(rows, out=out[:, q])
     return out
 
 
@@ -346,13 +346,13 @@ def _sort_rows(mono):
 def _compositions(k: int, t: int):
     """Every way to write t as an ordered sum of k nonnegative counts, one
     row each (int16), the rows in lex order."""
-    comps, left = np.zeros((1, 0), dtype=np.int16), np.array([t], dtype=np.int64)
+    counts, left = [], np.array([t], dtype=np.int64)
     for _ in range(k - 1):
         width = left + 1
         count = _ranges(np.zeros_like(width), width)
-        comps = np.column_stack([np.repeat(comps, width, axis=0), count.astype(np.int16)])
-        left = np.repeat(left, width) - count
-    return np.column_stack([comps, left.astype(np.int16)])
+        counts = [c.repeat(width) for c in counts] + [count.astype(np.int16)]
+        left = left.repeat(width) - count
+    return np.stack(counts + [left.astype(np.int16)], axis=1)
 
 
 def _largest_bucket(class_sizes, t: int) -> int:
@@ -440,15 +440,15 @@ class _Layers:
         cls = self.classes[members]
         for c in range(len(self.tables), t + 1):
             prev, off = self.tables[c - 1], self.offsets[c - 1]
-            first = prev[:, 0] + np.repeat(np.arange(self.k, dtype=np.int64) * n,
-                                           self.count[:, c - 1])
-            starts = np.searchsorted(first, cls * n + members)
+            first = prev[:, 0] + (np.arange(self.k, dtype=np.int64) * n).repeat(
+                self.count[:, c - 1])
+            starts = first.searchsorted(cls * n + members)
             lengths = off[cls + 1] - starts
             table = _columns(c, int(lengths.sum()))
-            table[:, 0] = np.repeat(members, lengths)
+            table[:, 0] = members.repeat(lengths)
             src = _ranges(starts, lengths)
             for q in range(c - 1):
-                np.take(prev[:, q], src, out=table[:, q + 1])
+                prev[:, q].take(src, out=table[:, q + 1])
             self.tables.append(table)
 
     def _rows(self, comps, t: int, mono):
@@ -498,8 +498,6 @@ class _Layers:
         """Yield the degree-t layer as ``_Block``s of whole buckets, each at
         most ``BLOCK`` rows unless it is one bucket.  The cap counts the
         whole layer, and every layer below it, before anything is built."""
-        if t < 1:
-            raise ValueError("degree must be at least 1")
         for s in range(2, t + 1):
             total = comb(self.n + s - 1, s)
             if total > mono_cap:
@@ -510,17 +508,19 @@ class _Layers:
         self._extend(t)
         comps = _compositions(self.k, t)
         sizes = self.count[np.arange(self.k), comps].prod(axis=1)
-        ends = np.cumsum(sizes)
+        ends = sizes.cumsum()
         room = (max(min(int(ends[-1]), BLOCK), int(sizes.max())) - 1).bit_length()
         packed = self.system.packed_columns(t.bit_length(), room)
         a = 0
         while a < len(sizes):
             top = (ends[a - 1] if a else 0) + BLOCK
-            b = max(a + 1, int(np.searchsorted(ends, top, side="right")))
+            b = max(a + 1, int(ends.searchsorted(top, side="right")))
             yield self._block(comps[a:b], sizes[a:b], t, packed, room)
             a = b
 
     def _block(self, comps, sizes, t, packed, room):
+        """The block of the buckets ``comps``: its rows in lex order, and
+        its fibers."""
         if self.k == 1:                 # the whole layer, already in lex order
             mono, rank = self.tables[t], None
         else:
@@ -535,7 +535,7 @@ class _Layers:
             rank >>= room
         words = np.empty((packed.shape[1], len(mono)), dtype=np.int64).T
         for w in range(packed.shape[1]):
-            np.take(packed[:, w], mono[:, 0], out=words[:, w])
+            packed[:, w].take(mono[:, 0], out=words[:, w])
             for q in range(1, t):
                 words[:, w] += packed[:, w][mono[:, q]]
         order, counts = _fibers(words, room)
@@ -570,12 +570,12 @@ class _Layers:
                 mono = _columns(t, int(sizes.sum()))
                 order = self._rows(comps, t - d, mono)
                 for q in range(d):
-                    mono[:, t - d + q] = np.repeat(s[elem[order], side, q], sizes[order])
+                    mono[:, t - d + q] = s[elem[order], side, q].repeat(sizes[order])
                 if d < t:
                     _sort_rows(mono)
                 rank = _rank(mono, self.n)
                 del mono
-                ends.append(rank if block.rank is None else np.searchsorted(block.rank, rank))
+                ends.append(rank if block.rank is None else block.rank.searchsorted(rank))
             out.append(np.stack(ends, axis=1))
         return np.concatenate(out) if out else np.zeros((0, 2), dtype=np.int64)
 
@@ -604,7 +604,7 @@ def _fibers(words, room: int):
 def _run_lengths(start):
     """The length of every run of a sequence whose runs begin where
     ``start`` is True (it is at 0)."""
-    begin = np.flatnonzero(start)
+    begin = start.nonzero()[0]
     lengths = np.empty(len(begin), dtype=np.int64)
     np.subtract(begin[1:], begin[:-1], out=lengths[:-1])
     lengths[-1:] = len(start) - begin[-1:]
@@ -640,7 +640,7 @@ def iter_fibers(system, degree: int, *, min_size: int = 1,
     for block in _Layers(system, degree).blocks(degree, mono_cap):
         counts = block.counts
         keep = counts >= min_size
-        monos = list(map(tuple, _take(block.mono, block.order[np.repeat(keep, counts)]).tolist()))
+        monos = list(map(tuple, _take(block.mono, block.order[keep.repeat(counts)]).tolist()))
         start = 0
         for f, c in zip((number + np.flatnonzero(keep)).tolist(), counts[keep].tolist()):
             yield f, monos[start:start + c]
@@ -661,14 +661,14 @@ def _split(block, n_vars: int, pairs=None):
     position``, which fits: positions stay below 2**room and so do the
     fibers."""
     many = block.counts >= 2
-    rows = block.order[np.repeat(many, block.counts)]
+    rows = block.order[many.repeat(block.counts)]
     counts = block.counts[many]
     n, t, room = len(rows), block.mono.shape[1], block.room
     if not n:
         none = np.zeros(0, dtype=np.int64)
         return none, none
     ix = np.int32 if n < 2**31 else np.int64
-    fiber = np.repeat(np.arange(len(counts), dtype=np.int64), counts)
+    fiber = np.arange(len(counts), dtype=np.int64).repeat(counts)
     keys = np.empty((t, n), dtype=np.int64)
     base = fiber * n_vars
     for q in range(t):
@@ -697,8 +697,8 @@ def _split(block, n_vars: int, pairs=None):
         owner = np.concatenate([owner, where[pairs].ravel()])
         sizes = np.concatenate([sizes, np.full(len(pairs), 2, dtype=np.int64)])
     label = _min_labels(np.arange(n, dtype=ix), owner, sizes)
-    root = np.flatnonzero(label == np.arange(n, dtype=ix))
-    first = np.cumsum(counts) - counts
+    root = (label == np.arange(n, dtype=ix)).nonzero()[0]
+    first = counts.cumsum() - counts
     return rows[root], rows[first[fiber[root]]]
 
 

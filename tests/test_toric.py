@@ -1,8 +1,8 @@
 import random
 import tracemalloc
-from unittest import mock
 from itertools import combinations, combinations_with_replacement
 from math import comb
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -616,8 +616,8 @@ def test_layer_partition_matches_naive_fibers(g, target, t):
 def test_engine_matches_naive_markov_width(g, target):
     # the layer engine against the fiber-by-fiber oracle: the same width,
     # its own basis verifies, and the basis is a star per split fiber, so
-    # leaving out any one element leaves a component unjoined; in blocks of
-    # 5 rows, the same result as the whole-layer engine
+    # leaving out any one element leaves a component unjoined; cut into
+    # blocks of 5 rows, the same basis and the same verdicts
     system = build_system(g, _TARGETS[target])
     n = system.num_vars
     assume(comb(n + 1, 2) <= 3000)      # keep the pure-python oracle fast
