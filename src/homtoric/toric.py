@@ -345,14 +345,22 @@ def _sort_rows(mono):
 
 def _compositions(k: int, t: int):
     """Every way to write t as an ordered sum of k nonnegative counts, one
-    row each (int16), the rows in lex order."""
-    counts, left = [], np.array([t], dtype=np.int64)
-    for _ in range(k - 1):
-        width = left + 1
-        count = _ranges(np.zeros_like(width), width)
-        counts = [c.repeat(width) for c in counts] + [count.astype(np.int16)]
-        left = left.repeat(width) - count
-    return np.stack(counts + [left.astype(np.int16)], axis=1)
+    row each (int16): the class counts of every multiset of t classes out
+    of k, the multisets in lex order, built as sorted rows by the suffix
+    step of the layers (each class in front of the rows that start at it
+    or later), then counted."""
+    words = np.zeros((1, 0), dtype=np.int64)
+    for c in range(1, t + 1):
+        starts = words[:, 0].searchsorted(np.arange(k)) if c > 1 else np.zeros(k, np.int64)
+        lengths = len(words) - starts
+        grown = np.empty((int(lengths.sum()), c), dtype=np.int64)
+        grown[:, 0] = np.arange(k).repeat(lengths)
+        grown[:, 1:] = words[_ranges(starts, lengths)]
+        words = grown
+    comps = np.zeros((len(words), k), dtype=np.int16)
+    for j in range(t):
+        comps[np.arange(len(words)), words[:, j]] += 1
+    return comps
 
 
 def _largest_bucket(class_sizes, t: int) -> int:
@@ -370,7 +378,9 @@ def _bucket_classes(system, cap: int):
     """The class of every variable: the index of its edge map on the edge
     of G whose edge maps split the degree-``cap`` layer into the smallest
     largest bucket, or 0 for all (one class) when the whole layer fits in a
-    block or no edge splits it."""
+    block or no edge splits it.  An edge whose bucket list (an int16 count
+    per class and bucket) would take more bytes than the layer's int32
+    rows is passed over: its buckets hold too few monomials to pay."""
     n = system.num_vars
     classes = np.zeros(n, dtype=np.intp)
     layer = comb(n + cap - 1, cap)
@@ -380,7 +390,10 @@ def _bucket_classes(system, cap: int):
     best, pick = layer, None
     for e in range(rows.shape[1]):
         sizes = np.bincount(rows[:, e])
-        largest = _largest_bucket(sizes[sizes > 0].tolist(), cap)
+        sizes = sizes[sizes > 0]
+        if comb(cap + len(sizes) - 1, cap) * len(sizes) > 2 * cap * layer:
+            continue                    # its bucket list outweighs the layer's rows
+        largest = _largest_bucket(sizes.tolist(), cap)
         if largest < best:
             best, pick = largest, e
     if pick is not None:

@@ -497,6 +497,11 @@ def test_largest_bucket_of_the_best_edge():
         counts = [[comb(n + c - 1, c) for c in range(t + 1)] for n in sizes]
         total = sum(np.prod([counts[i][c] for i, c in enumerate(row)]) for row in comps.tolist())
         assert total == layer and len(comps) == comb(t + len(sizes) - 1, t)
+    # K2 -> K8 gives every variable its own edge map: one bucket per
+    # monomial, a bucket list larger than the layer, so no edge is taken
+    system = build_system(G.complete(2), G.complete(8))
+    assert comb(system.num_vars + 3, 4) == 455_126 > toric.BLOCK
+    assert not toric._bucket_classes(system, 4).any()
 
 
 def test_packed_layer_matches_void_view_grouping():
