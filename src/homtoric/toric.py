@@ -28,17 +28,17 @@ monomials of one e-image; it is the product of the multisets of the
 right sizes over the variables of each edge map (the class layers, built
 once per call).  The edge chosen is the one whose largest bucket at the
 cap is smallest, and none (one class, one bucket) when the whole top
-layer fits in one block.  A block is a run of whole buckets of at most
-``BLOCK`` rows, or one larger bucket alone, so every fiber, every gcd
-class and both ends of every move lie in one block, and the peak memory
-follows the largest block, not the layer; ``mono_cap`` still caps the
-whole layer, counted before anything is built.  The rows of a block are
-in lexicographic order (re-sorted by lex rank when there are several
-classes), so the smallest monomial of a fiber or a component is its
-first row, and every list of monomials the engine returns is in lex
-order.  Fibers, and the (fiber, variable) classes of the gcd rule, are
-runs of one ``np.sort`` of ``key << room | row`` words, least significant
-key word first.
+layer fits in one block or every edge has more buckets than pay.  A
+block is a run of whole buckets of at most ``BLOCK`` rows, or one
+larger bucket alone, so every fiber, every gcd class and both ends of
+every move lie in one block, and the peak memory follows the largest
+block, not the layer; ``mono_cap`` still caps the whole layer, counted
+before anything is built.  The rows of a block are in lexicographic
+order (re-sorted by lex rank when there are several classes), so the
+smallest monomial of a fiber or a component is its first row, and every
+list of monomials the engine returns is in lex order.  Fibers, and the
+(fiber, variable) classes of the gcd rule, are runs of one ``np.sort``
+of ``key << room | row`` words, least significant key word first.
 
 Markov bases are built and verified one degree layer at a time, t = 1, 2,
 ..., by the gcd rule (Takemura-Aoki, Ann. Inst. Stat. Math. 56, 2004; see
@@ -392,7 +392,7 @@ def _bucket_classes(system, cap: int):
         sizes = np.bincount(rows[:, e])
         sizes = sizes[sizes > 0]
         if comb(cap + len(sizes) - 1, cap) * len(sizes) > 2 * cap * layer:
-            continue                    # its bucket list outweighs the layer's rows
+            continue
         largest = _largest_bucket(sizes.tolist(), cap)
         if largest < best:
             best, pick = largest, e
