@@ -232,10 +232,10 @@ class ToricSystem:
     def packed_columns(self, bits: int, room: int):
         """The columns of the key packed into int64 words, one row per
         variable and stored word by word, cached per (``bits``, ``room``):
-        key row i takes ``bits``
-        bits of word i // per from bit room + bits * (i % per) on, per = (63
-        - room) // bits (see the module docstring for why sums of them stay
-        exact).  The low ``room`` bits stay free for a row number."""
+        key row i takes ``bits`` bits of word i // per from bit room + bits
+        * (i % per) on, per = (63 - room) // bits (see the module docstring
+        for why sums of them stay exact).  The low ``room`` bits stay free
+        for a row number."""
         packed = self._packed.get((bits, room))
         if packed is None:
             key, per = self.key_matrix, (63 - room) // bits
@@ -349,9 +349,11 @@ def _compositions(k: int, t: int):
     of k, the multisets in lex order, built as sorted rows by the suffix
     step of the layers (each class in front of the rows that start at it
     or later), then counted."""
-    words = np.zeros((1, 0), dtype=np.int64)
-    for c in range(1, t + 1):
-        starts = words[:, 0].searchsorted(np.arange(k)) if c > 1 else np.zeros(k, np.int64)
+    if t == 0:
+        return np.zeros((1, k), dtype=np.int16)
+    words = np.arange(k, dtype=np.int64)[:, None]
+    for c in range(2, t + 1):
+        starts = words[:, 0].searchsorted(np.arange(k))
         lengths = len(words) - starts
         grown = np.empty((int(lengths.sum()), c), dtype=np.int64)
         grown[:, 0] = np.arange(k).repeat(lengths)
