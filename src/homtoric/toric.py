@@ -349,8 +349,8 @@ def _compositions(k: int, t: int):
     of k, the multisets in lex order, built as sorted rows by the suffix
     step of the layers (each class in front of the rows that start at it
     or later), then counted."""
-    if t == 0:
-        return np.zeros((1, k), dtype=np.int16)
+    if t == 0 or k == 1:
+        return np.full((1, k), t, dtype=np.int16)
     words = np.arange(k, dtype=np.int64)[:, None]
     for c in range(2, t + 1):
         starts = words[:, 0].searchsorted(np.arange(k))
