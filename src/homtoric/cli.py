@@ -2,7 +2,8 @@
 
 Exit codes: 0 success, 1 for negative mathematical results (failed
 verification, no certificate), 2 for usage errors (including unreadable
-input files), 3 when a resource cap is exceeded.  Output is deterministic
+input files), 3 when a resource cap is exceeded, 4 when an internal
+invariant fails (a library ``AssertionError``).  Output is deterministic
 for fixed inputs and configuration.  ``--threads`` is accepted and ignored,
 because the toolkit is single-threaded; ``--seed`` is echoed in the JSON
 output but reserved, because nothing is random.
@@ -13,82 +14,65 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 
 from . import graph as graphs
 from .graph import Graph, GraphError, load_graph, parse_labeled_graph_text
-from .homset import enumerate_homs
+from .homset import enumerate_homs, indep_encode
 from .indep import (IndepSystem, almost_bipartite_grobner, bipartite_grobner,
                     complement_cycle_basis)
 from .polytope import build_polytope, facets, simplicity
 from .tfp import GlueSpec, check_codim_zero, glue_basis, outerplanar_pipeline
-from .toric import (Binomial, OrientedBasis, build_system, format_binomial,
-                    markov_basis, parse_basis_text, verify_grobner)
+from .toric import (DEFAULT_MONO_CAP, Binomial, OrientedBasis, build_system,
+                    format_binomial, markov_basis, parse_basis_text, verify_grobner)
 from .coloring import (analyze_certificate, find_low_degree_binomial,
                        format_certificate, is_k_colorable)
 from .hibi import hibi_vs_topgraded, parse_poset_text
 from .util import ResourceCapExceeded, content_lines
 
-EXIT_OK, EXIT_NEGATIVE, EXIT_USAGE, EXIT_CAP = 0, 1, 2, 3
-
-
-@dataclass
-class RunConfig:
-    mono_cap: int = 10**7
-    fmt: str = "text"
-    seed: int = 0
+EXIT_OK, EXIT_NEGATIVE, EXIT_USAGE, EXIT_CAP, EXIT_INTERNAL = 0, 1, 2, 3, 4
 
 
 class Report:
     """Accumulates deterministic text lines plus a JSON payload."""
 
-    def __init__(self, command: str, config: RunConfig):
+    def __init__(self, command: str, args):
         self.command = command
-        self.config = config
+        self.args = args
         self.lines = []
         self.payload = {}
 
     def say(self, line: str):
         self.lines.append(line)
 
-    def emit(self, out=None):
-        out = out if out is not None else sys.stdout
-        if self.config.fmt == "json":
+    def emit(self):
+        if self.args.json:
             # --threads is accepted and ignored (the toolkit is
             # single-threaded), so it is not echoed; --seed is echoed but
             # reserved, because nothing is random
             doc = {"schema": 1, "command": self.command,
-                   "seed": self.config.seed, "result": self.payload}
-            out.write(json.dumps(doc, sort_keys=True, indent=2) + "\n")
+                   "seed": self.args.seed, "result": self.payload}
+            sys.stdout.write(json.dumps(doc, sort_keys=True, indent=2) + "\n")
         else:
-            out.write("\n".join(self.lines) + "\n")
-
-
-def _set_name(s) -> str:
-    return "{" + ",".join(map(str, sorted(s))) + "}"
-
-
-def _basis_lines(basis: OrientedBasis, system) -> list:
-    return [format_binomial(b, system) for b in basis]
+            sys.stdout.write("\n".join(self.lines) + "\n")
 
 
 # ---------------------------------------------------------------------------
 # subcommands
 
-def cmd_homs(args, cfg: RunConfig) -> int:
+def cmd_homs(args) -> int:
     g, h = load_graph(args.G), load_graph(args.H)
-    homs = enumerate_homs(g, h, count_cap=cfg.mono_cap)
-    rep = Report("homs", cfg)
+    homs = enumerate_homs(g, h, count_cap=args.mono_cap)
+    rep = Report("homs", args)
     spoonish = h == graphs.spoon()
+    sets = indep_encode(g, homs)[0] if spoonish else ()
     entries = []
-    for m in homs.maps:
+    for i, m in enumerate(homs.maps):
         text = "(" + ",".join(map(str, m)) + ")"
+        entry = {"map": list(m)}
         if spoonish:
-            s = sorted(v for v in range(g.n) if m[v] == 0)
-            text += "  " + _set_name(s)
-            entries.append({"map": list(m), "independent_set": s})
-        else:
-            entries.append({"map": list(m)})
+            entry["independent_set"] = s = sorted(sets[i])
+            text += "  {" + ",".join(map(str, s)) + "}"
+        entries.append(entry)
         rep.say(text)
     rep.say(f"total {len(homs)}")
     rep.payload = {"count": len(homs), "homs": entries}
@@ -96,16 +80,16 @@ def cmd_homs(args, cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def cmd_markov(args, cfg: RunConfig) -> int:
+def cmd_markov(args) -> int:
     g, h = load_graph(args.G), load_graph(args.H)
-    system = build_system(g, h, count_cap=cfg.mono_cap)
-    res = markov_basis(system, args.cap, mono_cap=cfg.mono_cap)
-    rep = Report("markov", cfg)
-    for b in res.basis:
-        rep.say(format_binomial(b, system))
+    system = build_system(g, h, count_cap=args.mono_cap)
+    res = markov_basis(system, args.cap, mono_cap=args.mono_cap)
+    rep = Report("markov", args)
+    basis = [format_binomial(b, system) for b in res.basis]
+    rep.lines.extend(basis)
     status = "stable" if res.stable_at_cap else "up to cap"
     rep.say(f"width {res.width} ({status}, cap {res.cap})")
-    rep.payload = {"basis": _basis_lines(res.basis, system), "width": res.width,
+    rep.payload = {"basis": basis, "width": res.width,
                    "cap": res.cap, "stable_at_cap": res.stable_at_cap,
                    "additions_by_degree": {str(k): v for k, v in
                                            res.additions_by_degree.items()}}
@@ -113,11 +97,11 @@ def cmd_markov(args, cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def cmd_width(args, cfg: RunConfig) -> int:
+def cmd_width(args) -> int:
     g, h = load_graph(args.G), load_graph(args.H)
-    system = build_system(g, h, count_cap=cfg.mono_cap)
-    res = markov_basis(system, args.cap, mono_cap=cfg.mono_cap)
-    rep = Report("width", cfg)
+    system = build_system(g, h, count_cap=args.mono_cap)
+    res = markov_basis(system, args.cap, mono_cap=args.mono_cap)
+    rep = Report("width", args)
     rep.say(str(res.width))
     rep.payload = {"width": res.width, "cap": res.cap,
                    "stable_at_cap": res.stable_at_cap}
@@ -125,23 +109,23 @@ def cmd_width(args, cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def cmd_verify_grobner(args, cfg: RunConfig) -> int:
+def cmd_verify_grobner(args) -> int:
     g, h = load_graph(args.G), load_graph(args.H)
-    system = build_system(g, h, count_cap=cfg.mono_cap)
+    system = build_system(g, h, count_cap=args.mono_cap)
     with open(args.basis) as fh:
         basis = parse_basis_text(fh.read(), system)
-    ok = verify_grobner(system, basis, args.cap, mono_cap=cfg.mono_cap)
-    rep = Report("verify-grobner", cfg)
+    ok = verify_grobner(system, basis, args.cap, mono_cap=args.mono_cap)
+    rep = Report("verify-grobner", args)
     rep.say("grobner basis verified" if ok else "verification failed")
     rep.payload = {"verified": ok, "cap": args.cap, "elements": len(basis)}
     rep.emit()
     return EXIT_OK if ok else EXIT_NEGATIVE
 
 
-def cmd_indep_grobner(args, cfg: RunConfig) -> int:
+def cmd_indep_grobner(args) -> int:
     g = load_graph(args.G)
-    isys = IndepSystem(g, count_cap=cfg.mono_cap)
-    rep = Report("indep-grobner", cfg)
+    isys = IndepSystem(g, count_cap=args.mono_cap)
+    rep = Report("indep-grobner", args)
     bip = graphs.is_bipartite(g)
     if bip is not None:
         basis = bipartite_grobner(isys, bip)
@@ -162,7 +146,7 @@ def cmd_indep_grobner(args, cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def cmd_glue(args, cfg: RunConfig) -> int:
+def cmd_glue(args) -> int:
     with open(args.G1) as fh:
         labels1, edges1 = parse_labeled_graph_text(fh.read())
     with open(args.G2) as fh:
@@ -172,9 +156,9 @@ def cmd_glue(args, cfg: RunConfig) -> int:
         raise GraphError("glued labels must cover 0..n-1 without gaps")
     union = Graph(len(all_labels), edges1 + edges2)
     h = load_graph(args.H)
-    spec = GlueSpec(union, labels1, labels2, h, count_cap=cfg.mono_cap)
+    spec = GlueSpec(union, labels1, labels2, h, count_cap=args.mono_cap)
+    rep = Report("glue", args)
     if not check_codim_zero(spec):
-        rep = Report("glue", cfg)
         rep.say("intersection configuration is not linearly independent; "
                 "the lift construction does not apply")
         rep.payload = {"codim_zero": False, "shared": list(spec.shared)}
@@ -189,22 +173,20 @@ def cmd_glue(args, cfg: RunConfig) -> int:
         with open(args.basis2) as fh:
             basis2 = parse_basis_text(fh.read(), spec.sys2)
     res = glue_basis(spec, basis1, basis2, lift_cap=args.lift_cap)
-    rep = Report("glue", cfg)
+    basis = [format_binomial(b, spec.sys_union) for b in res.basis]
     rep.say(f"# intersection vertices {list(spec.shared)}")
-    for b in res.basis:
-        rep.say(format_binomial(b, spec.sys_union))
+    rep.lines.extend(basis)
     rep.say(f"degrees {list(res.degrees_full)}")
-    rep.payload = {"shared": list(spec.shared),
-                   "basis": _basis_lines(res.basis, spec.sys_union),
+    rep.payload = {"shared": list(spec.shared), "basis": basis,
                    "degrees": list(res.degrees_full)}
     rep.emit()
     return EXIT_OK
 
 
-def cmd_polytope(args, cfg: RunConfig) -> int:
+def cmd_polytope(args) -> int:
     g, h = load_graph(args.G), load_graph(args.H)
-    poly = build_polytope(g, h, count_cap=cfg.mono_cap)
-    rep = Report("polytope", cfg)
+    poly = build_polytope(g, h, count_cap=args.mono_cap)
+    rep = Report("polytope", args)
     rep.say(f"{poly.num_vertices} vertices in R^{poly.ambient_dim}")
     rep.payload = {"vertices": poly.num_vertices, "ambient_dim": poly.ambient_dim,
                    "maps": [list(m) for m in poly.labels]}
@@ -224,11 +206,11 @@ def cmd_polytope(args, cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def cmd_hibi(args, cfg: RunConfig) -> int:
+def cmd_hibi(args) -> int:
     with open(args.poset) as fh:
         poset = parse_poset_text(fh.read())
     cmp = hibi_vs_topgraded(poset)
-    rep = Report("hibi", cfg)
+    rep = Report("hibi", args)
     rep.say(f"lattice relations: {len(cmp.hibi_basis)}")
     rep.say(f"top-graded basis: {len(cmp.top.basis)}")
     rep.say(f"generators match: {cmp.generators_match}")
@@ -240,7 +222,7 @@ def cmd_hibi(args, cfg: RunConfig) -> int:
     return EXIT_OK if cmp.mutual_generation else EXIT_NEGATIVE
 
 
-def cmd_chromatic_cert(args, cfg: RunConfig) -> int:
+def cmd_chromatic_cert(args) -> int:
     g = load_graph(args.G)
     relation = []
     if args.relation:
@@ -252,8 +234,8 @@ def cmd_chromatic_cert(args, cfg: RunConfig) -> int:
                     raise ValueError(f"bad relation line: {raw!r}") from None
                 relation.append((u, v))
     system, b = find_low_degree_binomial(g, degree_cap=args.cap,
-                                         mono_cap=cfg.mono_cap)
-    rep = Report("chromatic-cert", cfg)
+                                         mono_cap=args.mono_cap)
+    rep = Report("chromatic-cert", args)
     if b is None:
         rep.say(f"no disjoint-support binomial of degree <= {args.cap}")
         rep.payload = {"found": False, "cap": args.cap}
@@ -280,10 +262,9 @@ def cmd_chromatic_cert(args, cfg: RunConfig) -> int:
 def _scenario_p4p3(rep):
     system = build_system(graphs.path(4), graphs.path(3))
     res = markov_basis(system, 3)
-    for b in res.basis:
-        rep.say(format_binomial(b, system, maps=True))
-    rep.payload["generators"] = [format_binomial(b, system, maps=True)
-                                 for b in res.basis]
+    generators = [format_binomial(b, system, maps=True) for b in res.basis]
+    rep.lines.extend(generators)
+    rep.payload["generators"] = generators
 
 
 def _scenario_prism_width(rep):
@@ -417,16 +398,16 @@ SCENARIOS = {
 }
 
 
-def cmd_reproduce(args, cfg: RunConfig) -> int:
+def cmd_reproduce(args) -> int:
     names = sorted(SCENARIOS) if args.all else [args.name]
     if not args.all and args.name not in SCENARIOS:
         print(f"unknown scenario {args.name!r}; known: {', '.join(sorted(SCENARIOS))}",
               file=sys.stderr)
         return EXIT_USAGE
-    rep = Report("reproduce", cfg)
+    rep = Report("reproduce", args)
     for name in names:
         rep.say(f"== {name}")
-        sub = Report(name, cfg)
+        sub = Report(name, args)
         SCENARIOS[name](sub)
         rep.lines.extend(sub.lines)
         rep.payload[name] = sub.payload
@@ -445,7 +426,7 @@ def build_parser() -> argparse.ArgumentParser:
                      help="accepted and ignored; the toolkit is single-threaded")
     top.add_argument("--seed", type=int, default=0,
                      help="echoed in the JSON output; reserved, nothing is random")
-    top.add_argument("--mono-cap", type=int, default=10**7,
+    top.add_argument("--mono-cap", type=int, default=DEFAULT_MONO_CAP,
                      help="monomial enumeration cap")
     sub = top.add_subparsers(dest="command", required=True)
 
@@ -514,19 +495,20 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.command == "reproduce" and not args.all and not args.name:
         parser.error("reproduce needs a scenario name or --all")
-    cfg = RunConfig(mono_cap=args.mono_cap, fmt="json" if args.json else "text",
-                    seed=args.seed)
     try:
         for flag in ("mono_cap", "lift_cap"):
             if getattr(args, flag, 1) < 1:
                 raise ValueError(f"--{flag.replace('_', '-')} must be at least 1")
-        return args.func(args, cfg)
+        return args.func(args)
     except (ValueError, OSError) as exc:        # GraphError and GlueError too
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except ResourceCapExceeded as exc:
         print(f"resource cap: {exc}", file=sys.stderr)
         return EXIT_CAP
+    except AssertionError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -16,7 +16,7 @@ from itertools import permutations
 from . import graph as graphs
 from .graph import Graph
 from .homset import Hom, compose
-from .toric import Binomial, ToricSystem, build_system, iter_fibers
+from .toric import DEFAULT_MONO_CAP, Binomial, ToricSystem, build_system, iter_fibers
 
 GENERATOR_DEGREE_K3_K4 = 12
 
@@ -38,7 +38,7 @@ class ObstructionCertificate:
 
 
 def find_low_degree_binomial(g: Graph, degree_cap: int = 6, *,
-                             mono_cap: int = 10**7, **homcaps):
+                             mono_cap: int = DEFAULT_MONO_CAP, **homcaps):
     """(system, binomial): the system of triangle placements into ``g`` and
     a smallest-degree binomial with disjoint monomial supports in its
     ideal, the lexicographically smallest such pair; None for the binomial

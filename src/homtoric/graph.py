@@ -7,7 +7,6 @@ after construction and safe to share.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -266,44 +265,46 @@ def delete_vertex(g: Graph, v: int) -> InducedSubgraph:
     return induced_subgraph(g, [u for u in range(g.n) if u != v])
 
 
-def components(g: Graph):
-    seen = set()
-    out = []
+def bfs(g: Graph) -> list:
+    """Breadth-first (vertex, parent) pairs over every component.  Each
+    component starts at its lowest vertex, whose parent is None, and
+    neighbors are visited in ascending order."""
+    order, seen, head = [], [False] * g.n, 0
     for root in range(g.n):
-        if root in seen:
-            continue
-        comp = {root}
-        queue = deque([root])
-        while queue:
-            u = queue.popleft()
-            for w in g.neighbors(u):
-                if w not in comp:
-                    comp.add(w)
-                    queue.append(w)
-        seen |= comp
-        out.append(sorted(comp))
-    return out
+        if not seen[root]:
+            seen[root] = True
+            order.append((root, None))
+        while head < len(order):
+            u = order[head][0]
+            head += 1
+            for w in sorted(g.neighbors(u)):
+                if not seen[w]:
+                    seen[w] = True
+                    order.append((w, u))
+    return order
+
+
+def components(g: Graph):
+    """Vertex lists of the components, each sorted, lowest vertex first."""
+    out = []
+    for v, parent in bfs(g):
+        if parent is None:
+            out.append([])
+        out[-1].append(v)
+    return [sorted(c) for c in out]
 
 
 def is_bipartite(g: Graph):
-    """BFS 2-coloring from the lowest vertex of each component; loops or an
-    odd cycle give None.  Color-0 vertices land in part1."""
-    if any(u == v for u, v in g.edges):
+    """2-coloring by BFS parity from the lowest vertex of each component;
+    loops or an odd cycle give None.  Color-0 vertices land in part1."""
+    if not g.is_loopfree():
         return None
-    color = [-1] * g.n
-    for root in range(g.n):
-        if color[root] != -1:
-            continue
-        color[root] = 0
-        queue = deque([root])
-        while queue:
-            u = queue.popleft()
-            for w in g.neighbors(u):
-                if color[w] == -1:
-                    color[w] = 1 - color[u]
-                    queue.append(w)
-                elif color[w] == color[u]:
-                    return None
+    color = [0] * g.n
+    for v, parent in bfs(g):
+        if parent is not None:
+            color[v] = 1 - color[parent]
+    if any(color[u] == color[v] for u, v in g.edges):
+        return None
     part1 = frozenset(v for v in range(g.n) if color[v] == 0)
     part2 = frozenset(v for v in range(g.n) if color[v] == 1)
     return Bipartition(part1, part2)

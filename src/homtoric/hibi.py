@@ -19,11 +19,18 @@ import numpy as np
 from .graph import Graph
 from .indep import IndepSystem, TopGraded, top_graded
 from .toric import Binomial, OrientedBasis, verify_markov
-from .util import content_lines
+from .util import ResourceCapExceeded, content_lines
 
 
 class PosetError(ValueError):
     pass
+
+
+class PosetTooLarge(ResourceCapExceeded):
+    pass
+
+
+IDEAL_CAP = 10**6    # most lower ideals that lower_ideals lists
 
 
 class Poset:
@@ -78,18 +85,18 @@ def parse_poset_text(text: str) -> Poset:
     return Poset(n, covers)
 
 
-def lower_ideals(poset: Poset, cap: int = 10**6):
+def lower_ideals(poset: Poset):
     """All downward-closed subsets, sorted by (size, lex)."""
     if poset.n > 20:
-        raise PosetError("poset too large for subset enumeration")
+        raise PosetTooLarge("poset too large for subset enumeration")
     out = []
     for mask in range(1 << poset.n):
         members = [i for i in range(poset.n) if mask >> i & 1]
         mset = set(members)
         if all(a in mset for b in members for a in range(poset.n) if poset.le(a, b)):
             out.append(frozenset(members))
-            if len(out) > cap:
-                raise PosetError("too many lower ideals")
+            if len(out) > IDEAL_CAP:
+                raise PosetTooLarge("too many lower ideals")
     return sorted(out, key=lambda s: (len(s), sorted(s)))
 
 

@@ -8,10 +8,10 @@ polynomial ring.
 
 from __future__ import annotations
 
-from collections import deque
+import sys
 from dataclasses import dataclass
 
-from .graph import Graph, spoon
+from .graph import Graph, bfs, spoon
 from .util import ResourceCapExceeded
 
 
@@ -39,24 +39,6 @@ def is_hom(g: Graph, h: Graph, mapping) -> bool:
     return all(h.adjacent(mapping[u], mapping[v]) for u, v in g.edges)
 
 
-def _bfs_order(g: Graph):
-    order = []
-    seen = [False] * g.n
-    for root in range(g.n):
-        if seen[root]:
-            continue
-        seen[root] = True
-        queue = deque([root])
-        while queue:
-            u = queue.popleft()
-            order.append(u)
-            for w in sorted(g.neighbors(u)):
-                if not seen[w]:
-                    seen[w] = True
-                    queue.append(w)
-    return order
-
-
 class HomSet:
     """All homomorphisms G -> H, sorted lexicographically by map tuple."""
 
@@ -74,20 +56,18 @@ class HomSet:
     def __iter__(self):
         return iter(self.maps)
 
-    def __getitem__(self, i):
-        return self.maps[i]
-
-    def hom(self, i: int) -> Hom:
-        return Hom(self.source, self.target, self.maps[i])
-
 
 def enumerate_homs(g: Graph, h: Graph, *, search_cap: int = 10**12,
                    count_cap: int = 10**7) -> HomSet:
     """Backtracking over the vertices of G in BFS order with forward
-    checking against the adjacency of H."""
+    checking against the adjacency of H.  The search recurses once per
+    vertex of G, so a source with more vertices than half the recursion
+    limit is refused."""
     if g.n > 0 and h.n ** g.n > search_cap:
         raise HomTooLarge(f"|V(H)|^|V(G)| = {h.n}**{g.n} exceeds the cap")
-    order = _bfs_order(g)
+    if g.n > (depth := sys.getrecursionlimit() // 2):
+        raise HomTooLarge(f"{g.n} source vertices exceed the search depth {depth}")
+    order = [v for v, _ in bfs(g)]
     pos = {v: i for i, v in enumerate(order)}
     # per assigned vertex: earlier neighbors to check, plus own loop
     checks = []
@@ -123,7 +103,7 @@ def compose(first: Hom, second: Hom) -> Hom:
                tuple(second.map[w] for w in first.map))
 
 
-UNLOOPED, LOOPED = 0, 1
+UNLOOPED = 0
 
 
 def indep_encode(g: Graph, homs: HomSet):

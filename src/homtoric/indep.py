@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from . import graph as graphs
-from .graph import Graph, Bipartition, AlmostBipartiteSplit
+from .graph import Graph, Bipartition
 from .homset import enumerate_homs, indep_encode
 from .toric import Binomial, OrientedBasis, ToricSystem, markov_basis
 
@@ -116,10 +116,8 @@ class ApexLabeling:
     bullet: tuple   # (var, C, D) for sets containing the apex
 
 
-def apex_labeling(isys: IndepSystem, split: AlmostBipartiteSplit = None) -> ApexLabeling:
-    g = isys.graph
-    if split is None:
-        split = graphs.is_almost_bipartite(g)
+def apex_labeling(isys: IndepSystem) -> ApexLabeling:
+    split = graphs.is_almost_bipartite(isys.graph)
     if split is None:
         raise ValueError("graph is not almost bipartite")
     v1, v2 = split.part1, split.part2
@@ -139,8 +137,7 @@ class TaggedBasis:
     labeling: ApexLabeling = None
 
 
-def almost_bipartite_grobner(isys: IndepSystem,
-                             split: AlmostBipartiteSplit = None) -> TaggedBasis:
+def almost_bipartite_grobner(isys: IndepSystem) -> TaggedBasis:
     """Quadratic square-free oriented basis for an almost-bipartite source.
 
     Three families: sorting binomials among apex-free variables
@@ -152,7 +149,7 @@ def almost_bipartite_grobner(isys: IndepSystem,
     """
     g = isys.graph
     _require_no_isolated(g)
-    lab = apex_labeling(isys, split)
+    lab = apex_labeling(isys)
     nbrs = {v: g.neighbors(v) for v in range(g.n)}
     elems = {}
 

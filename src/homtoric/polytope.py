@@ -17,7 +17,8 @@ from itertools import combinations, islice
 
 import numpy as np
 
-from .graph import Graph
+from .graph import Graph, spoon
+from .homset import indep_encode
 from .toric import ToricSystem, build_system
 from .util import ResourceCapExceeded, echelon
 
@@ -180,7 +181,7 @@ class StableSetIso:
     sets: tuple          # the corresponding independent sets
 
 
-def stable_set_iso(g: Graph, system: ToricSystem = None, **caps) -> StableSetIso:
+def stable_set_iso(g: Graph, **caps) -> StableSetIso:
     """Projection of the homomorphism polytope for the spoon target onto
     one coordinate per vertex; an affine isomorphism onto the stable set
     polytope.  Needs a loop-free source where every vertex lies on an
@@ -190,9 +191,8 @@ def stable_set_iso(g: Graph, system: ToricSystem = None, **caps) -> StableSetIso
     if not all(g.degree_on_edge(v) for v in range(g.n)):
         raise ValueError("isolated vertices have no incident coordinate; "
                          "take a direct product with a segment instead")
-    from . import graph as graphs
-    if system is None:
-        system = build_system(g, graphs.spoon(), **caps)
+    system = build_system(g, spoon(), **caps)
+    sets = indep_encode(g, system.homs)[0]
     # for vertex v pick any row (e, rho) where v maps to the unlooped vertex
     chosen = {}
     for ridx, ((u, w), rho) in enumerate(system.rows):
@@ -203,16 +203,13 @@ def stable_set_iso(g: Graph, system: ToricSystem = None, **caps) -> StableSetIso
         if rho[1] == 0:
             chosen.setdefault(w, ridx)
     points = []
-    sets = []
-    for col, m in zip(system.cols, system.homs.maps):
+    for col, s in zip(system.cols, sets):
         colset = set(col)
         pt = tuple(1 if chosen[v] in colset else 0 for v in range(g.n))
         # consistency: each coordinate is independent of the chosen edge
-        s = frozenset(v for v in range(g.n) if m[v] == 0)
         if pt != tuple(1 if v in s else 0 for v in range(g.n)):
             raise AssertionError("coordinate collapse disagrees across edges")
         points.append(pt)
-        sets.append(s)
     if len(set(points)) != len(points):
         raise AssertionError("stable-set projection is not injective")
     return StableSetIso(tuple(points), tuple(sets))

@@ -30,6 +30,7 @@ from .toric import (Binomial, OrientedBasis, ToricSystem, build_system,
 from .util import ResourceCapExceeded, echelon
 
 BLOCK = 1 << 14     # lift rows built at a time
+PIPELINE_LIFT_CAP = 500_000     # lift family size per gluing of a pipeline
 
 
 class GlueError(ValueError):
@@ -262,8 +263,7 @@ def glue_basis(spec: GlueSpec, basis1: OrientedBasis, basis2: OrientedBasis, *,
 # ---------------------------------------------------------------------------
 # lifted Groebner orientation
 
-def glue_grobner(spec: GlueSpec, gb1: OrientedBasis, gb2: OrientedBasis, *,
-                 lift_cap: int = 200_000) -> OrientedBasis:
+def glue_grobner(spec: GlueSpec, gb1: OrientedBasis, gb2: OrientedBasis) -> OrientedBasis:
     """Glue two weighted Groebner bases.
 
     The output orientation compares, lexicographically, the pulled-back
@@ -282,7 +282,7 @@ def glue_grobner(spec: GlueSpec, gb1: OrientedBasis, gb2: OrientedBasis, *,
     w1, w2 = ([tuple(w) + (0,) * (width - len(w)) for w in gb.weights] for gb in (gb1, gb2))
     weights = tuple(tuple(map(add, w1[x], w2[y])) + (x * y,) for x, y in zip(spec.r1, spec.r2))
     wsum = OrientedBasis((), weights).monomial_weight
-    result = glue_basis(spec, gb1, gb2, lift_cap=lift_cap)
+    result = glue_basis(spec, gb1, gb2)
     oriented = []
     for b in result.basis:
         wp, wm = wsum(b.plus), wsum(b.minus)
@@ -309,8 +309,7 @@ class PipelineResult:
     witness: NormalityWitness
 
 
-def forest_pipeline(g: Graph, h: Graph, *, lift_cap: int = 500_000,
-                    allow_truncation: bool = False, **caps) -> PipelineResult:
+def forest_pipeline(g: Graph, h: Graph, **caps) -> PipelineResult:
     """Recursive leaf gluing: every forest ideal is generated by the
     quadratic square-free swaps collected along the decomposition."""
     if not (g.is_loopfree() and len(g.edges) == g.n - len(graphs.components(g))):
@@ -318,7 +317,7 @@ def forest_pipeline(g: Graph, h: Graph, *, lift_cap: int = 500_000,
 
     def build(graph: Graph):
         if len(graph.edges) <= 1:
-            return OrientedBasis.make(()), set(), False, None
+            return OrientedBasis.make(()), set(), None
         comps = graphs.components(graph)
         if len(comps) > 1:
             side2 = comps[-1]
@@ -328,13 +327,12 @@ def forest_pipeline(g: Graph, h: Graph, *, lift_cap: int = 500_000,
             side1 = [v for v in range(graph.n) if v != leaf]
             side2 = [leaf, next(iter(graph.neighbors(leaf)))]
         spec = GlueSpec(graph, side1, side2, h, **caps)
-        b1, d1, t1, _ = build(spec.sub1.graph)
-        b2, d2, t2, _ = build(spec.sub2.graph)
-        res = glue_basis(spec, b1, b2, lift_cap=lift_cap, allow_truncation=allow_truncation)
-        return (res.basis, d1 | d2 | set(res.degrees_full), t1 or t2 or res.truncated,
-                spec.sys_union)
+        b1, d1, _ = build(spec.sub1.graph)
+        b2, d2, _ = build(spec.sub2.graph)
+        res = glue_basis(spec, b1, b2, lift_cap=PIPELINE_LIFT_CAP)
+        return res.basis, d1 | d2 | set(res.degrees_full), spec.sys_union
 
-    basis, degrees, truncated, system = build(g)   # the outermost union system
+    basis, degrees, system = build(g)   # the outermost union system
     system = system or build_system(g, h, **caps)
     # maps that differ only on isolated vertices have equal columns; the
     # gluing treats each side's maps as distinct, so join them linearly
@@ -348,7 +346,7 @@ def forest_pipeline(g: Graph, h: Graph, *, lift_cap: int = 500_000,
         basis = OrientedBasis.make(basis.elements + tuple(linear))
         degrees.add(1)
     witness = NormalityWitness(normal=True, cohen_macaulay=True, koszul=False)
-    return PipelineResult(system, basis, tuple(sorted(degrees)), truncated, witness)
+    return PipelineResult(system, basis, tuple(sorted(degrees)), False, witness)
 
 
 def _ear_order(g: Graph):
@@ -370,7 +368,7 @@ def _ear_order(g: Graph):
 
 
 def outerplanar_pipeline(g: Graph, h: Graph, base_basis: OrientedBasis = None, *,
-                         lift_cap: int = 500_000, allow_truncation: bool = False,
+                         lift_cap: int = PIPELINE_LIFT_CAP, allow_truncation: bool = False,
                          base_normal=None, **caps) -> PipelineResult:
     """Ear-by-ear gluing of a maximal outerplanar graph over shared edges.
 
@@ -385,18 +383,19 @@ def outerplanar_pipeline(g: Graph, h: Graph, base_basis: OrientedBasis = None, *
 
     def build(graph: Graph):
         if graph.n == 3:
-            return base_basis, set(b.degree for b in base_basis), False
+            return base_basis, set(b.degree for b in base_basis), False, None
         ear = _ear_order(graph)[0]
         side1 = [v for v in range(graph.n) if v != ear]
         side2 = sorted(graph.neighbors(ear)) + [ear]
         spec = GlueSpec(graph, side1, side2, h, **caps)
-        b1, d1, t1 = build(spec.sub1.graph)
+        b1, d1, t1, _ = build(spec.sub1.graph)
         res = glue_basis(spec, b1, base_basis, lift_cap=lift_cap,
                          allow_truncation=allow_truncation)
-        return res.basis, d1 | set(res.degrees_full), t1 or res.truncated
+        return (res.basis, d1 | set(res.degrees_full), t1 or res.truncated,
+                spec.sys_union)
 
-    basis, degrees, truncated = build(g)
-    system = build_system(g, h, **caps)
+    basis, degrees, truncated, system = build(g)   # the outermost union system
+    system = system or build_system(g, h, **caps)
     witness = (NormalityWitness(normal=True, cohen_macaulay=True, koszul=False)
                if base_normal else NormalityWitness())
     return PipelineResult(system, basis, tuple(sorted(degrees)), truncated, witness)

@@ -75,10 +75,6 @@ DEFAULT_MONO_CAP = 10**7
 # ---------------------------------------------------------------------------
 # monomials and binomials
 
-def monomial(*variables) -> tuple:
-    return tuple(sorted(variables))
-
-
 def strip_common(plus, minus):
     """Remove the gcd monomial from both sides."""
     cp, cm = Counter(plus), Counter(minus)

@@ -1,7 +1,7 @@
 """Shared test helpers: exhaustive graph generation up to isomorphism and
 independent brute-force oracles for cross-checking the library."""
 
-from collections import Counter
+from collections import Counter, deque
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, combinations_with_replacement, permutations, product
@@ -9,7 +9,7 @@ from math import gcd
 
 import numpy as np
 
-from homtoric.graph import Graph, components
+from homtoric.graph import Bipartition, Graph, components
 from homtoric.hibi import Poset
 from homtoric.polytope import Facet, FacetDescription
 
@@ -40,6 +40,70 @@ def graphs_upto_iso(n, connected=False, no_isolated=False):
             continue
         out.append(g)
     return tuple(out)
+
+
+# The three queue loops that walked G before ``graph.bfs`` existed:
+# enumerate_homs' vertex order, the components and the 2-coloring.
+
+def queue_bfs_order(g):
+    order = []
+    seen = [False] * g.n
+    for root in range(g.n):
+        if seen[root]:
+            continue
+        seen[root] = True
+        queue = deque([root])
+        while queue:
+            u = queue.popleft()
+            order.append(u)
+            for w in sorted(g.neighbors(u)):
+                if not seen[w]:
+                    seen[w] = True
+                    queue.append(w)
+    return order
+
+
+def queue_components(g):
+    seen = set()
+    out = []
+    for root in range(g.n):
+        if root in seen:
+            continue
+        comp = {root}
+        queue = deque([root])
+        while queue:
+            u = queue.popleft()
+            for w in g.neighbors(u):
+                if w not in comp:
+                    comp.add(w)
+                    queue.append(w)
+        seen |= comp
+        out.append(sorted(comp))
+    return out
+
+
+def queue_is_bipartite(g):
+    """BFS 2-coloring from the lowest vertex of each component; loops or an
+    odd cycle give None.  Color-0 vertices land in part1."""
+    if any(u == v for u, v in g.edges):
+        return None
+    color = [-1] * g.n
+    for root in range(g.n):
+        if color[root] != -1:
+            continue
+        color[root] = 0
+        queue = deque([root])
+        while queue:
+            u = queue.popleft()
+            for w in g.neighbors(u):
+                if color[w] == -1:
+                    color[w] = 1 - color[u]
+                    queue.append(w)
+                elif color[w] == color[u]:
+                    return None
+    part1 = frozenset(v for v in range(g.n) if color[v] == 0)
+    part2 = frozenset(v for v in range(g.n) if color[v] == 1)
+    return Bipartition(part1, part2)
 
 
 def naive_homs(g, h):
@@ -319,7 +383,7 @@ def naive_markov_basis(system, cap):
     t = 1..cap, while a fiber has two or more components under the moves
     found so far, join the smallest monomials of its first two components.
     Returns the (plus, minus) pairs with common factors stripped."""
-    from collections import Counter
+    from collections import Counter, deque
     basis = []
     for t in range(1, cap + 1):
         fibers = naive_fibers(system, t)

@@ -5,6 +5,7 @@ import sys
 
 import pytest
 
+from homtoric import cli
 from homtoric.cli import main
 
 
@@ -179,6 +180,42 @@ def test_polytope_isolated_vertex_exit_2(capsys):
 def test_resource_cap_exit(capsys):
     code, _ = run(capsys, "--mono-cap", "10", "width", "cycle:6", "spoon", "--cap", "4")
     assert code == 3
+
+
+def test_source_deeper_than_the_search_exit_3(capsys):
+    # a one-vertex target passes every |V(H)|^|V(G)| search cap, and the
+    # backtracking recurses once per source vertex
+    depth = sys.getrecursionlimit() // 2
+    for argv in (["homs", "empty:1100", "complete-looped:1"],
+                 ["markov", "path:1100", "complete-looped:1", "--cap", "2"]):
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == ""
+        assert captured.err == (f"resource cap: 1100 source vertices exceed the "
+                                f"search depth {depth}\n")
+
+
+def test_poset_too_large_exit_3(tmp_path, capsys):
+    poset = tmp_path / "antichain21.txt"
+    poset.write_text("p 21\n")
+    code = main(["hibi", str(poset)])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err == "resource cap: poset too large for subset enumeration\n"
+
+
+def test_internal_error_exit_4(capsys, monkeypatch):
+    def broken(*args, **kwargs):
+        raise AssertionError("fiber lost a monomial")
+
+    monkeypatch.setattr(cli, "markov_basis", broken)
+    code = main(["markov", "path:3", "path:2", "--cap", "2"])
+    captured = capsys.readouterr()
+    assert code == 4
+    assert captured.out == ""
+    assert captured.err == "internal error: fiber lost a monomial\n"
 
 
 def test_chromatic_cert_cap_below_two_exit_2(capsys):

@@ -1,0 +1,54 @@
+"""Every top-level function, class and method of the package is used
+somewhere: by name, by attribute or as a string, in the sources, the
+tests, the benchmark or the tools.  A definition that only refers to
+itself (a recursive function, a class building itself) counts as unused."""
+
+import ast
+from collections import Counter
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "homtoric"
+SEARCHED = ("src", "tests", "perfbench", "tools")
+
+
+def _references(tree):
+    """Names, attributes, imported names and string constants in ``tree``."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.alias):
+            yield node.name
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            yield node.value
+
+
+def _definitions(tree):
+    """Top-level functions and classes, then the methods of each class."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node
+        if isinstance(node, ast.ClassDef):
+            yield from (m for m in node.body if isinstance(m, ast.FunctionDef))
+
+
+def unused_definitions():
+    counts = Counter()
+    for top in SEARCHED:
+        for path in (ROOT / top).rglob("*.py"):
+            counts.update(_references(ast.parse(path.read_text())))
+    unused = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in _definitions(ast.parse(path.read_text())):
+            name = node.name
+            if name.startswith("__") and name.endswith("__"):
+                continue
+            if counts[name] <= Counter(_references(node))[name]:
+                unused.append(f"{path.stem}.{name}")
+    return unused
+
+
+def test_every_definition_is_used():
+    assert unused_definitions() == []

@@ -1,11 +1,15 @@
+import random
+
 import pytest
 
 from homtoric import graph as G
-from homtoric.graph import (Graph, GraphError, build_named, complement,
+from homtoric.graph import (Graph, GraphError, bfs, build_named, complement, components,
                             fourpartite_gadget, induced_subgraph,
                             is_almost_bipartite, is_bipartite, parse_graph_text)
+from homtoric.homset import enumerate_homs
 
-from helpers import brute_bipartition_exists, graphs_upto_iso
+from helpers import (brute_bipartition_exists, graphs_upto_iso, naive_homs,
+                     queue_bfs_order, queue_components, queue_is_bipartite)
 
 
 def test_build_named_spoon():
@@ -82,6 +86,33 @@ def test_bipartite_matches_bruteforce():
     for n in range(1, 6):
         for g in graphs_upto_iso(n):
             assert (is_bipartite(g) is not None) == brute_bipartition_exists(g)
+
+
+def _traversal_cases():
+    for n in range(1, 7):
+        yield from graphs_upto_iso(n)
+    rng = random.Random(17)
+    for _ in range(60):
+        n = rng.randint(1, 7)
+        yield Graph(n, [(u, v) for u in range(n) for v in range(u, n)
+                        if rng.random() < (0.25 if u == v else 0.35)])
+
+
+def test_bfs_matches_the_queue_loops_it_replaced():
+    # bipartite_grobner orients its moves by part1, so the exact parts
+    # must stay, not just the existence of a bipartition
+    targets = [G.spoon(), G.complete(3), G.complete_looped(2)]
+    for g in _traversal_cases():
+        pairs = bfs(g)
+        assert [v for v, _ in pairs] == queue_bfs_order(g)
+        seen = set()
+        for v, parent in pairs:
+            assert parent is None or (parent in seen and g.adjacent(v, parent))
+            seen.add(v)
+        assert components(g) == queue_components(g)
+        assert is_bipartite(g) == queue_is_bipartite(g)
+        for h in targets:
+            assert list(enumerate_homs(g, h).maps) == naive_homs(g, h)
 
 
 def test_bipartite_larger_instances():

@@ -6,6 +6,7 @@ from homtoric.hibi import (Poset, PosetError, all_posets,
                            build_bp, hibi_vs_topgraded, lower, lower_ideals,
                            parse_poset_text, upper, xi, xi_bijection)
 from homtoric.indep import IndepSystem, top_graded
+from homtoric.util import ResourceCapExceeded
 
 from helpers import naive_all_posets, naive_independent_sets
 
@@ -28,6 +29,17 @@ def test_lower_ideals_chain_and_antichain():
     assert len(lower_ideals(anti)) == 4
     chain5 = Poset(5, [(i, i + 1) for i in range(4)])
     assert len(lower_ideals(chain5)) == 6
+
+
+def test_lower_ideal_cap_is_a_resource_cap(monkeypatch):
+    anti = Poset(3, [])     # 8 lower ideals
+    monkeypatch.setattr(hibi, "IDEAL_CAP", 7)
+    with pytest.raises(hibi.PosetTooLarge, match="too many lower ideals"):
+        lower_ideals(anti)
+    monkeypatch.setattr(hibi, "IDEAL_CAP", 8)
+    assert len(lower_ideals(anti)) == 8
+    assert issubclass(hibi.PosetTooLarge, ResourceCapExceeded)
+    assert not issubclass(hibi.PosetTooLarge, ValueError)
 
 
 def test_build_bp_chain():
