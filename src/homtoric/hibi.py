@@ -86,18 +86,28 @@ def parse_poset_text(text: str) -> Poset:
 
 
 def lower_ideals(poset: Poset):
-    """All downward-closed subsets, sorted by (size, lex)."""
-    if poset.n > 20:
+    """All downward-closed subsets, sorted by (size, lex).
+
+    A subset is a bitmask over the elements, and an ideal when it holds
+    the down-set of each of its members (``mask & below[i] == below[i]``),
+    tested ``BLOCK`` masks at a time.  The ideals are counted against
+    ``IDEAL_CAP`` before any set is built."""
+    n = poset.n
+    if n > 20:
         raise PosetTooLarge("poset too large for subset enumeration")
-    out = []
-    for mask in range(1 << poset.n):
-        members = [i for i in range(poset.n) if mask >> i & 1]
-        mset = set(members)
-        if all(a in mset for b in members for a in range(poset.n) if poset.le(a, b)):
-            out.append(frozenset(members))
-            if len(out) > IDEAL_CAP:
-                raise PosetTooLarge("too many lower ideals")
-    return sorted(out, key=lambda s: (len(s), sorted(s)))
+    below = [sum(1 << a for a in range(n) if poset.le(a, i)) for i in range(n)]
+    found, total = [], 0
+    for start in range(0, 1 << n, BLOCK):
+        masks = np.arange(start, min(start + BLOCK, 1 << n), dtype=np.int64)
+        ideal = np.ones(len(masks), dtype=bool)
+        for i, down in enumerate(below):
+            ideal &= ((masks >> i & 1) == 0) | ((masks & down) == down)
+        found.append(masks[ideal])
+        total += len(found[-1])
+        if total > IDEAL_CAP:
+            raise PosetTooLarge("too many lower ideals")
+    ideals = [frozenset(i for i in range(n) if m >> i & 1) for m in np.concatenate(found).tolist()]
+    return sorted(ideals, key=lambda s: (len(s), sorted(s)))
 
 
 def lower(i: int) -> int:
@@ -182,7 +192,7 @@ def hibi_vs_topgraded(poset: Poset, **caps) -> HibiComparison:
 # ---------------------------------------------------------------------------
 # poset generation (used by the census-style suites)
 
-BLOCK = 1 << 16      # assignments per batch
+BLOCK = 1 << 16      # subset masks or order assignments per batch
 
 
 def all_posets(n: int):

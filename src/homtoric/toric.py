@@ -50,6 +50,20 @@ components of a degree-t fiber are the classes of "shares a variable",
 joined further only by moves of degree exactly t.  numpy groups each
 block into fibers and computes those classes for all its fibers at once.
 
+``markov_basis`` walks one bucket per symmetry orbit.  An automorphism s
+of H sends each homomorphism m to s o m and each row (e, rho) of A to (e,
+s rho), so A is equivariant: s permutes the variables, and with them the
+fibers, the edge maps of e and so the buckets.  Only the lex-first bucket
+of every orbit of Aut(H) is built; each split fiber found there is moved
+to the other buckets of its orbit by the variable permutation, its rows
+re-sorted, and the new fiber minimum joined to the new minimum of every
+other component.  This is exact: the components of a degree-t fiber
+depend only on the ideal that the generators of degree < t span, which
+is the degree < t part of I_A, and I_A is Aut(H)-invariant; so s maps the
+components of a fiber onto the components of its image, and the mapped
+generators are the ones the bucket would give if walked.  The verifiers
+and ``iter_fibers`` walk every bucket.
+
 All arithmetic is exact integer arithmetic.  numpy groups each block into
 fibers, splits them, turns a basis into moves between block rows and
 peels the sinks of directed fiber graphs; membership compares the images
@@ -65,7 +79,7 @@ from math import comb
 import numpy as np
 
 from .graph import Graph
-from .homset import HomSet, enumerate_homs
+from .homset import HomSet, HomTooLarge, enumerate_homs
 from .util import ResourceCapExceeded, content_lines, echelon
 
 
@@ -302,6 +316,7 @@ def build_system(g: Graph, h: Graph, **caps) -> ToricSystem:
 # degree layers in blocks
 
 BLOCK = 1 << 16     # rows of a block; a bucket larger than this is a block alone
+AUT_HOM_CAP = 10**4     # maps H -> H searched for automorphisms; past it, the identity alone
 
 
 def _ranges(starts, lengths):
@@ -401,6 +416,41 @@ def _bucket_classes(system, cap: int):
     return classes
 
 
+def _automorphisms(system):
+    """The permutations m -> s o m of the variables (int32, one row each)
+    for the automorphisms s of H that map the system's maps onto
+    themselves, every one when the system holds all of Hom(G, H); the
+    identity comes first.  An automorphism is a bijective map in Hom(H,
+    H), searched up to ``AUT_HOM_CAP`` maps; past that, the identity
+    alone is used."""
+    h, n = system.h, system.num_vars
+    maps = np.array(system.homs.maps, dtype=np.intp).reshape(n, system.g.n)
+    try:
+        group = [s for s in enumerate_homs(h, h, count_cap=AUT_HOM_CAP).maps
+                 if len(set(s)) == h.n]
+    except HomTooLarge:
+        group = [tuple(range(h.n))]
+    perms = []
+    for s in group:
+        image = np.array(s)[maps]
+        order = np.lexsort(image.T[::-1])       # the maps are in lex order
+        if np.array_equal(image[order], maps):
+            perm = np.empty(n, dtype=np.int32)
+            perm[order] = np.arange(n)
+            perms.append(perm)
+    return np.array(perms)
+
+
+def _check_layers(n: int, t: int, mono_cap: int):
+    """Refuse the layers of degree 2..t when one holds more than
+    ``mono_cap`` of the monomials in n variables."""
+    for s in range(2, t + 1):
+        total = comb(n + s - 1, s)
+        if total > mono_cap:
+            raise ResourceCapExceeded(
+                f"{total} monomials of degree {s} exceed the cap {mono_cap}")
+
+
 @dataclass(frozen=True)
 class _Block:
     """Whole buckets of one degree layer.  ``mono``: the monomials as
@@ -409,13 +459,17 @@ class _Block:
     row is its rank); ``comps``: the class counts of the buckets;
     ``order``: the rows sorted by fiber, then row; ``counts``: the size of
     each fiber in that order; ``room``: the low bits of a sort word that
-    hold a row."""
+    hold a row; ``images``: (owner, perm), for every bucket of the layer
+    left out of the walk, the layer index of the walked bucket of its
+    orbit (sorted) and a variable permutation that maps that bucket onto
+    it."""
     mono: np.ndarray
     rank: object
     comps: np.ndarray
     order: np.ndarray
     counts: np.ndarray
     room: int
+    images: tuple
 
 
 class _Layers:
@@ -443,6 +497,7 @@ class _Layers:
         np.cumsum(self.count.T, axis=1, out=self.offsets[:, 1:])
         self.tables = [_columns(0, k), _columns(1, self.n)]
         self.tables[1][:, 0] = self.members
+        self.perms = None               # the symmetries, built when first needed
 
     def _extend(self, t: int):
         """Class layers up to degree t: each variable in front of the rows
@@ -505,31 +560,85 @@ class _Layers:
             lo = hi
         return np.concatenate(groups)
 
-    def blocks(self, t: int, mono_cap: int):
+    def blocks(self, t: int, mono_cap: int, orbits: bool = False):
         """Yield the degree-t layer as ``_Block``s of whole buckets, each at
         most ``BLOCK`` rows unless it is one bucket.  The cap counts the
-        whole layer, and every layer below it, before anything is built."""
-        for s in range(2, t + 1):
-            total = comb(self.n + s - 1, s)
-            if total > mono_cap:
-                raise ResourceCapExceeded(
-                    f"{total} monomials of degree {s} exceed the cap {mono_cap}")
+        whole layer, and every layer below it, before anything is built.
+        With ``orbits``, only the lex-first bucket of every orbit of Aut(H)
+        is walked, under the ``room`` and block bound of the whole layer,
+        and every block carries the ``images`` of the others."""
+        _check_layers(self.n, t, mono_cap)
         if not self.n:
             return
         self._extend(t)
         comps = _compositions(self.k, t)
         sizes = self.count[np.arange(self.k), comps].prod(axis=1)
-        ends = sizes.cumsum()
-        room = (max(min(int(ends[-1]), BLOCK), int(sizes.max())) - 1).bit_length()
+        room = (max(min(int(sizes.sum()), BLOCK), int(sizes.max())) - 1).bit_length()
         packed = self.system.packed_columns(t.bit_length(), room)
+        images = (np.zeros(0, dtype=np.int64), np.zeros((0, self.n), dtype=np.int32))
+        if orbits and self.k > 1:
+            keep, images = self._orbits(comps, t)
+            comps, sizes = comps[keep], sizes[keep]
+        ends = sizes.cumsum()
         a = 0
         while a < len(sizes):
             top = (ends[a - 1] if a else 0) + BLOCK
             b = max(a + 1, int(ends.searchsorted(top, side="right")))
-            yield self._block(comps[a:b], sizes[a:b], t, packed, room)
+            yield self._block(comps[a:b], sizes[a:b], t, packed, room, images)
             a = b
 
-    def _block(self, comps, sizes, t, packed, room):
+    def _orbits(self, comps, t: int):
+        """(walked, images): the layer indices of the lex-first bucket of
+        every orbit of Aut(H) on the buckets ``comps``, and the ``images``
+        of ``_Block`` for every other bucket.  An automorphism permutes the
+        edge maps of e, so the classes, and maps a bucket's multiset of
+        classes to the multiset of their images."""
+        if self.perms is None:
+            self.perms = _automorphisms(self.system)
+        perms, n_buckets = self.perms, len(comps)
+        index = np.arange(n_buckets)
+        shift = np.empty((len(perms), self.k), dtype=np.intp)   # class c -> shift[g, c]
+        shift[:, self.classes] = self.classes[perms]
+        words = np.repeat(np.tile(np.arange(self.k), n_buckets), comps.ravel()).reshape(-1, t)
+        image = np.array([_rank(np.sort(c[words], axis=1), self.k) for c in shift])
+        rep = image.min(axis=0)         # buckets are listed in lex order of their multisets
+        others = np.flatnonzero(rep != index)
+        others = others[np.argsort(rep[others], kind="stable")]
+        sigma = (image[:, rep[others]] == others).argmax(axis=0)
+        return np.flatnonzero(rep == index), (rep[others], perms[sigma])
+
+    def mapped(self, block, rows, low, lead):
+        """(lead, trail): the generators of the buckets that ``block.images``
+        maps from the block's buckets, as monomial rows.  Each split fiber
+        (``rows``, ``low`` and ``lead`` from ``_split``) is moved by the
+        permutation of every image of its bucket and its rows re-sorted;
+        the smallest mapped monomial of the fiber is joined to the smallest
+        of every other mapped component."""
+        owner, perms = block.images
+        t = block.mono.shape[1]
+        start = _run_starts(lead)
+        fibers, width = start.nonzero()[0], _run_lengths(start)
+        bucket = _rank(np.sort(self.classes[block.mono[lead[fibers]]], axis=1), self.k)
+        lo = owner.searchsorted(bucket)
+        many = owner.searchsorted(bucket, side="right") - lo
+        fiber = np.repeat(np.arange(len(fibers)), many)     # per (fiber, image) pair
+        perm = _ranges(lo, many)
+        pos = _ranges(fibers[fiber], width[fiber])          # their positions, pair by pair
+        pair = np.repeat(np.arange(len(fiber)), width[fiber])
+        perm, src, comp = perm[pair], rows[pos], low[pos]
+        mono = _columns(t, len(pos))
+        for q in range(t):
+            mono[:, q] = perms[perm, block.mono[:, q][src]]
+        _sort_rows(mono)
+        rank = _rank(mono, self.n)
+        order = np.lexsort((rank, comp, pair))
+        first = order[_run_starts(pair[order], comp[order])]    # smallest of each component
+        first = first[np.lexsort((rank[first], pair[first]))]
+        head = _run_starts(pair[first])                     # holds its fiber's smallest
+        lead = first[head][np.cumsum(head) - 1]
+        return mono[lead[~head]], mono[first[~head]]
+
+    def _block(self, comps, sizes, t, packed, room, images):
         """The block of the buckets ``comps``: its rows in lex order, and
         its fibers."""
         if self.k == 1:                 # the whole layer, already in lex order
@@ -550,7 +659,7 @@ class _Layers:
             for q in range(1, t):
                 words[:, w] += packed[:, w][mono[:, q]]
         order, counts = _fibers(words, room)
-        return _Block(mono, rank, comps, order, counts, room)
+        return _Block(mono, rank, comps, order, counts, room, images)
 
     def moves(self, block, sides, t: int):
         """The moves u*lead -> u*trail from the rows of ``block``, as a (k, 2)
@@ -612,6 +721,16 @@ def _fibers(words, room: int):
     return order, _run_lengths(start)
 
 
+def _run_starts(*keys):
+    """True where a run of equal values of the ``keys``, read together,
+    begins."""
+    start = np.zeros(len(keys[0]), dtype=bool)
+    for key in keys:
+        start[1:] |= key[1:] != key[:-1]
+    start[:1] = True
+    return start
+
+
 def _run_lengths(start):
     """The length of every run of a sequence whose runs begin where
     ``start`` is True (it is at 0)."""
@@ -664,10 +783,12 @@ def _split(block, n_vars: int, pairs=None):
     under "shares a variable", joined further by ``pairs``, an optional
     (k, 2) array of block rows whose two ends lie in one such fiber.
 
-    Returns (root, lead): the block row of the smallest monomial of every
-    component, and of the smallest monomial of its fiber.  The fibers are
-    listed one after another, each in lex order, so a smaller position is
-    a smaller monomial within a fiber.  The (fiber, variable) classes of
+    Returns (rows, low, lead) for the split fibers, those of two or more
+    components: the block rows of their monomials, fiber after fiber and
+    each fiber in lex order, and for each the block row of the smallest
+    monomial of its component and of its fiber.  Within a fiber a smaller
+    position is a smaller monomial, so the smallest position of a
+    component is its smallest monomial.  The (fiber, variable) classes of
     the factors are runs of one ``np.sort`` of ``class << room |
     position``, which fits: positions stay below 2**room and so do the
     fibers."""
@@ -677,7 +798,7 @@ def _split(block, n_vars: int, pairs=None):
     n, t, room = len(rows), block.mono.shape[1], block.room
     if not n:
         none = np.zeros(0, dtype=np.int64)
-        return none, none
+        return none, none, none
     ix = np.int32 if n < 2**31 else np.int64
     fiber = np.arange(len(counts), dtype=np.int64).repeat(counts)
     keys = np.empty((t, n), dtype=np.int64)
@@ -708,9 +829,15 @@ def _split(block, n_vars: int, pairs=None):
         owner = np.concatenate([owner, where[pairs].ravel()])
         sizes = np.concatenate([sizes, np.full(len(pairs), 2, dtype=np.int64)])
     label = _min_labels(np.arange(n, dtype=ix), owner, sizes)
-    root = (label == np.arange(n, dtype=ix)).nonzero()[0]
-    first = counts.cumsum() - counts
-    return rows[root], rows[first[fiber[root]]]
+    first = (counts.cumsum() - counts)[fiber]
+    apart = label != first
+    if not apart.any():
+        none = np.zeros(0, dtype=np.int64)
+        return none, none, none
+    split = np.zeros(len(counts), dtype=bool)
+    split[fiber[apart]] = True
+    keep = split[fiber]
+    return rows[keep], rows[label[keep]], rows[first[keep]]
 
 
 def _min_labels(label, owner, sizes):
@@ -770,19 +897,27 @@ def markov_basis(system, degree_cap: int, *,
     smallest monomial to the smallest monomial of every other class are
     the degree-t generators it needs.  Degree 1 turns duplicate columns
     into linear generators by the same rule; they count towards degree 2
-    in ``additions_by_degree``.
+    in ``additions_by_degree``.  Only one bucket per orbit of Aut(H) is
+    walked; the generators of the others are mapped from it (see the
+    module docstring), and every one of them is counted.
     """
     if degree_cap < 2:
         raise ValueError("degree cap must be at least 2")
     layers = _Layers(system, degree_cap)
+    _check_layers(system.num_vars, degree_cap, mono_cap)    # before any layer is walked
     additions = []
     counts = Counter()
     for t in range(1, degree_cap + 1):
-        for block in layers.blocks(t, mono_cap):
-            root, lead = _split(block, system.num_vars)
-            split = root != lead        # two components share no variable
-            new = [Binomial(tuple(p), tuple(m)) for p, m in
-                   zip(block.mono[lead[split]].tolist(), block.mono[root[split]].tolist())]
+        for block in layers.blocks(t, mono_cap, orbits=True):
+            rows, low, lead = _split(block, system.num_vars)
+            if not len(rows):
+                continue
+            root = (low == rows) & (lead != rows)   # a component without the fiber's smallest
+            plus, minus = block.mono[lead[root]], block.mono[rows[root]]
+            if len(block.images[0]):
+                more = layers.mapped(block, rows, low, lead)
+                plus, minus = np.concatenate((plus, more[0])), np.concatenate((minus, more[1]))
+            new = [Binomial(tuple(p), tuple(m)) for p, m in zip(plus.tolist(), minus.tolist())]
             additions.extend(new)
             counts[max(t, 2)] += len(new)
     additions_by_degree = {t: counts[t] for t in range(2, degree_cap + 1)}
@@ -828,8 +963,7 @@ def verify_markov(system, basis: OrientedBasis, degree_cap: int, *,
     for t in range(1, degree_cap + 1):
         top = {t: sides[t]} if t in sides else {}
         for block in layers.blocks(t, mono_cap):
-            root, lead = _split(block, system.num_vars, layers.moves(block, top, t))
-            if (root != lead).any():
+            if len(_split(block, system.num_vars, layers.moves(block, top, t))[0]):
                 return False
     return True
 

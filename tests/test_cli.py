@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from homtoric import cli
+from homtoric import cli, graph, toric
 from homtoric.cli import main
 
 
@@ -180,6 +180,32 @@ def test_polytope_isolated_vertex_exit_2(capsys):
 def test_resource_cap_exit(capsys):
     code, _ = run(capsys, "--mono-cap", "10", "width", "cycle:6", "spoon", "--cap", "4")
     assert code == 3
+
+
+def test_mono_cap_fires_before_the_automorphisms(capsys, monkeypatch):
+    # the degree-3 layer of C6 -> complete-looped:3 is refused before any
+    # layer is walked, so before Aut(H) is searched
+    def searched(system):
+        raise AssertionError("automorphisms searched before the cap check")
+
+    monkeypatch.setattr(toric, "_automorphisms", searched)
+    code = main(["markov", "cycle:6", "complete-looped:3", "--cap", "3"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err == ("resource cap: 64836045 monomials of degree 3 exceed "
+                            "the cap 10000000\n")
+
+
+def test_asymmetric_target_with_buckets_matches_golden(capsys):
+    # path:7 -> spoon at cap 4 is walked in buckets (k > 1) under the
+    # trivial automorphism group of the spoon
+    system = toric.build_system(graph.path(7), graph.spoon())
+    assert toric._bucket_classes(system, 4).any() and len(toric._automorphisms(system)) == 1
+    code, out = run(capsys, "markov", "path:7", "spoon", "--cap", "4")
+    assert code == 0
+    with open(os.path.join(GOLDEN, "markov_path7_spoon.txt"), newline="") as fh:
+        assert out == fh.read()
 
 
 def test_source_deeper_than_the_search_exit_3(capsys):

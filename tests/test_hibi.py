@@ -1,3 +1,6 @@
+import random
+from itertools import combinations
+
 import pytest
 
 from homtoric import graph as G
@@ -40,6 +43,27 @@ def test_lower_ideal_cap_is_a_resource_cap(monkeypatch):
     assert len(lower_ideals(anti)) == 8
     assert issubclass(hibi.PosetTooLarge, ResourceCapExceeded)
     assert not issubclass(hibi.PosetTooLarge, ValueError)
+
+
+def test_lower_ideal_cap_fires_before_the_sets_are_built():
+    # the 20-element antichain has 2**20 lower ideals, above IDEAL_CAP;
+    # they are counted on bitmasks, so the cap fires at once
+    assert 2**20 > hibi.IDEAL_CAP
+    with pytest.raises(hibi.PosetTooLarge, match="too many lower ideals"):
+        lower_ideals(Poset(20, []))
+
+
+def test_lower_ideals_match_the_subset_search():
+    # the bitmask closure test and its (size, lex) order against a search
+    # over every subset
+    rng = random.Random(7)
+    for n in range(7):
+        for _ in range(6):
+            poset = Poset(n, [(a, b) for a, b in combinations(range(n), 2) if rng.random() < 0.3])
+            subsets = [frozenset(c) for k in range(n + 1) for c in combinations(range(n), k)]
+            ideals = [s for s in subsets
+                      if all(a in s for b in s for a in range(n) if poset.le(a, b))]
+            assert lower_ideals(poset) == sorted(ideals, key=lambda s: (len(s), sorted(s)))
 
 
 def test_build_bp_chain():

@@ -640,6 +640,74 @@ def test_engine_matches_naive_markov_width(g, target):
             assert not verify_markov(system, kept, cap), drop
 
 
+def _relabeled(h, rng):
+    perm = list(range(h.n))
+    rng.shuffle(perm)
+    return Graph(h.n, [(perm[u], perm[v]) for u, v in h.edges])
+
+
+def _walked_buckets(system, t):
+    """The classes of ``system``'s variables and the layer indices of the
+    buckets of degree t that ``markov_basis`` walks."""
+    layers = toric._Layers(system, t)
+    comps = toric._compositions(layers.k, t)
+    return layers.classes, layers.k, set(layers._orbits(comps, t)[0].tolist())
+
+
+def test_orbit_engine_matches_unbucketed_engine():
+    # one bucket per Aut(H)-orbit, the split fibers mapped to the rest of
+    # the orbit, against the whole-layer engine: the same MarkovResult,
+    # basis and additions_by_degree.  Randomly relabeled targets move the
+    # automorphisms to other classes; a restricted system keeps only the
+    # automorphisms that map its maps onto themselves.
+    rng = random.Random(15)
+    symmetric = [G.complete(3), G.path(3), G.complete_looped(2), G.complete_looped(3),
+                 G.cycle(4)]
+    targets = list(_TARGETS.values()) + [_relabeled(h, rng) for h in symmetric]
+    sources = sorted({g for g, _, _ in _engine_cases()}, key=lambda g: (g.n, sorted(g.edges)))
+    systems = [build_system(g, h) for g in sources for h in targets]
+    systems = [system for system in systems if system.num_vars <= 60]   # a fast oracle
+    full = build_system(G.path(4), G.complete(3))
+    restricted = full.restrict_columns(i for i, m in enumerate(full.homs.maps) if m[0] < 2)
+    assert len(toric._automorphisms(restricted)) == 2       # the swap of 0 and 1
+    for block in (16, 5):
+        with mock.patch.object(toric, "BLOCK", block):
+            for system in systems + [restricted]:
+                n = system.num_vars
+                cap = 3 if comb(n + 2, 3) <= 5000 else 2
+                assert markov_basis(system, cap) == unbucketed_markov_basis(system, cap), \
+                    (block, system.g.edges, system.h.edges)
+
+
+def test_orbit_engine_maps_split_fibers_to_unwalked_buckets():
+    # path:5 -> K3 cut into blocks of 16 rows: some degree-2 generators lie
+    # in buckets that are never walked, so they come only from the mapping
+    system = build_system(G.path(5), G.complete(3))
+    with mock.patch.object(toric, "BLOCK", 16):
+        res = markov_basis(system, 3)
+        assert res == unbucketed_markov_basis(system, 3)
+        classes, k, walked = _walked_buckets(system, 2)
+    assert len(toric._automorphisms(system)) == 6
+    buckets = [_rank(np.sort(classes[list(b.plus)])[None], k)[0] for b in res.basis]
+    assert res.additions_by_degree[2] == len(buckets) > 0
+    assert any(b not in walked for b in buckets) and any(b in walked for b in buckets)
+
+
+def test_orbit_engine_without_automorphisms_past_the_cap():
+    # past the search cap only the identity is used: every bucket is walked
+    # and the result is unchanged
+    system = build_system(G.path(5), G.complete_looped(2))
+    with mock.patch.object(toric, "BLOCK", 16):
+        res = markov_basis(system, 3)
+        with mock.patch.object(toric, "AUT_HOM_CAP", 3):
+            assert len(toric._automorphisms(system)) == 1
+            classes, k, walked = _walked_buckets(system, 3)
+            assert len(walked) == comb(k + 2, 3)
+            assert markov_basis(system, 3) == res
+    assert len(toric._automorphisms(system)) == 2
+    assert res == unbucketed_markov_basis(system, 3)
+
+
 # ---------------------------------------------------------------------------
 # restriction
 
