@@ -487,6 +487,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("name", nargs="?")
     p.add_argument("--all", action="store_true")
     p.set_defaults(func=cmd_reproduce)
+    for p in sub.choices.values():      # unset after the subcommand, the top value holds
+        p.add_argument("--mono-cap", type=int, default=argparse.SUPPRESS,
+                       help="monomial enumeration cap")
     return top
 
 

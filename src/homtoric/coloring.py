@@ -15,7 +15,6 @@ from itertools import permutations
 
 from . import graph as graphs
 from .graph import Graph
-from .homset import Hom, compose
 from .toric import DEFAULT_MONO_CAP, Binomial, ToricSystem, build_system, iter_fibers
 
 GENERATOR_DEGREE_K3_K4 = 12
@@ -122,28 +121,6 @@ def analyze_certificate(g: Graph, system: ToricSystem, b: Binomial,
         verdict = "INCONCLUSIVE"
     return ObstructionCertificate(g, b, d, tuple(rows), verdict,
                                   tuple(sorted(rel)))
-
-
-def pushforward(xi: Hom, b: Binomial, system_src: ToricSystem,
-                system_dst: ToricSystem):
-    """Apply a coloring variable-wise: r_phi -> r_{xi o phi}.  Returns the
-    image binomial or None when both sides collapse to the same monomial."""
-    if xi.source != system_src.h:
-        raise ValueError("coloring must map out of the source system's target graph")
-    if xi.target != system_dst.h:
-        raise ValueError("coloring must map into the target system's target graph")
-
-    def push(mono):
-        out = []
-        for v in mono:
-            phi = Hom(system_src.g, system_src.h, system_src.homs.maps[v])
-            out.append(system_dst.homs.index[compose(phi, xi).map])
-        return tuple(sorted(out))
-
-    img = Binomial.make(push(b.plus), push(b.minus))
-    if img is not None and not system_dst.membership(img):
-        raise AssertionError("pushforward left the ideal")
-    return img
 
 
 # ---------------------------------------------------------------------------

@@ -50,12 +50,6 @@ class Graph:
     def has_loop(self, v: int) -> bool:
         return (v, v) in self.edges
 
-    def loops(self):
-        return frozenset(v for v in range(self.n) if self.has_loop(v))
-
-    def sorted_edges(self):
-        return sorted(self.edges)
-
     def degree_on_edge(self, v: int) -> bool:
         """True when v lies on at least one edge (loops count)."""
         return bool(self._adj[v]) or self.has_loop(v)
@@ -348,30 +342,3 @@ def is_independent(g: Graph, vertices) -> bool:
     if any(g.has_loop(v) for v in vs):
         return False
     return all(not g.adjacent(u, v) for u, v in combinations(vs, 2))
-
-
-@dataclass(frozen=True)
-class GadgetResult:
-    graph: Graph
-    roles: tuple        # roles[v] in {0,1,2,3}: 0 original, 1/2/3 the three gadget kinds
-    edge_vertices: dict  # original edge (u,v) -> (w_uv, w_u*v, w_uv*)
-
-
-def fourpartite_gadget(g: Graph) -> GadgetResult:
-    """Replace each edge uv by a blown-up triangle on three new vertices,
-    yielding a 4-partite graph whose independence ideal dominates the
-    original one."""
-    if not g.is_loopfree():
-        raise GraphError("gadget construction needs a loop-free graph")
-    n = g.n
-    roles = [0] * n
-    edge_vertices = {}
-    es = []
-    for u, v in g.sorted_edges():
-        w_uv, w_su, w_sv = n, n + 1, n + 2   # w_uv, w_{u*v}, w_{uv*}
-        n += 3
-        roles += [1, 2, 3]
-        edge_vertices[(u, v)] = (w_uv, w_su, w_sv)
-        es += [(u, w_uv), (u, w_su), (w_uv, w_su), (w_uv, w_sv),
-               (w_su, w_sv), (v, w_uv), (v, w_sv)]
-    return GadgetResult(Graph(n, es), tuple(roles), edge_vertices)

@@ -1,4 +1,4 @@
-"""Enumeration and manipulation of graph homomorphisms.
+"""Enumeration of graph homomorphisms.
 
 A homomorphism G -> H is stored as the tuple (phi(0), ..., phi(n-1)).
 ``HomSet`` holds all of them in lexicographic order of that tuple; the
@@ -9,7 +9,6 @@ polynomial ring.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass
 
 from .graph import Graph, bfs, spoon
 from .util import ResourceCapExceeded
@@ -17,26 +16,6 @@ from .util import ResourceCapExceeded
 
 class HomTooLarge(ResourceCapExceeded):
     """Search space above the configured resource cap."""
-
-
-@dataclass(frozen=True)
-class Hom:
-    source: Graph
-    target: Graph
-    map: tuple
-
-    def __post_init__(self):
-        if len(self.map) != self.source.n:
-            raise ValueError("map length does not match the source")
-        if not is_hom(self.source, self.target, self.map):
-            raise ValueError(f"{self.map} does not preserve edges")
-
-    def __call__(self, v: int) -> int:
-        return self.map[v]
-
-
-def is_hom(g: Graph, h: Graph, mapping) -> bool:
-    return all(h.adjacent(mapping[u], mapping[v]) for u, v in g.edges)
 
 
 class HomSet:
@@ -93,14 +72,6 @@ def enumerate_homs(g: Graph, h: Graph, *, search_cap: int = 10**12,
 
     backtrack(0)
     return HomSet(g, h, maps)
-
-
-def compose(first: Hom, second: Hom) -> Hom:
-    """Pointwise composition second o first."""
-    if first.target != second.source:
-        raise ValueError("target of the first map must equal source of the second")
-    return Hom(first.source, second.target,
-               tuple(second.map[w] for w in first.map))
 
 
 UNLOOPED = 0

@@ -200,108 +200,6 @@ def almost_bipartite_grobner(isys: IndepSystem) -> TaggedBasis:
 
 
 # ---------------------------------------------------------------------------
-# normal forms
-
-def straightening_potential(isys: IndepSystem, part1, mono) -> tuple:
-    """Lexicographic pair (sum |A|^2+|B|^2, -sum |A||B|) over the factors.
-
-    Meet/join moves on an incomparable coordinate raise the first entry;
-    the remaining nonzero moves swap comparable coordinate pairs, leave the
-    first entry fixed and raise the second.  Strict lexicographic increase
-    on every move bounds the reduction length.
-    """
-    squares = 0
-    cross = 0
-    for v in mono:
-        s = isys.sets[v]
-        a = len(s & part1)
-        b = len(s) - a
-        squares += a * a + b * b
-        cross += a * b
-    return (squares, -cross)
-
-
-class ReductionStuck(RuntimeError):
-    pass
-
-
-class MoveIndex:
-    """Lookup from a leading monomial side to the binomials it leads."""
-
-    __slots__ = ("directed", "lead_degrees")
-
-    def __init__(self, basis=()):
-        self.directed = {}
-        self.lead_degrees = set()
-        for b in basis:
-            self.add(b)
-
-    def add(self, b: Binomial):
-        self.directed.setdefault(b.plus, []).append(b.minus)
-        self.lead_degrees.add(len(b.plus))
-
-    @staticmethod
-    def _subtuples(mono, d):
-        if d == len(mono):
-            return (mono,)
-        return set(combinations(mono, d))
-
-    def directed_neighbors(self, mono):
-        """Monomials reached by one oriented move lead -> trail."""
-        out = []
-        for d in self.lead_degrees:
-            if d > len(mono):
-                continue
-            for sub in self._subtuples(mono, d):
-                tails = self.directed.get(sub)
-                if not tails:
-                    continue
-                base = _multiset_sub(mono, sub)
-                for q in tails:
-                    out.append(tuple(sorted(base + q)))
-        return out
-
-
-def _multiset_sub(mono, sub):
-    out = list(mono)
-    for x in sub:
-        out.remove(x)
-    return tuple(out)
-
-
-def normal_form(isys: IndepSystem, mono, basis: OrientedBasis = None, *,
-                bip: Bipartition = None) -> tuple:
-    """Reduce a monomial with the oriented moves of the bipartite or
-    almost-bipartite basis, smallest resulting monomial first, until no
-    lead divides it; checks the strictly increasing potential on plain
-    bipartite sources.
-
-    The walk is deterministic, so reaching a monomial a second time means
-    it cycles; that raises ReductionStuck at once."""
-    if basis is None:
-        bip = bip or graphs.is_bipartite(isys.graph)
-        if bip is not None:
-            basis = bipartite_grobner(isys, bip)
-        else:
-            basis = almost_bipartite_grobner(isys).basis
-    index = MoveIndex(basis)
-    mono = tuple(sorted(mono))
-    seen = set()
-    while True:
-        nxt = index.directed_neighbors(mono)
-        if not nxt:
-            return mono
-        new = min(nxt)
-        if bip is not None and (straightening_potential(isys, bip.part1, new)
-                                <= straightening_potential(isys, bip.part1, mono)):
-            raise AssertionError("sorting move failed to increase the potential")
-        seen.add(mono)
-        if new in seen:
-            raise ReductionStuck(f"move {len(seen)} returns to a monomial already reached")
-        mono = new
-
-
-# ---------------------------------------------------------------------------
 # top graded part
 
 @dataclass(frozen=True)

@@ -219,49 +219,3 @@ def stable_set_polytope(g: Graph, **caps) -> LatticePolytope:
     iso = stable_set_iso(g, **caps)
     rows = tuple(("vertex", (v,)) for v in range(g.n))
     return LatticePolytope(rows, iso.points, tuple(tuple(sorted(s)) for s in iso.sets))
-
-
-# ---------------------------------------------------------------------------
-# faces from target surgery
-
-@dataclass(frozen=True)
-class FaceCertificate:
-    deleted_vertices: tuple
-    deleted_edges: tuple
-    zero_rows: tuple     # ambient coordinates that vanish on the face
-    face_vertices: tuple  # indices into the big polytope's vertex list
-    improper: bool
-
-
-def face_check(g: Graph, h2: Graph, h1: Graph, **caps) -> FaceCertificate:
-    """Certificate that the polytope for target H1 <= H2 is a face of the
-    polytope for H2: the sum of all coordinates naming deleted vertices or
-    edges vanishes exactly on the homomorphisms into H1."""
-    if h1.n > h2.n:
-        raise ValueError("H1 must be a subgraph of H2 (vertices are a prefix)")
-    kept = set(range(h1.n))
-    if not all(e in h2.edges for e in h1.edges):
-        raise ValueError("H1 edges must be edges of H2")
-    deleted_vertices = tuple(range(h1.n, h2.n))
-    deleted_edges = tuple(sorted(e for e in h2.edges
-                                 if set(e) <= kept and e not in h1.edges))
-    system = build_system(g, h2, **caps)
-    poly = polytope_of_system(system)
-    zero_rows = []
-    for ridx, (_, rho) in enumerate(system.rows):
-        imgs = set(rho)
-        edge_img = (rho[0], rho[0]) if len(rho) == 1 else tuple(sorted(rho))
-        if imgs & set(deleted_vertices) or edge_img in deleted_edges:
-            zero_rows.append(ridx)
-    face = []
-    for i, m in enumerate(system.homs.maps):
-        val = sum(poly.vertices[i][r] for r in zero_rows)
-        in_h1 = all(x in kept for x in m) and all(
-            ((m[u], m[u]) if u == v else tuple(sorted((m[u], m[v])))) in h1.edges
-            for u, v in g.edges)
-        if (val == 0) != in_h1:
-            raise AssertionError("face functional disagrees with membership")
-        if val == 0:
-            face.append(i)
-    return FaceCertificate(deleted_vertices, deleted_edges, tuple(zero_rows),
-                           tuple(face), improper=not zero_rows)

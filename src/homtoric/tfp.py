@@ -25,8 +25,7 @@ import numpy as np
 
 from . import graph as graphs
 from .graph import Graph, induced_subgraph
-from .toric import (Binomial, OrientedBasis, ToricSystem, build_system,
-                    NormalityWitness, markov_basis)
+from .toric import Binomial, OrientedBasis, ToricSystem, build_system, markov_basis
 from .util import ResourceCapExceeded, echelon
 
 BLOCK = 1 << 14     # lift rows built at a time
@@ -292,11 +291,6 @@ def glue_grobner(spec: GlueSpec, gb1: OrientedBasis, gb2: OrientedBasis) -> Orie
     return OrientedBasis(OrientedBasis.make(oriented).elements, weights)
 
 
-def trivial_weighted_basis(system) -> OrientedBasis:
-    """Empty basis with zero weights; the seed for gluing pipelines."""
-    return OrientedBasis((), tuple(() for _ in range(system.num_vars)))
-
-
 # ---------------------------------------------------------------------------
 # graph-class pipelines
 
@@ -306,7 +300,6 @@ class PipelineResult:
     basis: OrientedBasis
     degrees_full: tuple
     truncated: bool
-    witness: NormalityWitness
 
 
 def forest_pipeline(g: Graph, h: Graph, **caps) -> PipelineResult:
@@ -345,8 +338,7 @@ def forest_pipeline(g: Graph, h: Graph, **caps) -> PipelineResult:
     if linear:
         basis = OrientedBasis.make(basis.elements + tuple(linear))
         degrees.add(1)
-    witness = NormalityWitness(normal=True, cohen_macaulay=True, koszul=False)
-    return PipelineResult(system, basis, tuple(sorted(degrees)), False, witness)
+    return PipelineResult(system, basis, tuple(sorted(degrees)), False)
 
 
 def _ear_order(g: Graph):
@@ -369,7 +361,7 @@ def _ear_order(g: Graph):
 
 def outerplanar_pipeline(g: Graph, h: Graph, base_basis: OrientedBasis = None, *,
                          lift_cap: int = PIPELINE_LIFT_CAP, allow_truncation: bool = False,
-                         base_normal=None, **caps) -> PipelineResult:
+                         **caps) -> PipelineResult:
     """Ear-by-ear gluing of a maximal outerplanar graph over shared edges.
 
     ``base_basis`` is the generating set of the triangle ideal I(K3 -> H);
@@ -396,6 +388,4 @@ def outerplanar_pipeline(g: Graph, h: Graph, base_basis: OrientedBasis = None, *
 
     basis, degrees, truncated, system = build(g)   # the outermost union system
     system = system or build_system(g, h, **caps)
-    witness = (NormalityWitness(normal=True, cohen_macaulay=True, koszul=False)
-               if base_normal else NormalityWitness())
-    return PipelineResult(system, basis, tuple(sorted(degrees)), truncated, witness)
+    return PipelineResult(system, basis, tuple(sorted(degrees)), truncated)

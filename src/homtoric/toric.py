@@ -924,12 +924,6 @@ def markov_basis(system, degree_cap: int, *,
     return MarkovResult(OrientedBasis.make(additions), degree_cap, additions_by_degree)
 
 
-def markov_width(system, degree_cap: int, **kw) -> int:
-    """Maximum degree in the minimal basis up to the cap; 0 for the trivial
-    ideal.  A value equal to the cap may be a lower bound only."""
-    return markov_basis(system, degree_cap, **kw).width
-
-
 def _basis_sides(system, basis: OrientedBasis):
     """Check the basis (members whose sides have one degree, else
     ValueError) and group the sides of its elements by degree: {d:
@@ -998,59 +992,6 @@ def verify_grobner(system, basis: OrientedBasis, degree_cap: int, *,
                 left -= np.bincount(src[into], minlength=len(left))
                 src, dst = src[~into], dst[~into]
     return True
-
-
-# ---------------------------------------------------------------------------
-# basis restriction and witnesses
-
-def restrict_basis(sys_big: ToricSystem, basis: OrientedBasis,
-                   sys_small: ToricSystem) -> OrientedBasis:
-    """Intersect a basis of I(G -> H2) with the subring of maps into
-    H1 <= H2 (same vertex set); the result generates I(G -> H1)."""
-    h1, h2 = sys_small.h, sys_big.h
-    if h1.n != h2.n or not h1.edges <= h2.edges:
-        raise ValueError("target of the small system must be a subgraph on the same vertices")
-    if sys_small.g != sys_big.g:
-        raise ValueError("both systems must share the source graph")
-    var_map = {}
-    for i, m in enumerate(sys_big.homs.maps):
-        j = sys_small.homs.index.get(m)
-        if j is not None:
-            var_map[i] = j
-    kept = []
-    for b in basis:
-        if all(v in var_map for v in b.plus + b.minus):
-            kept.append(b.relabel(var_map))
-    return OrientedBasis.make(kept)
-
-
-@dataclass(frozen=True)
-class NormalityWitness:
-    normal: bool = False
-    cohen_macaulay: bool = False
-    koszul: bool = False
-
-    def flags(self):
-        out = []
-        if self.normal:
-            out.append("normal")
-        if self.cohen_macaulay:
-            out.append("cohen-macaulay")
-        if self.koszul:
-            out.append("koszul")
-        return out
-
-
-def normality_witness(basis: OrientedBasis, *, grobner_verified: bool) -> NormalityWitness:
-    """Record the consequences of a verified square-free (and quadratic)
-    Groebner basis.  Silent flags are not negatives."""
-    if not grobner_verified:
-        raise ValueError("witness requires a basis that passed the Groebner check")
-    squarefree = basis.is_squarefree()
-    quadratic = basis.degree <= 2
-    return NormalityWitness(normal=squarefree,
-                            cohen_macaulay=squarefree,
-                            koszul=squarefree and quadratic)
 
 
 # ---------------------------------------------------------------------------

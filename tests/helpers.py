@@ -424,9 +424,41 @@ def naive_verify_markov(system, basis, cap, layers=None):
     return True
 
 
+class MoveIndex:
+    """Lookup from a leading monomial side to the binomials it leads."""
+
+    __slots__ = ("directed", "lead_degrees")
+
+    def __init__(self, basis=()):
+        self.directed = {}
+        self.lead_degrees = set()
+        for b in basis:
+            self.directed.setdefault(b.plus, []).append(b.minus)
+            self.lead_degrees.add(len(b.plus))
+
+    def directed_neighbors(self, mono):
+        """Monomials reached by one oriented move lead -> trail."""
+        out = []
+        for d in self.lead_degrees:
+            if d > len(mono):
+                continue
+            for sub in set(combinations(mono, d)):
+                for q in self.directed.get(sub, ()):
+                    out.append(tuple(sorted(_multiset_sub(mono, sub) + q)))
+        return out
+
+
+def _multiset_sub(mono, sub):
+    out = list(mono)
+    for x in sub:
+        out.remove(x)
+    return tuple(out)
+
+
 def naive_fiber_is_grobner(monos, index):
     """Directed fiber-graph check of one fiber with an explicit undirected
-    connectivity pass, kept as the reference for ``verify_grobner``."""
+    connectivity pass, kept as the reference for ``verify_grobner``;
+    ``index`` is the ``MoveIndex`` of the oriented basis."""
     monos = sorted(monos)
     pos = {m: i for i, m in enumerate(monos)}
     n = len(monos)

@@ -182,6 +182,19 @@ def test_resource_cap_exit(capsys):
     assert code == 3
 
 
+def test_mono_cap_after_the_subcommand(capsys):
+    # the flag works in either position; given twice, the later one wins
+    runs = []
+    for argv in (["--mono-cap", "10", "width", "path:7", "complete:3", "--cap", "3"],
+                 ["width", "path:7", "complete:3", "--cap", "3", "--mono-cap", "10"],
+                 ["--mono-cap", "100000", "width", "path:7", "complete:3", "--cap", "3",
+                  "--mono-cap", "10"]):
+        code = main(argv)
+        runs.append((code, capsys.readouterr()))
+    assert {code for code, _ in runs} == {3}
+    assert {(c.out, c.err) for _, c in runs} == {("", "resource cap: more than 10 homomorphisms\n")}
+
+
 def test_mono_cap_fires_before_the_automorphisms(capsys, monkeypatch):
     # the degree-3 layer of C6 -> complete-looped:3 is refused before any
     # layer is walked, so before Aut(H) is searched

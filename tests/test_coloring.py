@@ -4,10 +4,9 @@ import pytest
 
 from homtoric import graph as G
 from homtoric.graph import Graph
-from homtoric.homset import Hom, enumerate_homs
 from homtoric.coloring import (analyze_certificate, chromatic_number,
                                find_low_degree_binomial, format_certificate,
-                               is_k_colorable, pushforward)
+                               is_k_colorable)
 from homtoric.toric import Binomial, build_system, iter_fibers
 
 from helpers import naive_low_degree_binomial
@@ -147,33 +146,6 @@ def test_certificate_preconditions():
     shared = Binomial(b.plus, b.plus[:1] + b.minus[1:])
     with pytest.raises(ValueError):
         analyze_certificate(k5, system, shared)
-
-
-def test_pushforward_kills_small_binomials():
-    octa = G.octahedron()
-    sys_octa = build_system(G.complete(3), octa)
-    sys_k4 = build_system(G.complete(3), G.complete(4))
-    b = octa_binomial(sys_octa)
-    # every proper 4-coloring collapses the two sides
-    colorings = enumerate_homs(octa, G.complete(4))
-    assert len(colorings) > 0
-    for m in colorings:
-        xi = Hom(octa, G.complete(4), m)
-        assert pushforward(xi, b, sys_octa, sys_k4) is None
-
-
-def test_pushforward_identity_fixes_binomial():
-    k4 = G.complete(4)
-    system = build_system(G.complete(3), k4)
-
-    def var(s):
-        return system.homs.index[tuple(int(c) - 1 for c in s)]
-
-    left = [var(s) for s in "123 214 341 432 231 142 413 324 312 421 134 243".split()]
-    right = [var(s) for s in "124 213 342 431 234 143 412 321 314 423 132 241".split()]
-    b12 = Binomial.make(left, right)
-    ident = Hom(k4, k4, (0, 1, 2, 3))
-    assert pushforward(ident, b12, system, system) == b12
 
 
 def test_format_certificate_mentions_markers():

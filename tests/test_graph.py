@@ -4,8 +4,8 @@ import pytest
 
 from homtoric import graph as G
 from homtoric.graph import (Graph, GraphError, bfs, build_named, complement, components,
-                            fourpartite_gadget, induced_subgraph,
-                            is_almost_bipartite, is_bipartite, parse_graph_text)
+                            induced_subgraph, is_almost_bipartite, is_bipartite,
+                            parse_graph_text)
 from homtoric.homset import enumerate_homs
 
 from helpers import (brute_bipartition_exists, graphs_upto_iso, naive_homs,
@@ -139,36 +139,6 @@ def test_almost_bipartite_c5():
 def test_almost_bipartite_k4_fails():
     assert is_almost_bipartite(G.complete(4)) is None
     assert is_bipartite(G.complete(4)) is None
-
-
-def test_gadget_k2():
-    res = fourpartite_gadget(G.complete(2))
-    assert res.graph.n == 5
-    assert len(res.graph.edges) == 7
-
-
-def test_gadget_k3():
-    res = fourpartite_gadget(G.complete(3))
-    assert res.graph.n == 12
-    assert len(res.graph.edges) == 21
-
-
-def test_gadget_empty_graph_unchanged():
-    res = fourpartite_gadget(G.empty_graph(3))
-    assert res.graph == G.empty_graph(3)
-
-
-def test_gadget_roles_are_proper_four_partition():
-    for g in (G.complete(2), G.complete(3), G.cycle(5), G.path(4)):
-        res = fourpartite_gadget(g)
-        for u, v in res.graph.edges:
-            assert res.roles[u] != res.roles[v]
-        assert set(res.roles) <= {0, 1, 2, 3}
-
-
-def test_gadget_rejects_loops():
-    with pytest.raises(GraphError):
-        fourpartite_gadget(G.spoon())
 
 
 def test_graph_text_roundtrip():

@@ -4,7 +4,7 @@ import pytest
 
 from homtoric import graph as G
 from homtoric.graph import Graph
-from homtoric.homset import Hom, HomTooLarge, compose, enumerate_homs, indep_encode
+from homtoric.homset import HomTooLarge, enumerate_homs, indep_encode
 
 from helpers import graphs_upto_iso, naive_homs, naive_independent_sets
 
@@ -86,36 +86,6 @@ def test_hom_count_antitone_in_source():
 def test_search_cap():
     with pytest.raises(HomTooLarge):
         enumerate_homs(G.complete(8), G.complete(8), search_cap=10)
-
-
-def test_compose_identity():
-    p3 = G.path(3)
-    ident = Hom(p3, p3, (0, 1, 2))
-    phi = Hom(G.path(4), p3, (0, 1, 2, 1))
-    assert compose(phi, ident).map == phi.map
-
-
-def test_compose_inclusion_realizes_target_growth():
-    h1 = G.path(3)
-    h2 = Graph(3, list(h1.edges) + [(0, 2)])
-    inc = Hom(h1, h2, (0, 1, 2))
-    for m in enumerate_homs(G.path(4), h1):
-        phi = Hom(G.path(4), h1, m)
-        pushed = compose(phi, inc)
-        assert pushed.map == m
-        assert pushed.target == h2
-
-
-def test_compose_mismatch():
-    phi = Hom(G.path(3), G.path(3), (0, 1, 2))
-    psi = Hom(G.complete(3), G.complete(3), (0, 1, 2))
-    with pytest.raises(ValueError):
-        compose(phi, psi)
-
-
-def test_invalid_hom_rejected():
-    with pytest.raises(ValueError):
-        Hom(G.complete(2), G.complete(2), (0, 0))
 
 
 def test_indep_encode_bijection():

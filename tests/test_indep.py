@@ -6,11 +6,10 @@ from homtoric import graph as G
 from homtoric.graph import Graph
 from homtoric.indep import (IndepSystem, MultiDegree, almost_bipartite_grobner,
                             bipartite_grobner, complement_cycle_basis,
-                            multidegree, normal_form, ReductionStuck, top_graded)
-from homtoric.toric import (Binomial, OrientedBasis, markov_basis, verify_grobner,
-                            verify_markov)
+                            multidegree, top_graded)
+from homtoric.toric import Binomial, iter_fibers, markov_basis, verify_grobner, verify_markov
 
-from helpers import is_chain_monomial, naive_image
+from helpers import MoveIndex, is_chain_monomial, naive_image
 
 
 def names(isys, b):
@@ -88,6 +87,34 @@ def test_bipartite_grobner_p4_verifies():
     isys = IndepSystem(G.path(4))
     basis = bipartite_grobner(isys)
     assert verify_grobner(isys.system, basis, 4)
+
+
+def test_normal_form_fixpoint():
+    # the chain monomial of C4 is a sink of the sorting moves
+    isys = IndepSystem(G.cycle(4))
+    index = MoveIndex(bipartite_grobner(isys))
+    m = tuple(sorted((isys.var(()), isys.var({0, 2}))))
+    assert index.directed_neighbors(m) == []
+
+
+def test_normal_form_c4_reduction():
+    isys = IndepSystem(G.cycle(4))
+    index = MoveIndex(bipartite_grobner(isys))
+    m = tuple(sorted((isys.var({0}), isys.var({2}))))
+    assert index.directed_neighbors(m) == [tuple(sorted((isys.var(()), isys.var({0, 2}))))]
+
+
+def test_normal_form_constant_on_fibers_bipartite():
+    # the sorting moves lead every fiber to a single sink, its chain monomial
+    for g in (G.cycle(4), G.path(5), G.cycle(6)):
+        isys = IndepSystem(g)
+        bip = G.is_bipartite(g)
+        index = MoveIndex(bipartite_grobner(isys, bip))
+        for t in (2, 3):
+            for _, monos in iter_fibers(isys.system, t, min_size=2):
+                sinks = [m for m in monos if not index.directed_neighbors(m)]
+                assert len(sinks) == 1
+                assert is_chain_monomial(isys, bip.part1, sinks[0])
 
 
 def test_bipartite_grobner_requires_bipartite():
@@ -180,55 +207,6 @@ def test_sorting_basis_rejects_isolated_vertices():
 
 
 # ---------------------------------------------------------------------------
-# normal forms
-
-def test_normal_form_fixpoint():
-    isys = IndepSystem(G.cycle(4))
-    m = tuple(sorted((isys.var(()), isys.var({0, 2}))))
-    assert normal_form(isys, m) == m
-
-
-def test_normal_form_c4_reduction():
-    isys = IndepSystem(G.cycle(4))
-    m = tuple(sorted((isys.var({0}), isys.var({2}))))
-    assert normal_form(isys, m) == tuple(sorted((isys.var(()), isys.var({0, 2}))))
-
-
-def test_normal_form_constant_on_fibers_bipartite():
-    from homtoric.toric import iter_fibers
-    for g in (G.cycle(4), G.path(5), G.cycle(6)):
-        isys = IndepSystem(g)
-        bip = G.is_bipartite(g)
-        basis = bipartite_grobner(isys, bip)
-        for t in (2, 3):
-            for _, monos in iter_fibers(isys.system, t, min_size=2):
-                forms = {normal_form(isys, m, basis, bip=bip) for m in monos}
-                assert len(forms) == 1
-                nf = forms.pop()
-                assert is_chain_monomial(isys, bip.part1, nf)
-
-
-def test_normal_form_idempotent():
-    isys = IndepSystem(G.cycle(6))
-    bip = G.is_bipartite(G.cycle(6))
-    basis = bipartite_grobner(isys, bip)
-    rng = random.Random(2)
-    for _ in range(20):
-        m = tuple(sorted(rng.randrange(isys.num_vars) for _ in range(3)))
-        nf = normal_form(isys, m, basis, bip=bip)
-        assert normal_form(isys, nf, basis, bip=bip) == nf
-
-
-def test_normal_form_stops_on_a_cycle():
-    # b and its flip send b.plus to b.minus and back; the walk must stop at
-    # the first repeat
-    isys = IndepSystem(G.cycle(5))
-    b = almost_bipartite_grobner(isys).basis.elements[0]
-    with pytest.raises(ReductionStuck, match="move 2 returns"):
-        normal_form(isys, b.plus, OrientedBasis.make([b, b.flipped()]))
-
-
-# ---------------------------------------------------------------------------
 # top graded part
 
 def test_top_graded_c4_trivial():
@@ -291,13 +269,3 @@ def test_complement_cycle_k4_width():
 def test_complement_cycle_rejects_k1():
     with pytest.raises(ValueError):
         complement_cycle_basis(1)
-
-
-def test_gadget_width_inequality_desk_scale():
-    # the 4-partite edge gadget never lowers the width
-    from homtoric.graph import fourpartite_gadget
-    for g in (G.complete(2), G.path(3)):
-        res = fourpartite_gadget(g)
-        w = markov_basis(IndepSystem(g).system, 3).width
-        w_gadget = markov_basis(IndepSystem(res.graph).system, 3).width
-        assert w <= w_gadget

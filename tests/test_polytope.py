@@ -8,8 +8,7 @@ from homtoric import graph as G
 from homtoric import polytope
 from homtoric.graph import Graph
 from homtoric.polytope import (LatticePolytope, PolytopeCapExceeded, build_polytope,
-                               face_check, facets, simplicity,
-                               stable_set_iso, stable_set_polytope)
+                               facets, simplicity, stable_set_iso, stable_set_polytope)
 
 from helpers import naive_facets, naive_hyperplane_through, naive_independent_sets
 
@@ -291,31 +290,3 @@ def test_isolated_source_vertex_rejected():
     # two homomorphisms would share one polytope vertex
     with pytest.raises(ValueError, match="vertex on no edge"):
         build_polytope(Graph(3, [(0, 1)]), G.complete(3))
-
-
-def test_face_check_loop_deletion():
-    cert = face_check(G.cycle(4), G.complete_looped(2), G.spoon())
-    assert not cert.improper
-    assert cert.deleted_edges == ((0, 0),)
-    # all seven spoon maps are on the face
-    assert len(cert.face_vertices) == 7
-
-
-def test_face_check_vertex_deletion():
-    # dropping a looped vertex from the two-vertex looped target
-    h2 = G.complete_looped(2)
-    h1 = G.complete_looped(1)
-    cert = face_check(G.path(3), h2, h1)
-    assert cert.deleted_vertices == (1,)
-    assert len(cert.face_vertices) == 1  # only the constant map survives
-
-
-def test_face_check_improper():
-    cert = face_check(G.cycle(4), G.spoon(), G.spoon())
-    assert cert.improper
-    assert len(cert.face_vertices) == 7
-
-
-def test_face_check_validates_subgraph():
-    with pytest.raises(ValueError):
-        face_check(G.cycle(4), G.spoon(), G.complete(3))

@@ -10,14 +10,13 @@ from hypothesis import assume, given, settings, strategies as st
 
 from homtoric import graph as G
 from homtoric.graph import Graph
-from homtoric.indep import IndepSystem, MoveIndex, complement_cycle_basis
+from homtoric.indep import IndepSystem, complement_cycle_basis
 from homtoric import toric
 from homtoric.toric import (Binomial, OrientedBasis, ResourceCapExceeded, _rank, build_system,
-                            format_binomial, iter_fibers, markov_basis, markov_width,
-                            normality_witness, parse_basis_text, restrict_basis, strip_common,
-                            verify_grobner, verify_markov)
+                            format_binomial, iter_fibers, markov_basis, parse_basis_text,
+                            strip_common, verify_grobner, verify_markov)
 
-from helpers import (engine_layer, graphs_upto_iso, naive_check_basis_members,
+from helpers import (MoveIndex, engine_layer, graphs_upto_iso, naive_check_basis_members,
                      naive_fiber_is_grobner, naive_fibers, naive_layer_fibers,
                      naive_markov_basis, naive_markov_width, naive_membership,
                      naive_pivot_columns, naive_verify_markov, same_partition,
@@ -102,7 +101,7 @@ def test_single_edge_system_trivial():
         system = build_system(G.complete(2), h)
         cols = set(system.cols)
         assert len(cols) == system.num_vars  # distinct unit-pattern columns
-        assert markov_width(system, 3) == 0
+        assert markov_basis(system, 3).width == 0
 
 
 def test_column_sums_homogeneous():
@@ -263,19 +262,19 @@ def test_prism_basis_quadratics_and_cubic():
 def test_complete_graphs_trivial_width():
     for n in (3, 4, 5):
         system = build_system(G.complete(n), G.spoon())
-        assert markov_width(system, 3) == 0
+        assert markov_basis(system, 3).width == 0
 
 
 def test_width_complement_c4():
     system = IndepSystem(G.complement(G.cycle(4))).system
-    assert markov_width(system, 3) == 2
+    assert markov_basis(system, 3).width == 2
     assert naive_markov_width(system, 3) == 2
 
 
 def test_width_triangle_into_looped_edge():
     # binary-model style target: cycles need degree-four moves
     system = build_system(G.cycle(3), G.complete_looped(2))
-    assert markov_width(system, 5) == 4
+    assert markov_basis(system, 5).width == 4
     assert naive_markov_width(system, 4) == 4
 
 
@@ -288,7 +287,7 @@ def test_width_matches_naive_oracle_randomized():
         if not all(g.degree_on_edge(v) for v in range(n)):
             continue
         system = build_system(g, G.spoon())
-        assert markov_width(system, 3) == naive_markov_width(system, 3)
+        assert markov_basis(system, 3).width == naive_markov_width(system, 3)
 
 
 def test_markov_basis_verifies_itself():
@@ -627,7 +626,7 @@ def test_engine_matches_naive_markov_width(g, target):
     n = system.num_vars
     assume(comb(n + 1, 2) <= 3000)      # keep the pure-python oracle fast
     cap = 3 if comb(n + 2, 3) <= 3000 else 2
-    assert markov_width(system, cap) == naive_markov_width(system, cap)
+    assert markov_basis(system, cap).width == naive_markov_width(system, cap)
     basis = markov_basis(system, cap).basis
     assert verify_markov(system, basis, cap)
     for drop in range(len(basis)):
@@ -711,21 +710,6 @@ def test_orbit_engine_without_automorphisms_past_the_cap():
 # ---------------------------------------------------------------------------
 # restriction
 
-def test_restrict_basis_looped_edge_to_spoon():
-    g = G.path(3)
-    big = build_system(g, G.complete_looped(2))
-    small = build_system(g, G.spoon())
-    basis = markov_basis(big, 4).basis
-    restricted = restrict_basis(big, basis, small)
-    assert verify_markov(small, restricted, 4)
-
-
-def test_restrict_basis_same_target_identity():
-    system = build_system(G.path(4), G.path(3))
-    basis = markov_basis(system, 3).basis
-    assert restrict_basis(system, basis, system).elements == basis.elements
-
-
 def test_restrict_columns_keeps_columns_and_rejects_reordering():
     system = build_system(G.path(4), G.path(3))
     sub = system.restrict_columns((1, 4, 6))
@@ -747,8 +731,8 @@ def test_width_monotone_under_target_growth():
         cut = rng.randint(1, len(all_edges))
         h1 = Graph(n, all_edges[:cut])
         h2 = Graph(n, all_edges)
-        w1 = markov_width(build_system(g, h1), 3)
-        w2 = markov_width(build_system(g, h2), 3)
+        w1 = markov_basis(build_system(g, h1), 3).width
+        w2 = markov_basis(build_system(g, h2), 3).width
         assert w1 <= w2
 
 
@@ -872,30 +856,6 @@ def test_two_cycle_orientation_rejected():
     b = markov_basis(system, 2).basis.elements[0]
     bad = OrientedBasis((b, b.flipped()))
     assert not verify_grobner(system, bad, 2)
-
-
-# ---------------------------------------------------------------------------
-# witnesses
-
-def test_normality_witness_flags():
-    from homtoric.indep import bipartite_grobner
-    isys = IndepSystem(G.cycle(4))
-    basis = bipartite_grobner(isys)
-    assert verify_grobner(isys.system, basis, 4)
-    w = normality_witness(basis, grobner_verified=True)
-    assert w.normal and w.cohen_macaulay and w.koszul
-
-
-def test_normality_witness_silent_on_degree12():
-    system = build_system(G.complete(3), G.complete(4))
-    basis = OrientedBasis.make([degree12_binomial(system)])
-    w = normality_witness(basis, grobner_verified=True)
-    assert w.flags() == ["normal", "cohen-macaulay"] or not w.koszul
-
-
-def test_normality_witness_requires_verification():
-    with pytest.raises(ValueError):
-        normality_witness(OrientedBasis.make(()), grobner_verified=False)
 
 
 # ---------------------------------------------------------------------------
