@@ -44,13 +44,15 @@ class GlueSpec:
     """A separation of a graph into two induced sides covering all edges,
     with the systems over ``h`` of the union, both sides and their
     intersection (each hom enumeration bounded by ``caps``), the restriction
-    tables, the pair table (-1 off the union) and the class ranks."""
+    tables, the pair table (-1 off the union) and the class ranks.  A
+    pipeline passes one ``_systems`` dict (graph -> system over ``h``) to
+    all of its separations, so each graph's system is built once."""
 
     __slots__ = ("union", "side1", "side2", "shared", "h", "sub1", "sub2", "inter",
                  "sys_union", "sys1", "sys2", "sys_inter", "cls1", "cls2", "cid1", "cid2",
                  "pair_index", "r1", "r2", "xs_by_class", "ys_by_class")
 
-    def __init__(self, union: Graph, side1, side2, h: Graph, **caps):
+    def __init__(self, union: Graph, side1, side2, h: Graph, *, _systems=None, **caps):
         self.union = union
         self.side1 = tuple(sorted(set(side1)))
         self.side2 = tuple(sorted(set(side2)))
@@ -66,10 +68,12 @@ class GlueSpec:
         self.sub2 = induced_subgraph(union, self.side2)
         self.inter = induced_subgraph(union, self.shared)
 
-        self.sys_union = build_system(union, h, **caps)
-        self.sys1 = build_system(self.sub1.graph, h, **caps)
-        self.sys2 = build_system(self.sub2.graph, h, **caps)
-        self.sys_inter = build_system(self.inter.graph, h, **caps)
+        systems = {} if _systems is None else _systems
+        parts = (union, self.sub1.graph, self.sub2.graph, self.inter.graph)
+        for g in parts:
+            if g not in systems:
+                systems[g] = build_system(g, h, **caps)
+        self.sys_union, self.sys1, self.sys2, self.sys_inter = (systems[g] for g in parts)
 
         pos1 = [self.sub1.index[w] for w in self.shared]
         pos2 = [self.sub2.index[w] for w in self.shared]
@@ -307,6 +311,7 @@ def forest_pipeline(g: Graph, h: Graph, **caps) -> PipelineResult:
     quadratic square-free swaps collected along the decomposition."""
     if not (g.is_loopfree() and len(g.edges) == g.n - len(graphs.components(g))):
         raise GlueError("graph is not a forest")
+    systems = {}
 
     def build(graph: Graph):
         if len(graph.edges) <= 1:
@@ -319,7 +324,7 @@ def forest_pipeline(g: Graph, h: Graph, **caps) -> PipelineResult:
             leaf = max(v for v in range(graph.n) if len(graph.neighbors(v)) == 1)
             side1 = [v for v in range(graph.n) if v != leaf]
             side2 = [leaf, next(iter(graph.neighbors(leaf)))]
-        spec = GlueSpec(graph, side1, side2, h, **caps)
+        spec = GlueSpec(graph, side1, side2, h, _systems=systems, **caps)
         b1, d1, _ = build(spec.sub1.graph)
         b2, d2, _ = build(spec.sub2.graph)
         res = glue_basis(spec, b1, b2, lift_cap=PIPELINE_LIFT_CAP)
@@ -372,6 +377,7 @@ def outerplanar_pipeline(g: Graph, h: Graph, base_basis: OrientedBasis = None, *
         raise GlueError("graph is not a maximal outerplanar triangulation")
     if base_basis is None:
         base_basis = markov_basis(build_system(graphs.complete(3), h, **caps), 3).basis
+    systems = {}
 
     def build(graph: Graph):
         if graph.n == 3:
@@ -379,7 +385,7 @@ def outerplanar_pipeline(g: Graph, h: Graph, base_basis: OrientedBasis = None, *
         ear = _ear_order(graph)[0]
         side1 = [v for v in range(graph.n) if v != ear]
         side2 = sorted(graph.neighbors(ear)) + [ear]
-        spec = GlueSpec(graph, side1, side2, h, **caps)
+        spec = GlueSpec(graph, side1, side2, h, _systems=systems, **caps)
         b1, d1, t1, _ = build(spec.sub1.graph)
         res = glue_basis(spec, b1, base_basis, lift_cap=lift_cap,
                          allow_truncation=allow_truncation)

@@ -61,19 +61,30 @@ other component.  This is exact: the components of a degree-t fiber
 depend only on the ideal that the generators of degree < t span, which
 is the degree < t part of I_A, and I_A is Aut(H)-invariant; so s maps the
 components of a fiber onto the components of its image, and the mapped
-generators are the ones the bucket would give if walked.  The verifiers
+generators are the ones the bucket would give if walked.
+
+``verify_markov`` walks one bucket per orbit too, when every s maps the
+basis onto itself as a set of unordered binomials (Aoki-Takemura, J.
+Symbolic Comput. 2008, on the invariance groups of Markov bases).
+Then s maps each fiber onto a fiber, its gcd classes onto those of the
+image and the degree-t moves of the basis inside it onto the moves inside
+the image, so a split fiber in a bucket left out has a split image in the
+walked bucket of its orbit.  Invariance is tested once per call on the
+basis arrays; when it fails, every bucket is walked.  ``verify_grobner``
 and ``iter_fibers`` walk every bucket.
 
 All arithmetic is exact integer arithmetic.  numpy groups each block into
 fibers, splits them, turns a basis into moves between block rows and
 peels the sinks of directed fiber graphs; membership compares the images
-of the two sides under A, packed the same way into Python integers.
+of the two sides under A, packed the same way: into Python integers for
+one binomial, into int64 words for the elements of one shape of a basis.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import cached_property
 from math import comb
 
 import numpy as np
@@ -128,10 +139,6 @@ class Binomial:
     def flipped(self) -> "Binomial":
         return Binomial(self.minus, self.plus)
 
-    def relabel(self, var_map) -> "Binomial":
-        return Binomial(tuple(sorted(var_map[v] for v in self.plus)),
-                        tuple(sorted(var_map[v] for v in self.minus)))
-
 
 @dataclass(frozen=True)
 class OrientedBasis:
@@ -145,7 +152,7 @@ class OrientedBasis:
     @staticmethod
     def make(binomials, weights=None):
         elems = sorted(set(b for b in binomials if b is not None),
-                       key=lambda b: (b.degree, b.plus, b.minus))
+                       key=lambda b: (max(len(b.plus), len(b.minus)), b.plus, b.minus))
         return OrientedBasis(tuple(elems), weights)
 
     def __len__(self):
@@ -183,7 +190,7 @@ class ToricSystem:
     """Edge-separator matrix of Hom(G, H) with exact column data."""
 
     __slots__ = ("g", "h", "homs", "rows", "row_index", "cols", "_key", "_packed",
-                 "_packed_a")
+                 "_packed_a", "_packed_words")
 
     def __init__(self, g: Graph, h: Graph, homs: HomSet):
         self.g = g
@@ -210,6 +217,7 @@ class ToricSystem:
         self._key = None
         self._packed = {}
         self._packed_a = {}
+        self._packed_words = {}
 
     # -- fiber key -------------------------------------------------------------
 
@@ -240,21 +248,13 @@ class ToricSystem:
         return m[rows]
 
     def packed_columns(self, bits: int, room: int):
-        """The columns of the key packed into int64 words, one row per
-        variable and stored word by word, cached per (``bits``, ``room``):
-        key row i takes ``bits`` bits of word i // per from bit room + bits
-        * (i % per) on, per = (63 - room) // bits (see the module docstring
-        for why sums of them stay exact).  The low ``room`` bits stay free
-        for a row number."""
+        """The columns of the key packed by ``_pack``, one row per variable,
+        cached per (``bits``, ``room``); see the module docstring for why
+        sums of them stay exact.  The low ``room`` bits stay free for a row
+        number."""
         packed = self._packed.get((bits, room))
         if packed is None:
-            key, per = self.key_matrix, (63 - room) // bits
-            packed = np.zeros((-(-key.shape[0] // per), key.shape[1]), dtype=np.int64).T
-            for w in range(packed.shape[1]):
-                block = key[w * per:(w + 1) * per]
-                shift = room + bits * np.arange(len(block), dtype=np.int64)
-                packed[:, w] = (block << shift[:, None]).sum(axis=0)
-            self._packed[bits, room] = packed
+            packed = self._packed[bits, room] = _pack(self.key_matrix, bits, room)
         return packed
 
     def dense_matrix(self):
@@ -292,9 +292,35 @@ class ToricSystem:
         return sum(packed[v] for v in plus) == sum(packed[v] for v in minus)
 
     def check_basis_members(self, basis: OrientedBasis):
-        for b in basis:
-            if not self.membership(b):
-                raise ValueError(f"binomial {b.plus} - {b.minus} is not in the ideal")
+        """Raise at the first element of ``basis`` that is not a member:
+        IndexError for a variable out of range, else ValueError.  The
+        elements of one shape (side lengths) are checked together, each
+        side's image the sum of its factors' columns of A packed into int64
+        words as in ``packed_columns``, at the bits of the longer side's
+        length (cached per bit count)."""
+        elems, n = basis.elements, len(self.homs)
+        shapes, first = {}, len(elems)
+        for i, b in enumerate(elems):
+            shapes.setdefault((len(b.plus), len(b.minus)), []).append(i)
+        for (p, q), where in shapes.items():
+            sides = np.array([elems[i].plus + elems[i].minus for i in where],
+                             dtype=np.int64).reshape(len(where), p + q)
+            out = sides.view(np.uint64) >= n       # a negative variable wraps around
+            bad = out.any(axis=1)
+            if n:                       # else every factor is out of range
+                sides[out] = 0
+                bits = max(p, q, 1).bit_length()
+                packed = self._packed_words.get(bits)
+                if packed is None:
+                    packed = self._packed_words[bits] = _pack(self.dense_matrix(), bits, 0)
+                bad |= (packed[sides[:, :p]].sum(axis=1)
+                        != packed[sides[:, p:]].sum(axis=1)).any(axis=1)
+            if bad.any():
+                first = min(first, where[int(bad.argmax())])
+        if first < len(elems):
+            b = elems[first]
+            self.membership(b)          # IndexError for a variable out of range
+            raise ValueError(f"binomial {b.plus} - {b.minus} is not in the ideal")
 
     def restrict_columns(self, var_indices) -> "ToricSystem":
         """The system on the variables ``var_indices``, renumbered 0..k-1 in
@@ -306,6 +332,20 @@ class ToricSystem:
             raise ValueError("variable indices must be strictly increasing and nonnegative")
         maps = [self.homs.maps[v] for v in idx]
         return ToricSystem(self.g, self.h, HomSet(self.g, self.h, maps))
+
+
+def _pack(matrix, bits: int, room: int):
+    """The columns of ``matrix`` packed into int64 words, one row per
+    column and stored word by word: matrix row i takes ``bits`` bits of
+    word i // per from bit room + bits * (i % per) on, per = (63 - room) //
+    bits."""
+    per = (63 - room) // bits
+    packed = np.zeros((-(-matrix.shape[0] // per), matrix.shape[1]), dtype=np.int64).T
+    for w in range(packed.shape[1]):
+        block = matrix[w * per:(w + 1) * per]
+        shift = room + bits * np.arange(len(block), dtype=np.int64)
+        packed[:, w] = (block << shift[:, None]).sum(axis=0)
+    return packed
 
 
 def build_system(g: Graph, h: Graph, **caps) -> ToricSystem:
@@ -497,7 +537,12 @@ class _Layers:
         np.cumsum(self.count.T, axis=1, out=self.offsets[:, 1:])
         self.tables = [_columns(0, k), _columns(1, self.n)]
         self.tables[1][:, 0] = self.members
-        self.perms = None               # the symmetries, built when first needed
+
+    @cached_property
+    def perms(self):
+        """The variable permutations of Aut(H), identity first (see
+        ``_automorphisms``), built when first needed."""
+        return _automorphisms(self.system)
 
     def _extend(self, t: int):
         """Class layers up to degree t: each variable in front of the rows
@@ -593,8 +638,6 @@ class _Layers:
         of ``_Block`` for every other bucket.  An automorphism permutes the
         edge maps of e, so the classes, and maps a bucket's multiset of
         classes to the multiset of their images."""
-        if self.perms is None:
-            self.perms = _automorphisms(self.system)
         perms, n_buckets = self.perms, len(comps)
         index = np.arange(n_buckets)
         shift = np.empty((len(perms), self.k), dtype=np.intp)   # class c -> shift[g, c]
@@ -934,10 +977,31 @@ def _basis_sides(system, basis: OrientedBasis):
     for b in basis:
         if len(b.plus) != len(b.minus):
             raise ValueError(f"binomial {b.plus} - {b.minus} is not homogeneous")
-        if sorted(b.plus) != sorted(b.minus):
-            groups.setdefault(len(b.plus), []).append(b.plus + b.minus)
-    return {d: np.sort(np.array(g, dtype=np.int32).reshape(-1, 2, d), axis=2)
-            for d, g in groups.items()}
+        groups.setdefault(len(b.plus), []).append(b.plus + b.minus)
+    sides = {}
+    for d, g in groups.items():
+        s = np.sort(np.array(g, dtype=np.int32).reshape(len(g), 2, d), axis=2)
+        s = s[(s[:, 0] != s[:, 1]).any(axis=1)]
+        if len(s):
+            sides[d] = s
+    return sides
+
+
+def _invariant(sides, perms, n_vars: int) -> bool:
+    """True when every variable permutation of ``perms`` (identity first)
+    maps the elements of ``sides`` (see ``_basis_sides``), read as a
+    multiset of unordered binomials, onto itself: each side is moved,
+    re-sorted and ranked in its layer, the two ranks of every element put
+    low first and the pairs sorted."""
+    for d, s in sides.items():
+        pairs = []
+        for perm in perms:
+            rank = _rank(np.sort(perm[s], axis=2).reshape(-1, d), n_vars).reshape(-1, 2)
+            rank.sort(axis=1)
+            pairs.append(rank[np.lexsort((rank[:, 1], rank[:, 0]))])
+        if not all(np.array_equal(p, pairs[0]) for p in pairs[1:]):
+            return False
+    return True
 
 
 def verify_markov(system, basis: OrientedBasis, degree_cap: int, *,
@@ -948,15 +1012,19 @@ def verify_markov(system, basis: OrientedBasis, degree_cap: int, *,
     False, so at degree t every lower fiber is known to be connected.  Then
     monomials that share a variable are connected (see ``markov_basis``)
     and moves of degree < t stay inside those classes, so only the basis
-    elements of degree exactly t can join two of them.
+    elements of degree exactly t can join two of them.  When Aut(H) maps
+    the basis onto itself, only one bucket per orbit is walked (see the
+    module docstring); otherwise every bucket is.
     """
     if degree_cap < 1:                  # no layer checked: any basis would pass
         raise ValueError("degree cap must be at least 1")
     sides = _basis_sides(system, basis)
     layers = _Layers(system, degree_cap)
+    _check_layers(system.num_vars, degree_cap, mono_cap)    # before Aut(H) is searched
+    orbits = layers.k > 1 and _invariant(sides, layers.perms, system.num_vars)
     for t in range(1, degree_cap + 1):
         top = {t: sides[t]} if t in sides else {}
-        for block in layers.blocks(t, mono_cap):
+        for block in layers.blocks(t, mono_cap, orbits=orbits):
             if len(_split(block, system.num_vars, layers.moves(block, top, t))[0]):
                 return False
     return True

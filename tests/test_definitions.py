@@ -1,10 +1,12 @@
 """Every top-level function, class and method of the package is used
-somewhere: by name, by attribute or as a string, in the sources, the
-benchmark, the tools or the acceptance tests.  The unit tests do not count,
-so a definition that only they reach is flagged; a unit test that needs
-such code as an oracle keeps it in ``tests/helpers.py``.  A definition
-that only refers to itself (a recursive function, a class building itself)
-counts as unused."""
+somewhere in the sources, the benchmark, the tools or the acceptance
+tests: a top-level definition by name, by attribute or as a string, a
+method only by attribute or as a string, since a bare name or import of
+the same spelling is some other binding (a local variable, a function of
+another module).  The unit tests do not count, so a definition that only
+they reach is flagged; a unit test that needs such code as an oracle keeps
+it in ``tests/helpers.py``.  A definition that only refers to itself (a
+recursive function, a class building itself) counts as unused."""
 
 import ast
 from collections import Counter
@@ -16,25 +18,27 @@ SEARCHED = ("src/**/*.py", "perfbench/**/*.py", "tools/**/*.py", "tests/test_acc
 
 
 def _references(tree):
-    """Names, attributes, imported names and string constants in ``tree``."""
+    """(bare, text) for the names, attributes, imported names and string
+    constants in ``tree``; ``bare`` is True for names and imports."""
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
-            yield node.id
+            yield True, node.id
         elif isinstance(node, ast.Attribute):
-            yield node.attr
+            yield False, node.attr
         elif isinstance(node, ast.alias):
-            yield node.name
+            yield True, node.name
         elif isinstance(node, ast.Constant) and isinstance(node.value, str):
-            yield node.value
+            yield False, node.value
 
 
 def _definitions(tree):
-    """Top-level functions and classes, then the methods of each class."""
+    """(definition, kinds of reference that count): top-level functions
+    and classes, then the methods of each class."""
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-            yield node
+            yield node, (True, False)
         if isinstance(node, ast.ClassDef):
-            yield from (m for m in node.body if isinstance(m, ast.FunctionDef))
+            yield from ((m, (False,)) for m in node.body if isinstance(m, ast.FunctionDef))
 
 
 def unused_definitions():
@@ -44,11 +48,12 @@ def unused_definitions():
             counts.update(_references(ast.parse(path.read_text())))
     unused = []
     for path in sorted(PACKAGE.glob("*.py")):
-        for node in _definitions(ast.parse(path.read_text())):
+        for node, kinds in _definitions(ast.parse(path.read_text())):
             name = node.name
             if name.startswith("__") and name.endswith("__"):
                 continue
-            if counts[name] <= Counter(_references(node))[name]:
+            own = Counter(_references(node))
+            if all(counts[bare, name] <= own[bare, name] for bare in kinds):
                 unused.append(f"{path.stem}.{name}")
     return unused
 

@@ -12,6 +12,7 @@ from homtoric import graph as G
 from homtoric.graph import Graph
 from homtoric.indep import IndepSystem, complement_cycle_basis
 from homtoric import toric
+from homtoric.tfp import forest_pipeline, outerplanar_pipeline
 from homtoric.toric import (Binomial, OrientedBasis, ResourceCapExceeded, _rank, build_system,
                             format_binomial, iter_fibers, markov_basis, parse_basis_text,
                             strip_common, verify_grobner, verify_markov)
@@ -586,6 +587,26 @@ def test_packed_membership_matches_counter_images():
             if maps[j][:-1] == m[:-1]:
                 b = Binomial((i, i), (i, j))
                 assert not system.membership(b) and not naive_membership(system, b)
+    # whole bases checked in one batch: that system's Markov basis, two
+    # words a side, and the degree-12 glue basis of the fan into K4, six
+    # words a side, each with non-members and out-of-range elements mixed in
+    fan = Graph(5, [(0, 1), (0, 2), (0, 3), (0, 4), (1, 2), (2, 3), (3, 4)])
+    base = OrientedBasis.make([degree12_binomial(build_system(G.complete(3), G.complete(4)))])
+    glued = outerplanar_pipeline(fan, G.complete(4), base_basis=base, lift_cap=5000,
+                                 allow_truncation=True)
+    assert glued.basis.degree == 12
+    for system, basis in ((system, markov_basis(system, 2).basis), (glued.system, glued.basis)):
+        n = system.num_vars
+        assert _outcome(system.check_basis_members, basis) == ("returned", None)
+        elems = list(basis)
+        for b in rng.sample(elems, 8):
+            elems += [b.flipped(), Binomial(b.plus[1:], b.minus),
+                      Binomial(b.plus[:-1] + (n,), b.minus), Binomial(b.plus, (-1,) + b.minus[1:])]
+        for _ in range(4):
+            rng.shuffle(elems)
+            k = rng.randint(len(elems) // 2, len(elems))
+            assert (_outcome(system.check_basis_members, OrientedBasis(tuple(elems[:k])))
+                    == _outcome(naive_check_basis_members, system, elems[:k]))
 
 
 @st.composite
@@ -705,6 +726,80 @@ def test_orbit_engine_without_automorphisms_past_the_cap():
             assert markov_basis(system, 3) == res
     assert len(toric._automorphisms(system)) == 2
     assert res == unbucketed_markov_basis(system, 3)
+
+
+def _invariant(system, basis):
+    return toric._invariant(toric._basis_sides(system, basis), toric._automorphisms(system),
+                            system.num_vars)
+
+
+def _orbit_mover(system, basis):
+    """The last element of ``basis`` that an automorphism maps to another
+    unordered binomial, or None.  The walk takes the lex-first bucket of
+    an orbit, so a late element tends to lie in a bucket it leaves out."""
+    for b in reversed(basis.elements):
+        for perm in toric._automorphisms(system)[1:].tolist():
+            image = sorted(tuple(sorted(perm[v] for v in side)) for side in (b.plus, b.minus))
+            if image != sorted((b.plus, b.minus)):
+                return b
+    return None
+
+
+def test_orbit_verifier_matches_unbucketed_verifier():
+    # verify_markov walks one bucket per Aut(H)-orbit when the basis is
+    # invariant, else every bucket: the verdict against the whole-layer
+    # walk on markov_basis outputs (over randomly relabeled targets and a
+    # restricted system with two automorphisms) and glued forest bases,
+    # and on each with one element of a nontrivial orbit left out, which is
+    # no longer invariant and no longer a Markov basis
+    rng = random.Random(17)
+    targets = [G.complete(3), G.path(3), G.spoon()] + [
+        _relabeled(h, rng) for h in (G.complete(3), G.complete_looped(3), G.cycle(4))]
+    sources = [G.path(3), G.path(4), G.cycle(4), Graph(4, [(0, 1), (0, 2), (0, 3)]),
+               Graph(4, [(0, 1), (1, 2)])]
+    full = build_system(G.path(4), G.complete(3))
+    restricted = full.restrict_columns(i for i, m in enumerate(full.homs.maps) if m[0] < 2)
+    assert len(toric._automorphisms(restricted)) == 2
+    cases = []
+    for system in [build_system(g, h) for g in sources for h in targets] + [restricted]:
+        cap = 3 if comb(system.num_vars + 2, 3) <= 5000 else 2
+        cases.append((system, markov_basis(system, cap).basis, cap))
+    for n in (5, 6):
+        res = forest_pipeline(G.path(n), G.complete(3))
+        cases.append((res.system, res.basis, 3))
+    dropped = 0
+    for system, basis, cap in cases:
+        bases = [basis]
+        invariant = _invariant(system, basis)
+        mover = _orbit_mover(system, basis) if invariant else None
+        if mover is not None:
+            kept = OrientedBasis(tuple(b for b in basis if b != mover))
+            assert not _invariant(system, kept)
+            bases.append(kept)
+            dropped += 1
+        for block in (16, 5):
+            with mock.patch.object(toric, "BLOCK", block):
+                for b in bases:
+                    expected = unbucketed_verify_markov(system, b, cap)
+                    assert verify_markov(system, b, cap) == expected, \
+                        (block, system.g.edges, system.h.edges, len(b))
+                    assert expected == (b is basis)
+    assert dropped >= 10
+    assert all(_invariant(system, basis) for system, basis, _ in cases[-2:])
+
+
+def test_orbit_verifier_without_automorphisms_past_the_cap():
+    # past the search cap only the identity is used, so every basis is
+    # invariant and every bucket is walked
+    res = forest_pipeline(G.path(5), G.complete(3))
+    kept = OrientedBasis(res.basis.elements[1:])
+    with mock.patch.object(toric, "BLOCK", 16), mock.patch.object(toric, "AUT_HOM_CAP", 3):
+        assert len(toric._automorphisms(res.system)) == 1
+        assert _invariant(res.system, kept)
+        for basis in (res.basis, kept):
+            assert (verify_markov(res.system, basis, 3)
+                    == unbucketed_verify_markov(res.system, basis, 3))
+    assert not _invariant(res.system, kept)
 
 
 # ---------------------------------------------------------------------------
