@@ -308,13 +308,12 @@ class ToricSystem:
             out = sides.view(np.uint64) >= n       # a negative variable wraps around
             bad = out.any(axis=1)
             if n:                       # else every factor is out of range
-                sides[out] = 0
                 bits = max(p, q, 1).bit_length()
                 packed = self._packed_words.get(bits)
                 if packed is None:
                     packed = self._packed_words[bits] = _pack(self.dense_matrix(), bits, 0)
-                bad |= (packed[sides[:, :p]].sum(axis=1)
-                        != packed[sides[:, p:]].sum(axis=1)).any(axis=1)
+                image = packed.take(sides, axis=0, mode="wrap")     # bad rows stay in range
+                bad |= (image[:, :p].sum(axis=1) != image[:, p:].sum(axis=1)).any(axis=1)
             if bad.any():
                 first = min(first, where[int(bad.argmax())])
         if first < len(elems):
