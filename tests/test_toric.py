@@ -770,8 +770,7 @@ def test_orbit_verifier_matches_unbucketed_verifier():
     dropped = 0
     for system, basis, cap in cases:
         bases = [basis]
-        invariant = _invariant(system, basis)
-        mover = _orbit_mover(system, basis) if invariant else None
+        mover = _orbit_mover(system, basis) if _invariant(system, basis) else None
         if mover is not None:
             kept = OrientedBasis(tuple(b for b in basis if b != mover))
             assert not _invariant(system, kept)
