@@ -37,7 +37,7 @@ class ObstructionCertificate:
 
 
 def find_low_degree_binomial(g: Graph, degree_cap: int = 6, *,
-                             mono_cap: int = DEFAULT_MONO_CAP, **homcaps):
+                             mono_cap: int = DEFAULT_MONO_CAP):
     """(system, binomial): the system of triangle placements into ``g`` and
     a smallest-degree binomial with disjoint monomial supports in its
     ideal, the lexicographically smallest such pair; None for the binomial
@@ -51,7 +51,7 @@ def find_low_degree_binomial(g: Graph, degree_cap: int = 6, *,
     smallest.  A cap below 2 would search no layer, so it is refused."""
     if degree_cap < 2:
         raise ValueError("degree cap must be at least 2")
-    system = build_system(graphs.complete(3), g, **homcaps)
+    system = build_system(graphs.complete(3), g)
     if system.num_vars == 0:
         raise ValueError("no triangle placements in the graph; the ideal is empty")
     for t in range(2, degree_cap + 1):

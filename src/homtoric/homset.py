@@ -4,6 +4,10 @@ A homomorphism G -> H is stored as the tuple (phi(0), ..., phi(n-1)).
 ``HomSet`` holds all of them in lexicographic order of that tuple; the
 position of a map in the list is its variable index in the associated
 polynomial ring.
+
+``enumerate_homs`` refuses a search over more than ``SEARCH_CAP``
+assignments V(G) -> V(H) before it starts, and stops once it has found
+more than ``count_cap`` homomorphisms.
 """
 
 from __future__ import annotations
@@ -12,6 +16,9 @@ import sys
 
 from .graph import Graph, bfs, spoon
 from .util import ResourceCapExceeded
+
+
+SEARCH_CAP = 10**12     # |V(H)|^|V(G)| assignments; a larger search is refused
 
 
 class HomTooLarge(ResourceCapExceeded):
@@ -36,13 +43,12 @@ class HomSet:
         return iter(self.maps)
 
 
-def enumerate_homs(g: Graph, h: Graph, *, search_cap: int = 10**12,
-                   count_cap: int = 10**7) -> HomSet:
+def enumerate_homs(g: Graph, h: Graph, *, count_cap: int = 10**7) -> HomSet:
     """Backtracking over the vertices of G in BFS order with forward
     checking against the adjacency of H.  The search recurses once per
     vertex of G, so a source with more vertices than half the recursion
     limit is refused."""
-    if g.n > 0 and h.n ** g.n > search_cap:
+    if g.n > 0 and h.n ** g.n > SEARCH_CAP:
         raise HomTooLarge(f"|V(H)|^|V(G)| = {h.n}**{g.n} exceeds the cap")
     if g.n > (depth := sys.getrecursionlimit() // 2):
         raise HomTooLarge(f"{g.n} source vertices exceed the search depth {depth}")

@@ -211,28 +211,28 @@ class TopGraded:
     basis: OrientedBasis
 
 
-def top_graded(isys: IndepSystem, degree_cap: int = 3, **kw) -> TopGraded:
+def top_graded(isys: IndepSystem, degree_cap: int = 3) -> TopGraded:
     """Restriction to the variables of maximum independent-set size; the
     restriction is a face of the underlying polytope, so its generators
     come straight from the layered fiber construction."""
     alpha = max((len(s) for s in isys.sets), default=0)
     idxs = tuple(i for i, s in enumerate(isys.sets) if len(s) == alpha)
     sub = isys.system.restrict_columns(idxs)
-    res = markov_basis(sub, degree_cap, **kw)
+    res = markov_basis(sub, degree_cap)
     return TopGraded(alpha, idxs, tuple(isys.sets[i] for i in idxs), sub, res.basis)
 
 
 # ---------------------------------------------------------------------------
 # complements of even cycles
 
-def complement_cycle_basis(k: int, **caps):
+def complement_cycle_basis(k: int):
     """Minimal quadratics plus the alternating-matching binomial of degree
     k for the complement of the cycle on 2k vertices; its width is exactly
     k."""
     if k < 2:
         raise ValueError("needs k >= 2")
     g = graphs.complement(graphs.cycle(2 * k))
-    isys = IndepSystem(g, **caps)
+    isys = IndepSystem(g)
     n = 2 * k
     even = sorted(isys.var({2 * i, (2 * i + 1) % n}) for i in range(k))
     odd = sorted(isys.var({(2 * i + 1) % n, (2 * i + 2) % n}) for i in range(k))

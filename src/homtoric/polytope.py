@@ -181,7 +181,7 @@ class StableSetIso:
     sets: tuple          # the corresponding independent sets
 
 
-def stable_set_iso(g: Graph, **caps) -> StableSetIso:
+def stable_set_iso(g: Graph) -> StableSetIso:
     """Projection of the homomorphism polytope for the spoon target onto
     one coordinate per vertex; an affine isomorphism onto the stable set
     polytope.  Needs a loop-free source where every vertex lies on an
@@ -191,7 +191,7 @@ def stable_set_iso(g: Graph, **caps) -> StableSetIso:
     if not all(g.degree_on_edge(v) for v in range(g.n)):
         raise ValueError("isolated vertices have no incident coordinate; "
                          "take a direct product with a segment instead")
-    system = build_system(g, spoon(), **caps)
+    system = build_system(g, spoon())
     sets = indep_encode(g, system.homs)[0]
     # for vertex v pick any row (e, rho) where v maps to the unlooped vertex
     chosen = {}
@@ -215,7 +215,7 @@ def stable_set_iso(g: Graph, **caps) -> StableSetIso:
     return StableSetIso(tuple(points), tuple(sets))
 
 
-def stable_set_polytope(g: Graph, **caps) -> LatticePolytope:
-    iso = stable_set_iso(g, **caps)
+def stable_set_polytope(g: Graph) -> LatticePolytope:
+    iso = stable_set_iso(g)
     rows = tuple(("vertex", (v,)) for v in range(g.n))
     return LatticePolytope(rows, iso.points, tuple(tuple(sorted(s)) for s in iso.sets))

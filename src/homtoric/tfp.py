@@ -306,7 +306,7 @@ class PipelineResult:
     truncated: bool
 
 
-def forest_pipeline(g: Graph, h: Graph, **caps) -> PipelineResult:
+def forest_pipeline(g: Graph, h: Graph) -> PipelineResult:
     """Recursive leaf gluing: every forest ideal is generated by the
     quadratic square-free swaps collected along the decomposition."""
     if not (g.is_loopfree() and len(g.edges) == g.n - len(graphs.components(g))):
@@ -324,14 +324,14 @@ def forest_pipeline(g: Graph, h: Graph, **caps) -> PipelineResult:
             leaf = max(v for v in range(graph.n) if len(graph.neighbors(v)) == 1)
             side1 = [v for v in range(graph.n) if v != leaf]
             side2 = [leaf, next(iter(graph.neighbors(leaf)))]
-        spec = GlueSpec(graph, side1, side2, h, _systems=systems, **caps)
+        spec = GlueSpec(graph, side1, side2, h, _systems=systems)
         b1, d1, _ = build(spec.sub1.graph)
         b2, d2, _ = build(spec.sub2.graph)
         res = glue_basis(spec, b1, b2, lift_cap=PIPELINE_LIFT_CAP)
         return res.basis, d1 | d2 | set(res.degrees_full), spec.sys_union
 
     basis, degrees, system = build(g)   # the outermost union system
-    system = system or build_system(g, h, **caps)
+    system = system or build_system(g, h)
     # maps that differ only on isolated vertices have equal columns; the
     # gluing treats each side's maps as distinct, so join them linearly
     first, linear = {}, []
@@ -365,8 +365,8 @@ def _ear_order(g: Graph):
 
 
 def outerplanar_pipeline(g: Graph, h: Graph, base_basis: OrientedBasis = None, *,
-                         lift_cap: int = PIPELINE_LIFT_CAP, allow_truncation: bool = False,
-                         **caps) -> PipelineResult:
+                         lift_cap: int = PIPELINE_LIFT_CAP,
+                         allow_truncation: bool = False) -> PipelineResult:
     """Ear-by-ear gluing of a maximal outerplanar graph over shared edges.
 
     ``base_basis`` is the generating set of the triangle ideal I(K3 -> H);
@@ -376,7 +376,7 @@ def outerplanar_pipeline(g: Graph, h: Graph, base_basis: OrientedBasis = None, *
     if _ear_order(g) is None:
         raise GlueError("graph is not a maximal outerplanar triangulation")
     if base_basis is None:
-        base_basis = markov_basis(build_system(graphs.complete(3), h, **caps), 3).basis
+        base_basis = markov_basis(build_system(graphs.complete(3), h), 3).basis
     systems = {}
 
     def build(graph: Graph):
@@ -385,7 +385,7 @@ def outerplanar_pipeline(g: Graph, h: Graph, base_basis: OrientedBasis = None, *
         ear = _ear_order(graph)[0]
         side1 = [v for v in range(graph.n) if v != ear]
         side2 = sorted(graph.neighbors(ear)) + [ear]
-        spec = GlueSpec(graph, side1, side2, h, _systems=systems, **caps)
+        spec = GlueSpec(graph, side1, side2, h, _systems=systems)
         b1, d1, t1, _ = build(spec.sub1.graph)
         res = glue_basis(spec, b1, base_basis, lift_cap=lift_cap,
                          allow_truncation=allow_truncation)
@@ -393,5 +393,5 @@ def outerplanar_pipeline(g: Graph, h: Graph, base_basis: OrientedBasis = None, *
                 spec.sys_union)
 
     basis, degrees, truncated, system = build(g)   # the outermost union system
-    system = system or build_system(g, h, **caps)
+    system = system or build_system(g, h)
     return PipelineResult(system, basis, tuple(sorted(degrees)), truncated)

@@ -32,13 +32,14 @@ layer fits in one block or every edge has more buckets than pay.  A
 block is a run of whole buckets of at most ``BLOCK`` rows, or one
 larger bucket alone, so every fiber, every gcd class and both ends of
 every move lie in one block, and the peak memory follows the largest
-block, not the layer; ``mono_cap`` still caps the whole layer, counted
-before anything is built.  The rows of a block are in lexicographic
-order (re-sorted by lex rank when there are several classes), so the
-smallest monomial of a fiber or a component is its first row, and every
-list of monomials the engine returns is in lex order.  Fibers, and the
-(fiber, variable) classes of the gcd rule, are runs of one ``np.sort``
-of ``key << room | row`` words, least significant key word first.
+block, not the layer; ``mono_cap`` still caps every whole layer up to
+the cap, all counted once before anything is built.  The rows of a
+block are in lexicographic order (re-sorted by lex rank when there are
+several classes), so the smallest monomial of a fiber or a component is
+its first row, and every list of monomials the engine returns is in lex
+order.  Fibers, and the (fiber, variable) classes of the gcd rule, are
+runs of one ``np.sort`` of ``key << room | row`` words, least
+significant key word first.
 
 Markov bases are built and verified one degree layer at a time, t = 1, 2,
 ..., by the gcd rule (Takemura-Aoki, Ann. Inst. Stat. Math. 56, 2004; see
@@ -76,8 +77,8 @@ and ``iter_fibers`` walk every bucket.
 All arithmetic is exact integer arithmetic.  numpy groups each block into
 fibers, splits them, turns a basis into moves between block rows and
 peels the sinks of directed fiber graphs; membership compares the images
-of the two sides under A, packed the same way: into Python integers for
-one binomial, into int64 words for the elements of one shape of a basis.
+of the two sides under A, packed the same way into int64 words, for all
+the elements of one shape (side lengths) at once.
 """
 
 from __future__ import annotations
@@ -190,7 +191,7 @@ class ToricSystem:
     """Edge-separator matrix of Hom(G, H) with exact column data."""
 
     __slots__ = ("g", "h", "homs", "rows", "row_index", "cols", "_key", "_packed",
-                 "_packed_a", "_packed_words")
+                 "_packed_words")
 
     def __init__(self, g: Graph, h: Graph, homs: HomSet):
         self.g = g
@@ -216,7 +217,6 @@ class ToricSystem:
         self.cols = tuple(cols)
         self._key = None
         self._packed = {}
-        self._packed_a = {}
         self._packed_words = {}
 
     # -- fiber key -------------------------------------------------------------
@@ -275,35 +275,31 @@ class ToricSystem:
         return len(self.homs)
 
     def membership(self, binomial: Binomial) -> bool:
-        """True when both sides have the same image under A.  The image
-        entries of a side of degree d are at most d, so with row e of A at
-        the bits [b*e, b*(e+1)) of one Python integer, b = d.bit_length(),
-        the image of a side packs into the sum of the packed columns of its
-        factors (as in the module docstring, in one unbounded word)."""
-        plus, minus = binomial.plus, binomial.minus
-        n = len(self.homs)
-        for v in plus + minus:
-            if not (0 <= v < n):
-                raise IndexError(f"variable {v} out of range")
-        bits = max(len(plus), len(minus), 1).bit_length()
-        packed = self._packed_a.get(bits)
-        if packed is None:
-            packed = self._packed_a[bits] = [sum(1 << bits * e for e in col) for col in self.cols]
-        return sum(packed[v] for v in plus) == sum(packed[v] for v in minus)
+        """True when both sides have the same image under A; IndexError
+        for a variable out of range."""
+        return self.first_non_member((binomial,)) is None
 
     def check_basis_members(self, basis: OrientedBasis):
         """Raise at the first element of ``basis`` that is not a member:
-        IndexError for a variable out of range, else ValueError.  The
-        elements of one shape (side lengths) are checked together, each
-        side's image the sum of its factors' columns of A packed into int64
-        words as in ``packed_columns``, at the bits of the longer side's
-        length (cached per bit count)."""
-        elems, n = basis.elements, len(self.homs)
-        shapes, first = {}, len(elems)
-        for i, b in enumerate(elems):
+        IndexError for a variable out of range, else ValueError."""
+        b = self.first_non_member(basis.elements)
+        if b is not None:
+            raise ValueError(f"binomial {b.plus} - {b.minus} is not in the ideal")
+
+    def first_non_member(self, elements):
+        """The first of the binomials ``elements`` whose sides have different
+        images under A, or None; IndexError instead when that first failure
+        has a variable out of range.  The elements of one shape (side
+        lengths) are checked together, each side's image the sum of its
+        factors' columns of A packed into int64 words as in
+        ``packed_columns``, at the bits of the longer side's length (cached
+        per bit count): an image entry of a side of degree d is at most d."""
+        n = len(self.homs)
+        shapes, first = {}, len(elements)
+        for i, b in enumerate(elements):
             shapes.setdefault((len(b.plus), len(b.minus)), []).append(i)
         for (p, q), where in shapes.items():
-            sides = np.array([elems[i].plus + elems[i].minus for i in where],
+            sides = np.array([elements[i].plus + elements[i].minus for i in where],
                              dtype=np.int64).reshape(len(where), p + q)
             out = sides.view(np.uint64) >= n       # a negative variable wraps around
             bad = out.any(axis=1)
@@ -316,10 +312,13 @@ class ToricSystem:
                 bad |= (image[:, :p].sum(axis=1) != image[:, p:].sum(axis=1)).any(axis=1)
             if bad.any():
                 first = min(first, where[int(bad.argmax())])
-        if first < len(elems):
-            b = elems[first]
-            self.membership(b)          # IndexError for a variable out of range
-            raise ValueError(f"binomial {b.plus} - {b.minus} is not in the ideal")
+        if first == len(elements):
+            return None
+        b = elements[first]
+        for v in b.plus + b.minus:
+            if not 0 <= v < n:
+                raise IndexError(f"variable {v} out of range")
+        return b
 
     def restrict_columns(self, var_indices) -> "ToricSystem":
         """The system on the variables ``var_indices``, renumbered 0..k-1 in
@@ -480,16 +479,6 @@ def _automorphisms(system):
     return np.array(perms)
 
 
-def _check_layers(n: int, t: int, mono_cap: int):
-    """Refuse the layers of degree 2..t when one holds more than
-    ``mono_cap`` of the monomials in n variables."""
-    for s in range(2, t + 1):
-        total = comb(n + s - 1, s)
-        if total > mono_cap:
-            raise ResourceCapExceeded(
-                f"{total} monomials of degree {s} exceed the cap {mono_cap}")
-
-
 @dataclass(frozen=True)
 class _Block:
     """Whole buckets of one degree layer.  ``mono``: the monomials as
@@ -513,22 +502,26 @@ class _Block:
 
 class _Layers:
     """The degree layers of one system, t = 1 up to a cap, each walked as
-    blocks of whole buckets (see the module docstring).  The class layers
-    (every multiset of c variables of one class, in lex order) are built
-    once, degree by degree, and stacked: ``tables[c]`` holds class 0's,
-    then class 1's, ..., from the rows ``offsets[c]``."""
+    blocks of whole buckets (see the module docstring).  A layer of degree
+    2..cap with more than ``mono_cap`` monomials is refused up front,
+    before anything is built.  The class layers (every multiset of c
+    variables of one class, in lex order) are built once, degree by
+    degree, and stacked: ``tables[c]`` holds class 0's, then class 1's,
+    ..., from the rows ``offsets[c]``."""
 
-    def __init__(self, system, cap: int):
+    def __init__(self, system, cap: int, mono_cap: int):
         if cap < 1:
             raise ValueError("degree must be at least 1")
         self.system, self.n = system, system.num_vars
+        for t in range(2, cap + 1):
+            total = comb(self.n + t - 1, t)
+            if total > mono_cap:
+                raise ResourceCapExceeded(
+                    f"{total} monomials of degree {t} exceed the cap {mono_cap}")
         self.classes = _bucket_classes(system, cap)
         k = self.k = int(self.classes.max(initial=0)) + 1
         sizes = np.bincount(self.classes, minlength=k)
-        if k == 1:
-            self.members = np.arange(self.n)
-        else:
-            self.members = np.concatenate([np.flatnonzero(self.classes == i) for i in range(k)])
+        self.members = np.argsort(self.classes, kind="stable")
         self.interleaved = bool((self.members[1:] < self.members[:-1]).any())
         self.count = np.array([[comb(max(s + c - 1, 0), c) for c in range(cap + 1)]
                                for s in sizes.tolist()], dtype=np.int64)
@@ -604,14 +597,12 @@ class _Layers:
             lo = hi
         return np.concatenate(groups)
 
-    def blocks(self, t: int, mono_cap: int, orbits: bool = False):
+    def blocks(self, t: int, orbits: bool = False):
         """Yield the degree-t layer as ``_Block``s of whole buckets, each at
-        most ``BLOCK`` rows unless it is one bucket.  The cap counts the
-        whole layer, and every layer below it, before anything is built.
-        With ``orbits``, only the lex-first bucket of every orbit of Aut(H)
-        is walked, under the ``room`` and block bound of the whole layer,
-        and every block carries the ``images`` of the others."""
-        _check_layers(self.n, t, mono_cap)
+        most ``BLOCK`` rows unless it is one bucket.  With ``orbits``, only
+        the lex-first bucket of every orbit of Aut(H) is walked, under the
+        ``room`` and block bound of the whole layer, and every block carries
+        the ``images`` of the others."""
         if not self.n:
             return
         self._extend(t)
@@ -809,7 +800,7 @@ def iter_fibers(system, degree: int, *, min_size: int = 1,
     degree with at least ``min_size`` monomials, the monomials of a fiber
     in lex order.  Fibers are numbered in the order the blocks walk them."""
     number = 0
-    for block in _Layers(system, degree).blocks(degree, mono_cap):
+    for block in _Layers(system, degree, mono_cap).blocks(degree):
         counts = block.counts
         keep = counts >= min_size
         monos = list(map(tuple, _take(block.mono, block.order[keep.repeat(counts)]).tolist()))
@@ -945,12 +936,11 @@ def markov_basis(system, degree_cap: int, *,
     """
     if degree_cap < 2:
         raise ValueError("degree cap must be at least 2")
-    layers = _Layers(system, degree_cap)
-    _check_layers(system.num_vars, degree_cap, mono_cap)    # before any layer is walked
+    layers = _Layers(system, degree_cap, mono_cap)
     additions = []
     counts = Counter()
     for t in range(1, degree_cap + 1):
-        for block in layers.blocks(t, mono_cap, orbits=True):
+        for block in layers.blocks(t, orbits=True):
             rows, low, lead = _split(block, system.num_vars)
             if not len(rows):
                 continue
@@ -1018,12 +1008,11 @@ def verify_markov(system, basis: OrientedBasis, degree_cap: int, *,
     if degree_cap < 1:                  # no layer checked: any basis would pass
         raise ValueError("degree cap must be at least 1")
     sides = _basis_sides(system, basis)
-    layers = _Layers(system, degree_cap)
-    _check_layers(system.num_vars, degree_cap, mono_cap)    # before Aut(H) is searched
+    layers = _Layers(system, degree_cap, mono_cap)
     orbits = layers.k > 1 and _invariant(sides, layers.perms, system.num_vars)
     for t in range(1, degree_cap + 1):
         top = {t: sides[t]} if t in sides else {}
-        for block in layers.blocks(t, mono_cap, orbits=orbits):
+        for block in layers.blocks(t, orbits=orbits):
             if len(_split(block, system.num_vars, layers.moves(block, top, t))[0]):
                 return False
     return True
@@ -1042,9 +1031,9 @@ def verify_grobner(system, basis: OrientedBasis, degree_cap: int, *,
     if degree_cap < 1:                  # no layer checked: any basis would pass
         raise ValueError("degree cap must be at least 1")
     sides = _basis_sides(system, basis)
-    layers = _Layers(system, degree_cap)
+    layers = _Layers(system, degree_cap, mono_cap)
     for t in range(1, degree_cap + 1):
-        for block in layers.blocks(t, mono_cap):
+        for block in layers.blocks(t):
             src, dst = layers.moves(block, sides, t).T
             fid = np.empty(len(block.mono), dtype=np.int64)
             fid[block.order] = np.repeat(np.arange(len(block.counts)), block.counts)

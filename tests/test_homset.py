@@ -4,6 +4,7 @@ import pytest
 
 from homtoric import graph as G
 from homtoric.graph import Graph
+from homtoric import homset
 from homtoric.homset import HomTooLarge, enumerate_homs, indep_encode
 
 from helpers import graphs_upto_iso, naive_homs, naive_independent_sets
@@ -84,8 +85,10 @@ def test_hom_count_antitone_in_source():
 
 
 def test_search_cap():
-    with pytest.raises(HomTooLarge):
-        enumerate_homs(G.complete(8), G.complete(8), search_cap=10)
+    # 5**20 assignments are over the cap: refused before the search starts
+    assert 5 ** 20 > homset.SEARCH_CAP
+    with pytest.raises(HomTooLarge, match=r"= 5\*\*20 exceeds the cap$"):
+        enumerate_homs(G.path(20), G.complete(5))
 
 
 def test_indep_encode_bijection():

@@ -12,6 +12,7 @@ from homtoric import graph as G
 from homtoric.graph import Graph
 from homtoric.indep import IndepSystem, complement_cycle_basis
 from homtoric import toric
+from homtoric.cli import main
 from homtoric.tfp import forest_pipeline, outerplanar_pipeline
 from homtoric.toric import (Binomial, OrientedBasis, ResourceCapExceeded, _rank, build_system,
                             format_binomial, iter_fibers, markov_basis, parse_basis_text,
@@ -223,6 +224,28 @@ def test_mono_cap():
         list(iter_fibers(system, 4, mono_cap=10))
 
 
+def test_walkers_refuse_a_layer_over_the_mono_cap_up_front(tmp_path, capsys):
+    # C4 -> spoon has 7 variables: the 28 monomials of degree 2 fit under
+    # the cap 30, the 84 of degree 3 do not.  Every walker refuses before
+    # it walks degrees 1 and 2, where the empty basis would already fail.
+    system = build_system(G.cycle(4), G.spoon())
+    empty = OrientedBasis.make(())
+    assert not verify_grobner(system, empty, 2) and not verify_markov(system, empty, 2)
+    for walk in (lambda: verify_grobner(system, empty, 3, mono_cap=30),
+                 lambda: verify_markov(system, empty, 3, mono_cap=30),
+                 lambda: markov_basis(system, 3, mono_cap=30)):
+        with pytest.raises(ResourceCapExceeded,
+                           match="^84 monomials of degree 3 exceed the cap 30$"):
+            walk()
+    basis = tmp_path / "empty.txt"
+    basis.write_text("")
+    code = main(["--mono-cap", "30", "verify-grobner", "cycle:4", "spoon",
+                 "--basis", str(basis), "--cap", "3"])
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == (
+        3, "", "resource cap: 84 monomials of degree 3 exceed the cap 30\n")
+
+
 def test_layers_start_at_degree_one():
     system = build_system(G.path(3), G.complete(3))
     for degree in (0, -1):
@@ -420,7 +443,7 @@ def test_engine_matches_naive_oracles():
 
 def _block_walk(system, t):
     """(blocks, one bucket larger than a block) for the degree-t layer."""
-    blocks = list(toric._Layers(system, t).blocks(t, 10**7))
+    blocks = list(toric._Layers(system, t, 10**7).blocks(t))
     return len(blocks), any(len(b.comps) == 1 and len(b.mono) > toric.BLOCK for b in blocks)
 
 
@@ -669,7 +692,7 @@ def _relabeled(h, rng):
 def _walked_buckets(system, t):
     """The classes of ``system``'s variables and the layer indices of the
     buckets of degree t that ``markov_basis`` walks."""
-    layers = toric._Layers(system, t)
+    layers = toric._Layers(system, t, 10**7)
     comps = toric._compositions(layers.k, t)
     return layers.classes, layers.k, set(layers._orbits(comps, t)[0].tolist())
 
