@@ -49,7 +49,9 @@ variable x are connected too: divide both by x, join the quotients and
 multiply back.  A move of degree < t always leaves a shared factor, so the
 components of a degree-t fiber are the classes of "shares a variable",
 joined further only by moves of degree exactly t.  numpy groups each
-block into fibers and computes those classes for all its fibers at once.
+block into fibers, settles every fiber whose monomials all share a
+variable with its smallest one (it is connected), and computes the
+classes of all the fibers left open at once.
 
 ``markov_basis`` walks one bucket per symmetry orbit.  An automorphism s
 of H sends each homomorphism m to s o m and each row (e, rho) of A to (e,
@@ -819,26 +821,42 @@ def _split(block, n_vars: int, pairs=None):
     Returns (rows, low, lead) for the split fibers, those of two or more
     components: the block rows of their monomials, fiber after fiber and
     each fiber in lex order, and for each the block row of the smallest
-    monomial of its component and of its fiber.  Within a fiber a smaller
-    position is a smaller monomial, so the smallest position of a
-    component is its smallest monomial.  The (fiber, variable) classes of
-    the factors are runs of one ``np.sort`` of ``class << room |
-    position``, which fits: positions stay below 2**room and so do the
-    fibers."""
+    monomial of its component and of its fiber.  A fiber in which every
+    monomial shares a variable with its first, smallest monomial (its
+    head) is connected: those, most fibers, are settled by t * t
+    comparisons with the head's factor columns and dropped with their
+    pairs.  Within an open fiber a smaller position is a smaller monomial,
+    so the smallest position of a component is its smallest monomial.
+    The (fiber, variable) classes of the factors are runs of one
+    ``np.sort`` of ``class << room | position``, which fits: positions
+    stay below 2**room and so do the fibers."""
     many = block.counts >= 2
     rows = block.order[many.repeat(block.counts)]
     counts = block.counts[many]
-    n, t, room = len(rows), block.mono.shape[1], block.room
-    if not n:
-        none = np.zeros(0, dtype=np.int64)
+    t, room = block.mono.shape[1], block.room
+    none = np.zeros(0, dtype=np.int64)
+    if not len(rows):
         return none, none, none
+    cols = [block.mono[:, q][rows] for q in range(t)]
+    heads = counts.cumsum() - counts
+    near = np.zeros(len(rows), dtype=bool)     # shares a variable with its head
+    for head in cols:
+        head = head[heads].repeat(counts)
+        for col in cols:
+            near |= col == head
+    open_ = ~np.logical_and.reduceat(near, heads)
+    if not open_.any():
+        return none, none, none
+    keep = open_.repeat(counts)
+    rows, counts = rows[keep], counts[open_]
+    n = len(rows)
     ix = np.int32 if n < 2**31 else np.int64
     fiber = np.arange(len(counts), dtype=np.int64).repeat(counts)
     keys = np.empty((t, n), dtype=np.int64)
     base = fiber * n_vars
-    for q in range(t):
-        np.add(block.mono[:, q][rows], base, out=keys[q])
-    del base
+    for q, col in enumerate(cols):
+        np.add(col[keep], base, out=keys[q])
+    del base, cols
     keys <<= room
     keys |= np.arange(n, dtype=np.int64)
     keys = keys.ravel()
@@ -857,15 +875,16 @@ def _split(block, n_vars: int, pairs=None):
     sizes = _run_lengths(start[shared])
     del start, shared
     if pairs is not None and len(pairs):
-        where = np.empty(len(block.mono), dtype=ix)
+        where = np.full(len(block.mono), -1, dtype=ix)
         where[rows] = np.arange(n, dtype=ix)
-        owner = np.concatenate([owner, where[pairs].ravel()])
-        sizes = np.concatenate([sizes, np.full(len(pairs), 2, dtype=np.int64)])
+        ends = where[pairs]
+        ends = ends[ends[:, 0] >= 0]    # not in a settled fiber (both ends lie in one)
+        owner = np.concatenate([owner, ends.ravel()])
+        sizes = np.concatenate([sizes, np.full(len(ends), 2, dtype=np.int64)])
     label = _min_labels(np.arange(n, dtype=ix), owner, sizes)
     first = (counts.cumsum() - counts)[fiber]
     apart = label != first
     if not apart.any():
-        none = np.zeros(0, dtype=np.int64)
         return none, none, none
     split = np.zeros(len(counts), dtype=bool)
     split[fiber[apart]] = True
@@ -932,28 +951,33 @@ def markov_basis(system, degree_cap: int, *,
     into linear generators by the same rule; they count towards degree 2
     in ``additions_by_degree``.  Only one bucket per orbit of Aut(H) is
     walked; the generators of the others are mapped from it (see the
-    module docstring), and every one of them is counted.
+    module docstring), and every one of them is counted.  The generators
+    of each degree are sorted and deduplicated as rows ``plus | minus``,
+    the order of ``OrientedBasis.make``: both sides have length t.
     """
     if degree_cap < 2:
         raise ValueError("degree cap must be at least 2")
     layers = _Layers(system, degree_cap, mono_cap)
-    additions = []
+    elements = []
     counts = Counter()
     for t in range(1, degree_cap + 1):
+        found = []
         for block in layers.blocks(t, orbits=True):
             rows, low, lead = _split(block, system.num_vars)
             if not len(rows):
                 continue
             root = (low == rows) & (lead != rows)   # a component without the fiber's smallest
-            plus, minus = block.mono[lead[root]], block.mono[rows[root]]
+            found.append(np.concatenate((block.mono[lead[root]], block.mono[rows[root]]), axis=1))
             if len(block.images[0]):
-                more = layers.mapped(block, rows, low, lead)
-                plus, minus = np.concatenate((plus, more[0])), np.concatenate((minus, more[1]))
-            new = [Binomial(tuple(p), tuple(m)) for p, m in zip(plus.tolist(), minus.tolist())]
-            additions.extend(new)
-            counts[max(t, 2)] += len(new)
+                found.append(np.concatenate(layers.mapped(block, rows, low, lead), axis=1))
+        if found:
+            both = np.concatenate(found)
+            counts[max(t, 2)] += len(both)
+            both = both[np.lexsort(both.T[::-1])]
+            both = both[_run_starts(*both.T)]
+            elements += [Binomial(tuple(b[:t]), tuple(b[t:])) for b in both.tolist()]
     additions_by_degree = {t: counts[t] for t in range(2, degree_cap + 1)}
-    return MarkovResult(OrientedBasis.make(additions), degree_cap, additions_by_degree)
+    return MarkovResult(OrientedBasis(tuple(elements)), degree_cap, additions_by_degree)
 
 
 def _basis_sides(system, basis: OrientedBasis):

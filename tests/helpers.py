@@ -694,6 +694,46 @@ def unbucketed_split_layer(system, degree, mono_cap=10**7, pairs=None):
     return mono, root, first[fib[root]]
 
 
+def unsettled_split(block, n_vars, pairs=None):
+    """``toric._split`` without settling any fiber first: the (fiber,
+    variable) class sort and min-label propagation run on every fiber of
+    two or more monomials of the block.  Returns the same (rows, low,
+    lead) of the split fibers."""
+    from homtoric.toric import _min_labels, _run_lengths
+    many = block.counts >= 2
+    rows = block.order[many.repeat(block.counts)]
+    counts = block.counts[many]
+    n, t, room = len(rows), block.mono.shape[1], block.room
+    none = np.zeros(0, dtype=np.int64)
+    if not n:
+        return none, none, none
+    fiber = np.arange(len(counts), dtype=np.int64).repeat(counts)
+    keys = np.empty((t, n), dtype=np.int64)
+    for q in range(t):
+        keys[q] = block.mono[:, q][rows] + fiber * n_vars
+    keys = ((keys << room) | np.arange(n, dtype=np.int64)).ravel()
+    keys.sort()
+    start = np.ones(len(keys), dtype=bool)
+    start[1:] = (keys[1:] ^ keys[:-1]) >= 1 << room
+    shared = ~start
+    shared[:-1] |= ~start[1:]
+    owner = keys[shared] & ((1 << room) - 1)
+    sizes = _run_lengths(start[shared])
+    if pairs is not None and len(pairs):
+        where = np.empty(len(block.mono), dtype=np.int64)
+        where[rows] = np.arange(n)
+        owner = np.concatenate([owner, where[pairs].ravel()])
+        sizes = np.concatenate([sizes, np.full(len(pairs), 2, dtype=np.int64)])
+    label = _min_labels(np.arange(n), owner, sizes)
+    first = (counts.cumsum() - counts)[fiber]
+    split = np.zeros(len(counts), dtype=bool)
+    split[fiber[label != first]] = True
+    keep = split[fiber]
+    if not keep.any():
+        return none, none, none
+    return rows[keep], rows[label[keep]], rows[first[keep]]
+
+
 def _unbucketed_moves(sides, layers, t, n_vars):
     """Moves u*lead -> u*trail in layer t as lex ranks, for every element
     of degree d in ``sides`` and every monomial u of ``layers[t - d]``."""

@@ -1,0 +1,27 @@
+import os
+import sys
+
+sys.path.insert(0, os.path.join(os.path.dirname(__file__), os.pardir, "tools"))
+
+from bench_record import pair_wins  # noqa: E402
+
+
+def _entry(runs):
+    """A recorded checkout: {workload: [(seed, {metric: value})]}."""
+    return {"workloads": {w: {"seeds": [s for s, _ in r],
+                              "raw": [{"metrics": {k: {"value": v} for k, v in m.items()}}
+                                      for _, m in r]}
+                          for w, r in runs.items()}}
+
+
+def test_pair_wins_pairs_runs_by_seed_in_the_better_direction():
+    # seeds pair up whatever their order; a tie wins neither side; a seed
+    # or workload that only one side ran is left out
+    parent = _entry({"a": [(1, {"wall_s": 2.0, "rate": 5.0}), (2, {"wall_s": 1.0, "rate": 5.0}),
+                           (3, {"wall_s": 9.0, "rate": 1.0})],
+                     "b": [(1, {"wall_s": 1.0})]})
+    change = _entry({"a": [(2, {"wall_s": 1.0, "rate": 6.0}), (1, {"wall_s": 1.5, "rate": 4.0}),
+                           (4, {"wall_s": 0.1, "rate": 9.0})]})
+    got = pair_wins(parent, change, {"wall_s": "lower", "rate": "higher", "other": "lower"})
+    assert got == {"a": {"wall_s": {"wins": 1, "pairs": 2, "better": "lower"},
+                         "rate": {"wins": 1, "pairs": 2, "better": "higher"}}}

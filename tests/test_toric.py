@@ -23,7 +23,7 @@ from helpers import (MoveIndex, engine_layer, graphs_upto_iso, naive_check_basis
                      naive_markov_basis, naive_markov_width, naive_membership,
                      naive_pivot_columns, naive_verify_markov, same_partition,
                      unbucketed_layer, unbucketed_markov_basis, unbucketed_verify_grobner,
-                     unbucketed_verify_markov)
+                     unbucketed_verify_markov, unsettled_split)
 
 
 def spoon_sets(g):
@@ -429,6 +429,7 @@ def test_engine_matches_naive_oracles():
         basis = markov_basis(system, cap).basis
         assert ({(b.plus, b.minus) for b in basis}
                 == set(naive_markov_basis(system, cap))), (g.edges, h.edges)
+        assert basis == OrientedBasis.make(basis.elements[::-1] + basis.elements[:1])
         with mock.patch.object(toric, "BLOCK", 16):
             assert markov_basis(system, cap).basis == basis
         layers = [naive_fibers(system, t) for t in range(1, cap + 1)]
@@ -439,6 +440,62 @@ def test_engine_matches_naive_oracles():
                 (g.edges, h.edges, drop)
             verdicts.add(ok)
     assert verdicts == {True, False}
+
+
+def _same_split(got, want):
+    return all(np.array_equal(a, b) for a, b in zip(got, want))
+
+
+def test_split_settles_fibers_against_the_unsettled_oracle():
+    # the split with fibers settled from their head against the class sort
+    # on every fiber: every graph on at most 4 vertices into each target,
+    # every block of degree <= 4 (fewer where a layer would pass 20,000
+    # monomials, to keep the test fast), whole and cut into blocks of 16
+    # and 5 rows, with no pairs and with the moves of a Markov basis
+    # missing one element
+    seen = set()
+    for n in range(1, 5):
+        for g in graphs_upto_iso(n):
+            for h in _TARGETS.values():
+                system = build_system(g, h)
+                nv = system.num_vars
+                cap = max(t for t in range(1, 5) if t == 1 or comb(nv + t - 1, t) <= 20_000)
+                basis = markov_basis(system, max(cap, 2)).basis.elements
+                sides = toric._basis_sides(system, OrientedBasis(
+                    basis[:len(basis) // 2] + basis[len(basis) // 2 + 1:]))
+                for size in (toric.BLOCK, 16, 5):
+                    with mock.patch.object(toric, "BLOCK", size):
+                        layers = toric._Layers(system, cap, 10**7)
+                        for t in range(1, cap + 1):
+                            top = {t: sides[t]} if t in sides else {}
+                            for block in layers.blocks(t):
+                                for pairs in (None, layers.moves(block, top, t)):
+                                    got = toric._split(block, nv, pairs)
+                                    assert _same_split(got, unsettled_split(block, nv, pairs)), \
+                                        (g.edges, h.edges, size, t)
+                                    seen.add((pairs is None, len(got[0]) > 0))
+    assert seen == {(True, True), (True, False), (False, True), (False, False)}
+
+
+def test_split_drops_the_pairs_of_settled_fibers():
+    # one block of three fibers of degree 2, listed in the order S, X, T:
+    # S = {00, 01, 02} is settled (every monomial holds its head's 0), T =
+    # {11, 12, 23} is connected in two hops (23 meets 11 only through 12),
+    # and X = {33, 45, 55} splits into {33} and {45, 55}.  Settling S moves
+    # every later fiber to lower positions, so a pair inside S read at its
+    # old positions would join 33 and 55, and one inside X would join T
+    mono = toric._take(np.array([[0, 0], [0, 1], [0, 2], [1, 1], [1, 2], [2, 3], [3, 3],
+                                 [4, 5], [5, 5]], dtype=np.int32), np.arange(9))
+    block = toric._Block(mono, None, None, np.array([0, 1, 2, 6, 7, 8, 3, 4, 5]),
+                         np.array([3, 3, 3]), 4, None)
+    x_split = ([6, 7, 8], [6, 7, 7], [6, 6, 6])
+    none = ([], [], [])
+    for pairs, want in ((None, x_split), ([[0, 2]], x_split), ([[0, 2], [3, 5]], x_split),
+                        ([[6, 8]], none), ([[0, 2], [6, 8]], none), ([[7, 6]], none)):
+        pairs = None if pairs is None else np.array(pairs)
+        got = toric._split(block, 6, pairs)
+        assert _same_split(got, unsettled_split(block, 6, pairs)), pairs
+        assert [a.tolist() for a in got] == list(map(list, want)), pairs
 
 
 def _block_walk(system, t):
@@ -662,10 +719,11 @@ def test_layer_partition_matches_naive_fibers(g, target, t):
 @settings(derandomize=True, database=None, max_examples=40, deadline=None)
 @given(g=_small_graphs(max_n=5), target=st.sampled_from(sorted(_TARGETS)))
 def test_engine_matches_naive_markov_width(g, target):
-    # the layer engine against the fiber-by-fiber oracle: the same width,
+    # the layer engine against the fiber-by-fiber oracles: the same width,
     # its own basis verifies, and the basis is a star per split fiber, so
-    # leaving out any one element leaves a component unjoined; cut into
-    # blocks of 5 rows, the same basis and the same verdicts
+    # leaving out any one element leaves a component unjoined, as the
+    # naive verifier finds for the middle one; cut into blocks of 5 rows,
+    # the same basis and the same verdicts
     system = build_system(g, _TARGETS[target])
     n = system.num_vars
     assume(comb(n + 1, 2) <= 3000)      # keep the pure-python oracle fast
@@ -673,6 +731,10 @@ def test_engine_matches_naive_markov_width(g, target):
     assert markov_basis(system, cap).width == naive_markov_width(system, cap)
     basis = markov_basis(system, cap).basis
     assert verify_markov(system, basis, cap)
+    if len(basis):
+        mid = len(basis) // 2
+        kept = OrientedBasis(basis.elements[:mid] + basis.elements[mid + 1:])
+        assert verify_markov(system, kept, cap) == naive_verify_markov(system, kept, cap)
     for drop in range(len(basis)):
         kept = OrientedBasis(basis.elements[:drop] + basis.elements[drop + 1:])
         assert not verify_markov(system, kept, cap), drop

@@ -13,7 +13,10 @@ per workload the min and median of every end-to-end metric, the
 ``complete_passes`` of every run and the raw result lines.  Each ``--cli``
 command runs once per checkout as ``python3 -m homtoric.cli`` with that
 checkout's ``src`` on the path; its exit code, wall time and peak RSS are
-recorded.  An existing output file is updated label by label.
+recorded.  An existing output file is updated label by label.  When it
+holds both a ``parent`` and a ``change`` label, ``pair_wins`` gives per
+workload and end-to-end metric how many seeds run by both the change won,
+in the direction ``BENCHMARK.json`` names as better.
 """
 
 from __future__ import annotations
@@ -29,6 +32,7 @@ from time import perf_counter
 
 WORKLOADS = ("markov-large", "forest-verify", "spoon-census", "geometry-cli")
 BENCH_TIMEOUT_S = 300
+BENCHMARK = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "BENCHMARK.json")
 
 
 def run_bench(root, workload, seed, seconds):
@@ -68,6 +72,27 @@ def summarize(runs):
                     if name in r["result"]["metrics"])
         out[name] = {"unit": unit, "min": min(values), "median": statistics.median(values),
                      "n": len(values)}
+    return out
+
+
+def pair_wins(parent, change, better):
+    """{workload: {metric: {"wins", "pairs", "better"}}} over the seeds that
+    both the ``parent`` and the ``change`` entries ran: a pair is won when
+    the change's value is strictly better (lower or higher, as ``better``
+    maps the metric), so ties win neither side."""
+    out = {}
+    for workload in sorted(set(parent.get("workloads", {})) & set(change.get("workloads", {}))):
+        values = [{seed: raw["metrics"] for seed, raw in zip(entry["workloads"][workload]["seeds"],
+                                                             entry["workloads"][workload]["raw"])}
+                  for entry in (parent, change)]
+        seeds = sorted(set(values[0]) & set(values[1]))
+        for name, direction in sorted(better.items()):
+            pairs = [(values[0][s][name]["value"], values[1][s][name]["value"]) for s in seeds
+                     if name in values[0][s] and name in values[1][s]]
+            wins = sum((c < p) if direction == "lower" else (c > p) for p, c in pairs)
+            if pairs:
+                out.setdefault(workload, {})[name] = {"wins": wins, "pairs": len(pairs),
+                                                      "better": direction}
     return out
 
 
@@ -117,6 +142,13 @@ def main(argv=None):
             result = run_cli(root, shlex.split(command))
             entry.setdefault("cli", {})[command] = result
             print(f"cli {label}: {json.dumps(result)}", flush=True)
+    if "parent" in record and "change" in record:
+        with open(BENCHMARK) as fh:
+            better = {m["name"]: m["better"] for m in json.load(fh)["end_to_end"]}
+        record["pair_wins"] = pair_wins(record["parent"], record["change"], better)
+        for workload, metrics in record["pair_wins"].items():
+            print(f"{workload} change wins: " + json.dumps(
+                {name: f"{m['wins']}/{m['pairs']}" for name, m in metrics.items()}), flush=True)
     with open(args.out, "w") as fh:
         json.dump(record, fh, indent=1, sort_keys=True)
         fh.write("\n")
