@@ -21,37 +21,43 @@ low ``room`` bits for a row number, so row i of the key takes the bits
 column per word, and the packed key of a monomial is the plain sum of the
 packed columns of its factors: no row can carry into the next.
 
-A degree layer is walked in blocks.  Take one edge e of G: the e-image
-of a monomial, the multiset of the edge maps its factors give e, is read
-off e's rows of A, so it is constant on a fiber.  A bucket is the set of
-monomials of one e-image; it is the product of the multisets of the
-right sizes over the variables of each edge map (the class layers, built
-once per call).  The edge chosen is the one whose largest bucket at the
-cap is smallest, and none (one class, one bucket) when the whole top
-layer fits in one block or every edge has more buckets than pay.  A
-block is a run of whole buckets of at most ``BLOCK`` rows, or one
-larger bucket alone, so every fiber, every gcd class and both ends of
-every move lie in one block, and the peak memory follows the largest
-block, not the layer; ``mono_cap`` still caps every whole layer up to
-the cap, all counted once before anything is built.  The rows of a
-block are in lexicographic order (re-sorted by lex rank when there are
-several classes), so the smallest monomial of a fiber or a component is
-its first row, and every list of monomials the engine returns is in lex
-order.  Fibers, and the (fiber, variable) classes of the gcd rule, are
-runs of one ``np.sort`` of ``key << room | row`` words, least
-significant key word first.
+Every degree 0..cap is walked at once, as one padded layer of degree cap
+over the variables and a pad variable z = n: z^(cap - t) m stands for
+the degree-t monomial m.  z's packed column is zero but for one extra key
+row that counts z, so a fiber holds one degree; z is in no gcd class and
+settles no fiber.  The padded layer is walked in blocks.  Take one edge e
+of G: the e-image of a monomial, the multiset of the edge maps its
+factors give e, is read off e's rows of A, so it is constant on a fiber.
+A bucket is the set of monomials of one e-image and one degree, the
+product of the multisets of the right sizes over the variables of each
+edge map and over z, a class of its own (the class layers, built once per
+call).  The edge chosen is the one whose largest bucket at the cap is
+smallest, and none, z included in the one class (one bucket), when the
+top layer fits in one block or every edge has more buckets than pay: a
+small system is one block.  A block is a run of whole buckets of at most
+``BLOCK`` rows, or one larger bucket alone, so every fiber, every gcd
+class and both ends of every move lie in one block, and the peak memory
+follows the largest block; ``mono_cap`` caps every real layer up to the
+cap, all counted before anything is built.  The rows of a block are in
+lex order (re-sorted by lex rank when there are several classes), so the
+smallest monomial of a fiber or a component is its first row, and every
+list of monomials the engine returns is in lex order.  Fibers, and the
+(fiber, variable) classes of the gcd rule, are runs of one ``np.sort`` of
+``key << room | row`` words, least significant key word first.
 
-Markov bases are built and verified one degree layer at a time, t = 1, 2,
-..., by the gcd rule (Takemura-Aoki, Ann. Inst. Stat. Math. 56, 2004; see
-also Diaconis-Sturmfels, Ann. Statist. 1998).  Once every fiber of degree
-< t is connected, two degree-t monomials of one fiber that share a
-variable x are connected too: divide both by x, join the quotients and
-multiply back.  A move of degree < t always leaves a shared factor, so the
-components of a degree-t fiber are the classes of "shares a variable",
-joined further only by moves of degree exactly t.  numpy groups each
-block into fibers, settles every fiber whose monomials all share a
-variable with its smallest one (it is connected), and computes the
-classes of all the fibers left open at once.
+Markov bases are built and verified by the gcd rule (Takemura-Aoki, Ann.
+Inst. Stat. Math. 56, 2004; see also Diaconis-Sturmfels, Ann. Statist.
+1998).  Once every fiber of degree < t is connected, two degree-t
+monomials of one fiber that share a variable x are connected too: divide
+both by x, join the quotients and multiply back.  A move of degree < t
+always leaves a shared factor, so the components of a degree-t fiber are
+the classes of "shares a variable", joined further only by moves of
+degree exactly t.  So no degree waits for another: ``markov_basis`` is
+exact because the components of a fiber depend only on its own gcd
+classes; ``verify_markov`` decides the smallest degree with a split fiber
+exactly, as every fiber below it is connected, so the walk order is free;
+``verify_grobner`` is exact because a move stays inside a fiber and a
+fiber holds one degree.
 
 ``markov_basis`` walks one bucket per symmetry orbit.  An automorphism s
 of H sends each homomorphism m to s o m and each row (e, rho) of A to (e,
@@ -74,13 +80,15 @@ image and the degree-t moves of the basis inside it onto the moves inside
 the image, so a split fiber in a bucket left out has a split image in the
 walked bucket of its orbit.  Invariance is tested once per call on the
 basis arrays; when it fails, every bucket is walked.  ``verify_grobner``
-and ``iter_fibers`` walk every bucket.
+walks every bucket, ``iter_fibers`` every bucket of its degree.
 
 All arithmetic is exact integer arithmetic.  numpy groups each block into
-fibers, splits them, turns a basis into moves between block rows and
-peels the sinks of directed fiber graphs; membership compares the images
-of the two sides under A, packed the same way into int64 words, for all
-the elements of one shape (side lengths) at once.
+fibers, settles every fiber whose monomials all share a variable with its
+smallest one (it is connected), splits the rest at once, turns a basis
+into moves between block rows and peels the sinks of directed fiber
+graphs; membership compares the images of the two sides under A, packed
+the same way into int64 words, for all the elements of one shape (side
+lengths) at once.
 """
 
 from __future__ import annotations
@@ -250,13 +258,15 @@ class ToricSystem:
         return m[rows]
 
     def packed_columns(self, bits: int, room: int):
-        """The columns of the key packed by ``_pack``, one row per variable,
-        cached per (``bits``, ``room``); see the module docstring for why
-        sums of them stay exact.  The low ``room`` bits stay free for a row
-        number."""
+        """The key columns packed by ``_pack``, one row per variable and a
+        last row for the pad variable z, whose column is zero but for one
+        extra last key row that counts z; cached per (``bits``, ``room``),
+        see the module docstring.  The low ``room`` bits hold a row number."""
         packed = self._packed.get((bits, room))
         if packed is None:
-            packed = self._packed[bits, room] = _pack(self.key_matrix, bits, room)
+            padded = np.pad(self.key_matrix, ((0, 1), (0, 1)))
+            padded[-1, -1] = 1
+            packed = self._packed[bits, room] = _pack(padded, bits, room)
         return packed
 
     def dense_matrix(self):
@@ -428,14 +438,15 @@ def _largest_bucket(class_sizes, t: int) -> int:
 
 
 def _bucket_classes(system, cap: int):
-    """The class of every variable: the index of its edge map on the edge
-    of G whose edge maps split the degree-``cap`` layer into the smallest
-    largest bucket, or 0 for all (one class) when the whole layer fits in a
-    block or no edge splits it.  An edge whose bucket list (an int16 count
-    per class and bucket) would take more bytes than the layer's int32
-    rows is passed over: its buckets hold too few monomials to pay."""
+    """The class of every variable and, last, of z: the index of its edge
+    map on the edge of G whose edge maps split the degree-``cap`` layer
+    into the smallest largest bucket, and z a class of its own; or 0 for
+    all, z included (one class), when the whole layer fits in a block or
+    no edge splits it.  An edge whose bucket list (an int16 count per class
+    and bucket) would take more bytes than the layer's int32 rows is passed
+    over: its buckets hold too few monomials to pay."""
     n = system.num_vars
-    classes = np.zeros(n, dtype=np.intp)
+    classes = np.zeros(n + 1, dtype=np.intp)
     layer = comb(n + cap - 1, cap)
     if layer <= BLOCK or not system.g.edges:
         return classes
@@ -452,17 +463,18 @@ def _bucket_classes(system, cap: int):
     if pick is not None:
         present = np.zeros(len(system.rows), dtype=np.intp)
         present[rows[:, pick]] = 1
-        classes = (np.cumsum(present) - 1)[rows[:, pick]]
+        classes[:n] = (np.cumsum(present) - 1)[rows[:, pick]]
+        classes[n] = classes[:n].max() + 1
     return classes
 
 
 def _automorphisms(system):
-    """The permutations m -> s o m of the variables (int32, one row each)
-    for the automorphisms s of H that map the system's maps onto
-    themselves, every one when the system holds all of Hom(G, H); the
-    identity comes first.  An automorphism is a bijective map in Hom(H,
-    H), searched up to ``AUT_HOM_CAP`` maps; past that, the identity
-    alone is used."""
+    """The permutations m -> s o m of the variables (int32, one row each,
+    the pad variable z = n last and fixed) for the automorphisms s of H
+    that map the system's maps onto themselves, every one when the system
+    holds all of Hom(G, H); the identity comes first.  An automorphism is
+    a bijective map in Hom(H, H), searched up to ``AUT_HOM_CAP`` maps; past
+    that, the identity alone is used."""
     h, n = system.h, system.num_vars
     maps = np.array(system.homs.maps, dtype=np.intp).reshape(n, system.g.n)
     try:
@@ -475,7 +487,7 @@ def _automorphisms(system):
         image = np.array(s)[maps]
         order = np.lexsort(image.T[::-1])       # the maps are in lex order
         if np.array_equal(image[order], maps):
-            perm = np.empty(n, dtype=np.int32)
+            perm = np.arange(n + 1, dtype=np.int32)
             perm[order] = np.arange(n)
             perms.append(perm)
     return np.array(perms)
@@ -483,7 +495,7 @@ def _automorphisms(system):
 
 @dataclass(frozen=True)
 class _Block:
-    """Whole buckets of one degree layer.  ``mono``: the monomials as
+    """Whole buckets of the padded layer.  ``mono``: the monomials as
     sorted rows (stored column by column), in lex order; ``rank``: their
     lex ranks in the layer, or None when the block is the whole layer (a
     row is its rank); ``comps``: the class counts of the buckets;
@@ -503,50 +515,39 @@ class _Block:
 
 
 class _Layers:
-    """The degree layers of one system, t = 1 up to a cap, each walked as
-    blocks of whole buckets (see the module docstring).  A layer of degree
-    2..cap with more than ``mono_cap`` monomials is refused up front,
-    before anything is built.  The class layers (every multiset of c
-    variables of one class, in lex order) are built once, degree by
-    degree, and stacked: ``tables[c]`` holds class 0's, then class 1's,
-    ..., from the rows ``offsets[c]``."""
+    """The degree layers t = 0..cap of one system as one padded layer over
+    the variables and z = n, walked as blocks of whole buckets (see the
+    module docstring).  A layer of degree 2..cap with more than
+    ``mono_cap`` monomials is refused before anything is built.  The class
+    layers (every multiset of c variables of one class, in lex order, each
+    variable in front of the rows of its class one degree down that start
+    at it or later) are stacked: ``tables[c]`` holds class 0's, then
+    class 1's, ..., from the rows ``offsets[c]``."""
 
     def __init__(self, system, cap: int, mono_cap: int):
         if cap < 1:
             raise ValueError("degree must be at least 1")
-        self.system, self.n = system, system.num_vars
         for t in range(2, cap + 1):
-            total = comb(self.n + t - 1, t)
+            total = comb(system.num_vars + t - 1, t)
             if total > mono_cap:
                 raise ResourceCapExceeded(
                     f"{total} monomials of degree {t} exceed the cap {mono_cap}")
-        self.classes = _bucket_classes(system, cap)
-        k = self.k = int(self.classes.max(initial=0)) + 1
+        n, self.system, self.cap = system.num_vars + 1, system, cap
+        self.n, self.classes = n, _bucket_classes(system, cap)
+        k = self.k = int(self.classes.max()) + 1
         sizes = np.bincount(self.classes, minlength=k)
-        self.members = np.argsort(self.classes, kind="stable")
-        self.interleaved = bool((self.members[1:] < self.members[:-1]).any())
-        self.count = np.array([[comb(max(s + c - 1, 0), c) for c in range(cap + 1)]
+        members = np.argsort(self.classes, kind="stable")
+        self.interleaved = bool((members[1:] < members[:-1]).any())
+        self.count = np.array([[comb(s + c - 1, c) for c in range(cap + 1)]
                                for s in sizes.tolist()], dtype=np.int64)
         self.offsets = np.zeros((cap + 1, k + 1), dtype=np.int64)     # [c, class]
         np.cumsum(self.count.T, axis=1, out=self.offsets[:, 1:])
-        self.tables = [_columns(0, k), _columns(1, self.n)]
-        self.tables[1][:, 0] = self.members
-
-    @cached_property
-    def perms(self):
-        """The variable permutations of Aut(H), identity first (see
-        ``_automorphisms``), built when first needed."""
-        return _automorphisms(self.system)
-
-    def _extend(self, t: int):
-        """Class layers up to degree t: each variable in front of the rows
-        of its class one degree down that start at it or later."""
-        n, members = self.n, self.members
+        self.tables = [_columns(0, k), _columns(1, n)]
+        self.tables[1][:, 0] = members
         cls = self.classes[members]
-        for c in range(len(self.tables), t + 1):
+        for c in range(2, cap + 1):
             prev, off = self.tables[c - 1], self.offsets[c - 1]
-            first = prev[:, 0] + (np.arange(self.k, dtype=np.int64) * n).repeat(
-                self.count[:, c - 1])
+            first = prev[:, 0] + (np.arange(k, dtype=np.int64) * n).repeat(self.count[:, c - 1])
             starts = first.searchsorted(cls * n + members)
             lengths = off[cls + 1] - starts
             table = _columns(c, int(lengths.sum()))
@@ -555,6 +556,12 @@ class _Layers:
             for q in range(c - 1):
                 prev[:, q].take(src, out=table[:, q + 1])
             self.tables.append(table)
+
+    @cached_property
+    def perms(self):
+        """The variable permutations of Aut(H), identity first (see
+        ``_automorphisms``), built when first needed."""
+        return _automorphisms(self.system)
 
     def _rows(self, comps, t: int, mono):
         """Write the monomials of the buckets ``comps`` (class counts of
@@ -599,38 +606,39 @@ class _Layers:
             lo = hi
         return np.concatenate(groups)
 
-    def blocks(self, t: int, orbits: bool = False):
-        """Yield the degree-t layer as ``_Block``s of whole buckets, each at
+    def blocks(self, orbits: bool = False, top: bool = False):
+        """Yield the padded layer as ``_Block``s of whole buckets, each at
         most ``BLOCK`` rows unless it is one bucket.  With ``orbits``, only
         the lex-first bucket of every orbit of Aut(H) is walked, under the
         ``room`` and block bound of the whole layer, and every block carries
-        the ``images`` of the others."""
-        if not self.n:
-            return
-        self._extend(t)
-        comps = _compositions(self.k, t)
-        sizes = self.count[np.arange(self.k), comps].prod(axis=1)
+        the ``images`` of the others.  With ``top``, only the buckets of
+        degree cap, where z has a class of its own."""
+        t, k = self.cap, self.k
+        comps = _compositions(k, t)
+        sizes = self.count[np.arange(k), comps].prod(axis=1)
         room = (max(min(int(sizes.sum()), BLOCK), int(sizes.max())) - 1).bit_length()
         packed = self.system.packed_columns(t.bit_length(), room)
         images = (np.zeros(0, dtype=np.int64), np.zeros((0, self.n), dtype=np.int32))
-        if orbits and self.k > 1:
-            keep, images = self._orbits(comps, t)
+        if orbits and k > 1:
+            keep, images = self._orbits(comps)
+            comps, sizes = comps[keep], sizes[keep]
+        if top and k > 1:
+            keep = comps[:, -1] == 0
             comps, sizes = comps[keep], sizes[keep]
         ends = sizes.cumsum()
         a = 0
         while a < len(sizes):
-            top = (ends[a - 1] if a else 0) + BLOCK
-            b = max(a + 1, int(ends.searchsorted(top, side="right")))
-            yield self._block(comps[a:b], sizes[a:b], t, packed, room, images)
+            b = max(a + 1, int(ends.searchsorted((ends[a - 1] if a else 0) + BLOCK, side="right")))
+            yield self._block(comps[a:b], sizes[a:b], packed, room, images)
             a = b
 
-    def _orbits(self, comps, t: int):
+    def _orbits(self, comps):
         """(walked, images): the layer indices of the lex-first bucket of
         every orbit of Aut(H) on the buckets ``comps``, and the ``images``
         of ``_Block`` for every other bucket.  An automorphism permutes the
         edge maps of e, so the classes, and maps a bucket's multiset of
         classes to the multiset of their images."""
-        perms, n_buckets = self.perms, len(comps)
+        perms, n_buckets, t = self.perms, len(comps), self.cap
         index = np.arange(n_buckets)
         shift = np.empty((len(perms), self.k), dtype=np.intp)   # class c -> shift[g, c]
         shift[:, self.classes] = self.classes[perms]
@@ -673,14 +681,14 @@ class _Layers:
         lead = first[head][np.cumsum(head) - 1]
         return mono[lead[~head]], mono[first[~head]]
 
-    def _block(self, comps, sizes, t, packed, room, images):
+    def _block(self, comps, sizes, packed, room, images):
         """The block of the buckets ``comps``: its rows in lex order, and
         its fibers."""
         if self.k == 1:                 # the whole layer, already in lex order
-            mono, rank = self.tables[t], None
+            mono, rank = self.tables[self.cap], None
         else:
-            mono = _columns(t, int(sizes.sum()))
-            self._rows(comps, t, mono)
+            mono = _columns(self.cap, int(sizes.sum()))
+            self._rows(comps, self.cap, mono)
             if self.interleaved:        # the class parts of a row are not in order
                 _sort_rows(mono)
             rank = _rank(mono, self.n).astype(np.int64) << room
@@ -691,18 +699,18 @@ class _Layers:
         words = np.empty((packed.shape[1], len(mono)), dtype=np.int64).T
         for w in range(packed.shape[1]):
             packed[:, w].take(mono[:, 0], out=words[:, w])
-            for q in range(1, t):
+            for q in range(1, self.cap):
                 words[:, w] += packed[:, w][mono[:, q]]
         order, counts = _fibers(words, room)
         return _Block(mono, rank, comps, order, counts, room, images)
 
-    def moves(self, block, sides, t: int):
+    def moves(self, block, sides):
         """The moves u*lead -> u*trail from the rows of ``block``, as a (k, 2)
-        array of block rows: one for every element of degree d <= t in
-        ``sides`` (see ``_basis_sides``) and every monomial u of a bucket of
-        degree t - d that is a bucket of the block minus the classes of the
-        lead.  Both ends of a move have one image, so one bucket."""
-        out = []
+        array of block rows: one for every element of degree d <= cap in
+        ``sides`` (see ``_basis_sides``) and every padded monomial u of a
+        bucket of degree cap - d that is a bucket of the block minus the
+        classes of the lead.  Both ends of a move lie in one bucket."""
+        t, out = self.cap, []
         for d, s in sides.items():
             if d > t:
                 continue
@@ -800,11 +808,13 @@ def iter_fibers(system, degree: int, *, min_size: int = 1,
                 mono_cap: int = DEFAULT_MONO_CAP):
     """Yield (fiber number, [monomial, ...]) for every fiber of the given
     degree with at least ``min_size`` monomials, the monomials of a fiber
-    in lex order.  Fibers are numbered in the order the blocks walk them."""
+    in lex order.  Fibers are numbered in the order the blocks walk them;
+    the padded fibers of lower degrees, whose rows end in z, are left out."""
     number = 0
-    for block in _Layers(system, degree, mono_cap).blocks(degree):
+    for block in _Layers(system, degree, mono_cap).blocks(top=True):
         counts = block.counts
-        keep = counts >= min_size
+        head = block.order[counts.cumsum() - counts]
+        keep = (counts >= min_size) & (block.mono[:, -1][head] < system.num_vars)
         monos = list(map(tuple, _take(block.mono, block.order[keep.repeat(counts)]).tolist()))
         start = 0
         for f, c in zip((number + np.flatnonzero(keep)).tolist(), counts[keep].tolist()):
@@ -815,8 +825,9 @@ def iter_fibers(system, degree: int, *, min_size: int = 1,
 
 def _split(block, n_vars: int, pairs=None):
     """Components of every fiber of two or more monomials of the block
-    under "shares a variable", joined further by ``pairs``, an optional
-    (k, 2) array of block rows whose two ends lie in one such fiber.
+    under "shares a variable" (the pad variable z = ``n_vars`` is shared
+    by none), joined further by ``pairs``, an optional (k, 2) array of
+    block rows whose two ends lie in one such fiber.
 
     Returns (rows, low, lead) for the split fibers, those of two or more
     components: the block rows of their monomials, fiber after fiber and
@@ -841,7 +852,7 @@ def _split(block, n_vars: int, pairs=None):
     heads = counts.cumsum() - counts
     near = np.zeros(len(rows), dtype=bool)     # shares a variable with its head
     for head in cols:
-        head = head[heads].repeat(counts)
+        head = np.where(head[heads] == n_vars, -1, head[heads]).repeat(counts)
         for col in cols:
             near |= col == head
     open_ = ~np.logical_and.reduceat(near, heads)
@@ -853,13 +864,16 @@ def _split(block, n_vars: int, pairs=None):
     ix = np.int32 if n < 2**31 else np.int64
     fiber = np.arange(len(counts), dtype=np.int64).repeat(counts)
     keys = np.empty((t, n), dtype=np.int64)
-    base = fiber * n_vars
+    real = np.empty((t, n), dtype=bool)
+    base = fiber * (n_vars + 1)
     for q, col in enumerate(cols):
-        np.add(col[keep], base, out=keys[q])
+        col = col[keep]
+        np.not_equal(col, n_vars, out=real[q])
+        np.add(col, base, out=keys[q])
     del base, cols
     keys <<= room
     keys |= np.arange(n, dtype=np.int64)
-    keys = keys.ravel()
+    keys = keys.ravel() if real.all() else keys[real]
     keys.sort()
     start = np.empty(len(keys), dtype=bool)
     start[0] = True
@@ -941,43 +955,38 @@ def markov_basis(system, degree_cap: int, *,
                  mono_cap: int = DEFAULT_MONO_CAP) -> MarkovResult:
     """Layered fiber construction of a minimal-degree generating set.
 
-    For t = 1..cap, once every fiber of degree < t is connected, two
-    degree-t monomials of one fiber that share a variable x are connected
-    already (divide by x, join the quotients, multiply back), and a move of
-    degree < t always leaves a shared factor.  So a fiber's components are
-    the classes of "shares a variable", and the binomials joining its
-    smallest monomial to the smallest monomial of every other class are
-    the degree-t generators it needs.  Degree 1 turns duplicate columns
-    into linear generators by the same rule; they count towards degree 2
-    in ``additions_by_degree``.  Only one bucket per orbit of Aut(H) is
-    walked; the generators of the others are mapped from it (see the
-    module docstring), and every one of them is counted.  The generators
-    of each degree are sorted and deduplicated as rows ``plus | minus``,
-    the order of ``OrientedBasis.make``: both sides have length t.
+    The components of a fiber of every degree 1..cap are the classes of
+    "shares a variable" (see the module docstring), and the binomials
+    joining its smallest monomial to the smallest monomial of every other
+    class are the generators it needs.  Degree 1 turns duplicate columns
+    into linear generators; they count towards degree 2 in
+    ``additions_by_degree``.  Only one bucket per orbit of Aut(H) is
+    walked; the generators of the others are mapped from it, and every
+    one is counted.  The generators are sorted by degree, then as padded
+    rows ``plus | minus`` (the order of ``OrientedBasis.make``), and
+    deduplicated.
     """
     if degree_cap < 2:
         raise ValueError("degree cap must be at least 2")
-    layers = _Layers(system, degree_cap, mono_cap)
-    elements = []
-    counts = Counter()
-    for t in range(1, degree_cap + 1):
-        found = []
-        for block in layers.blocks(t, orbits=True):
-            rows, low, lead = _split(block, system.num_vars)
-            if not len(rows):
-                continue
-            root = (low == rows) & (lead != rows)   # a component without the fiber's smallest
-            found.append(np.concatenate((block.mono[lead[root]], block.mono[rows[root]]), axis=1))
-            if len(block.images[0]):
-                found.append(np.concatenate(layers.mapped(block, rows, low, lead), axis=1))
-        if found:
-            both = np.concatenate(found)
-            counts[max(t, 2)] += len(both)
-            both = both[np.lexsort(both.T[::-1])]
-            both = both[_run_starts(*both.T)]
-            elements += [Binomial(tuple(b[:t]), tuple(b[t:])) for b in both.tolist()]
-    additions_by_degree = {t: counts[t] for t in range(2, degree_cap + 1)}
-    return MarkovResult(OrientedBasis(tuple(elements)), degree_cap, additions_by_degree)
+    layers, n, cap = _Layers(system, degree_cap, mono_cap), system.num_vars, degree_cap
+    found = [np.zeros((0, 2 * cap), dtype=np.int32)]
+    for block in layers.blocks(orbits=True):
+        rows, low, lead = _split(block, n)
+        if not len(rows):
+            continue
+        root = (low == rows) & (lead != rows)   # a component without the fiber's smallest
+        found.append(np.concatenate((block.mono[lead[root]], block.mono[rows[root]]), axis=1))
+        if len(block.images[0]):
+            found.append(np.concatenate(layers.mapped(block, rows, low, lead), axis=1))
+    both = np.concatenate(found)
+    degree = (both[:, :cap] < n).sum(axis=1)        # each side is padded by z^(cap - degree)
+    counts = np.bincount(np.maximum(degree, 2), minlength=cap + 1).tolist()
+    order = np.lexsort((*both.T[::-1], degree))
+    both, degree = both[order], degree[order]
+    keep = _run_starts(*both.T)
+    elements = tuple(Binomial(tuple(b[:t]), tuple(b[cap:cap + t]))
+                     for b, t in zip(both[keep].tolist(), degree[keep].tolist()))
+    return MarkovResult(OrientedBasis(elements), cap, {t: counts[t] for t in range(2, cap + 1)})
 
 
 def _basis_sides(system, basis: OrientedBasis):
@@ -1021,24 +1030,24 @@ def verify_markov(system, basis: OrientedBasis, degree_cap: int, *,
                   mono_cap: int = DEFAULT_MONO_CAP) -> bool:
     """True when every fiber of degree <= cap is connected under the moves.
 
-    Layers are checked for t = 1..cap and the first split fiber returns
-    False, so at degree t every lower fiber is known to be connected.  Then
-    monomials that share a variable are connected (see ``markov_basis``)
-    and moves of degree < t stay inside those classes, so only the basis
-    elements of degree exactly t can join two of them.  When Aut(H) maps
-    the basis onto itself, only one bucket per orbit is walked (see the
-    module docstring); otherwise every bucket is.
+    Every degree is walked at once and any split fiber returns False,
+    which is exact (see the module docstring): in a degree-t fiber only
+    the basis elements of degree exactly t, padded by z^(cap - t), can join
+    two classes of monomials that share a variable.  When Aut(H) maps the
+    basis onto itself, only one bucket per orbit is walked (see the module
+    docstring); otherwise every bucket is.
     """
     if degree_cap < 1:                  # no layer checked: any basis would pass
         raise ValueError("degree cap must be at least 1")
     sides = _basis_sides(system, basis)
-    layers = _Layers(system, degree_cap, mono_cap)
-    orbits = layers.k > 1 and _invariant(sides, layers.perms, system.num_vars)
-    for t in range(1, degree_cap + 1):
-        top = {t: sides[t]} if t in sides else {}
-        for block in layers.blocks(t, orbits=orbits):
-            if len(_split(block, system.num_vars, layers.moves(block, top, t))[0]):
-                return False
+    layers, n = _Layers(system, degree_cap, mono_cap), system.num_vars
+    orbits = layers.k > 1 and _invariant(sides, layers.perms, n)
+    padded = [np.concatenate((s, np.full((len(s), 2, degree_cap - d), n, dtype=np.int32)), axis=2)
+              for d, s in sides.items() if d <= degree_cap]
+    top = {degree_cap: np.concatenate(padded)} if padded else {}
+    for block in layers.blocks(orbits=orbits):
+        if len(_split(block, n, layers.moves(block, top))[0]):
+            return False
     return True
 
 
@@ -1048,29 +1057,29 @@ def verify_grobner(system, basis: OrientedBasis, degree_cap: int, *,
     Polytopes, 1996): every fiber graph of degree 1..cap is acyclic with
     one sink, so every walk ends in that sink and the fiber is connected.
     Degree 1 matters when a source vertex on no edge gives equal columns.
-    Each block of a layer is checked on its own: its moves are u*lead ->
-    u*trail for every element of degree d <= t and monomial u of degree t -
-    d with u*lead in the block (see ``_Layers.moves``); sinks are counted
-    per fiber, then peeled round by round (Kahn's algorithm)."""
+    Each block of the padded layer is checked on its own: its moves are
+    u*lead -> u*trail for every element of degree d and padded monomial u
+    of degree cap - d, every degree t >= d at once (``_Layers.moves``);
+    sinks are counted per fiber, then peeled round by round (Kahn's
+    algorithm)."""
     if degree_cap < 1:                  # no layer checked: any basis would pass
         raise ValueError("degree cap must be at least 1")
     sides = _basis_sides(system, basis)
     layers = _Layers(system, degree_cap, mono_cap)
-    for t in range(1, degree_cap + 1):
-        for block in layers.blocks(t):
-            src, dst = layers.moves(block, sides, t).T
-            fid = np.empty(len(block.mono), dtype=np.int64)
-            fid[block.order] = np.repeat(np.arange(len(block.counts)), block.counts)
-            left = np.bincount(src, minlength=len(fid))     # moves out not yet peeled
-            # an acyclic fiber has a sink, so one sink each means never two
-            if np.bincount(fid[left == 0]).max(initial=0) > 1:
+    for block in layers.blocks():
+        src, dst = layers.moves(block, sides).T
+        fid = np.empty(len(block.mono), dtype=np.int64)
+        fid[block.order] = np.repeat(np.arange(len(block.counts)), block.counts)
+        left = np.bincount(src, minlength=len(fid))     # moves out not yet peeled
+        # an acyclic fiber has a sink, so one sink each means never two
+        if np.bincount(fid[left == 0]).max(initial=0) > 1:
+            return False
+        while len(src):
+            into = left[dst] == 0
+            if not into.any():          # every row left has a move out: a cycle
                 return False
-            while len(src):
-                into = left[dst] == 0
-                if not into.any():      # every row left has a move out: a cycle
-                    return False
-                left -= np.bincount(src[into], minlength=len(left))
-                src, dst = src[~into], dst[~into]
+            left -= np.bincount(src[into], minlength=len(left))
+            src, dst = src[~into], dst[~into]
     return True
 
 

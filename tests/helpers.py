@@ -624,10 +624,10 @@ def unbucketed_layer(system, degree, mono_cap=10**7):
     first).  Layer t puts each variable j in front of the rows of layer t -
     1 that start at j or later, and fibers are refined one key word at a
     time by ``np.unique``."""
-    from homtoric.toric import ResourceCapExceeded
+    from homtoric.toric import ResourceCapExceeded, _pack
     if degree < 1:
         raise ValueError("degree must be at least 1")
-    packed = system.packed_columns(degree.bit_length(), 0)
+    packed = _pack(system.key_matrix, degree.bit_length(), 0)
     n_vars, n_words = packed.shape
     idx = np.arange(n_vars, dtype=np.int32).reshape(n_vars, 1)
     words = packed

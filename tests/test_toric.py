@@ -226,17 +226,28 @@ def test_mono_cap():
 
 def test_walkers_refuse_a_layer_over_the_mono_cap_up_front(tmp_path, capsys):
     # C4 -> spoon has 7 variables: the 28 monomials of degree 2 fit under
-    # the cap 30, the 84 of degree 3 do not.  Every walker refuses before
-    # it walks degrees 1 and 2, where the empty basis would already fail.
+    # the cap 30, the 84 of degree 3 do not.  The cap counts these real
+    # layers, not the padded ones (36 rows at cap 2), so every walker runs
+    # at cap 2 and refuses at cap 3 before any block is built, where the
+    # empty basis would already fail.
     system = build_system(G.cycle(4), G.spoon())
     empty = OrientedBasis.make(())
-    assert not verify_grobner(system, empty, 2) and not verify_markov(system, empty, 2)
-    for walk in (lambda: verify_grobner(system, empty, 3, mono_cap=30),
-                 lambda: verify_markov(system, empty, 3, mono_cap=30),
-                 lambda: markov_basis(system, 3, mono_cap=30)):
-        with pytest.raises(ResourceCapExceeded,
-                           match="^84 monomials of degree 3 exceed the cap 30$"):
-            walk()
+    assert comb(system.num_vars + 2, 2) == 36 > 30
+    assert not verify_grobner(system, empty, 2, mono_cap=30)
+    assert not verify_markov(system, empty, 2, mono_cap=30)
+    assert markov_basis(system, 2, mono_cap=30) == markov_basis(system, 2)
+
+    def built(*args):
+        raise AssertionError("a block was built before the cap check")
+
+    with mock.patch.object(toric._Layers, "_block", built):
+        for walk in (lambda: verify_grobner(system, empty, 3, mono_cap=30),
+                     lambda: verify_markov(system, empty, 3, mono_cap=30),
+                     lambda: markov_basis(system, 3, mono_cap=30),
+                     lambda: list(iter_fibers(system, 3, mono_cap=30))):
+            with pytest.raises(ResourceCapExceeded,
+                               match="^84 monomials of degree 3 exceed the cap 30$"):
+                walk()
     basis = tmp_path / "empty.txt"
     basis.write_text("")
     code = main(["--mono-cap", "30", "verify-grobner", "cycle:4", "spoon",
@@ -376,6 +387,34 @@ def test_verify_markov_checks_degree_one_fibers():
     assert verify_markov(system, markov_basis(system, 2).basis, 2)
 
 
+def test_degree_one_fibers_share_a_block_with_degree_two():
+    # K2 plus an isolated vertex into the looped edge: the isolated vertex
+    # doubles every map, so the 8 columns pair up into 4 degree-1 fibers of
+    # equal columns.  The padded layer is one block, whole or cut into
+    # blocks of 16 and 5 rows, and some block holds degree-1 and degree-2
+    # fibers together.  The 4 linear generators count towards degree 2;
+    # they generate the ideal and their moves leave one sink a fiber, and
+    # without any one of them neither verifier passes.
+    system = build_system(Graph(3, [(0, 1)]), G.complete_looped(2))
+    assert system.num_vars == 8
+    for size in (toric.BLOCK, 16, 5):
+        with mock.patch.object(toric, "BLOCK", size):
+            res = markov_basis(system, 2)
+            assert res.additions_by_degree == {2: 4} and res.basis.degrees() == [1]
+            together = set()
+            for block in toric._Layers(system, 2, 10**7).blocks():
+                degree = (block.mono < system.num_vars).sum(axis=1)
+                heads = block.order[block.counts.cumsum() - block.counts]
+                together.add(frozenset(degree[heads[block.counts >= 2]].tolist()))
+            assert frozenset({1, 2}) in together, size
+            assert verify_markov(system, res.basis, 2) and verify_grobner(system, res.basis, 2)
+            for drop in range(len(res.basis)):
+                kept = OrientedBasis(res.basis.elements[:drop] + res.basis.elements[drop + 1:])
+                assert not verify_markov(system, kept, 2), (size, drop)
+                assert not verify_grobner(system, kept, 2), (size, drop)
+    assert naive_verify_markov(system, res.basis, 2)
+
+
 def test_verification_needs_a_cap_of_at_least_one():
     # a cap below 1 would check no layer and accept anything; the cap is
     # refused before the basis is read, so even a non-member gets that error
@@ -418,42 +457,92 @@ def _engine_cases():
             yield g, h, cap
 
 
+def _mixed_blocks(system, cap, orbits=False):
+    """True when a block of the padded layer holds buckets of two or more
+    degrees (z counts); z has a class of its own then."""
+    layers = toric._Layers(system, cap, 10**7)
+    return layers.k > 1 and any(len(np.unique(block.comps[:, -1])) > 1
+                                for block in layers.blocks(orbits=orbits))
+
+
 def test_engine_matches_naive_oracles():
     # the gcd-component engine against fiber-by-fiber searches over all
-    # moves: same minimal basis, also when blocks of 16 rows cut the larger
-    # layers into buckets, and the same verdict on that basis and on every
-    # basis with one element left out
-    verdicts = set()
+    # moves: same minimal basis, also when blocks of 16 and 5 rows cut the
+    # padded layers into buckets, some blocks holding buckets of several
+    # degrees, and the same verdict on that basis and on every basis with
+    # one element left out (the first three of them in those blocks)
+    verdicts, mixed = set(), set()
     for g, h, cap in _engine_cases():
         system = build_system(g, h)
         basis = markov_basis(system, cap).basis
         assert ({(b.plus, b.minus) for b in basis}
                 == set(naive_markov_basis(system, cap))), (g.edges, h.edges)
         assert basis == OrientedBasis.make(basis.elements[::-1] + basis.elements[:1])
-        with mock.patch.object(toric, "BLOCK", 16):
-            assert markov_basis(system, cap).basis == basis
         layers = [naive_fibers(system, t) for t in range(1, cap + 1)]
-        for drop in range(-1, len(basis)):
-            kept = OrientedBasis.make(b for i, b in enumerate(basis) if i != drop)
-            ok = verify_markov(system, kept, cap)
-            assert ok == naive_verify_markov(system, kept, cap, layers), \
-                (g.edges, h.edges, drop)
+        kept = [OrientedBasis.make(b for i, b in enumerate(basis) if i != drop)
+                for drop in range(-1, len(basis))]
+        oks = [verify_markov(system, b, cap) for b in kept]
+        for drop, (b, ok) in enumerate(zip(kept, oks)):
+            assert ok == naive_verify_markov(system, b, cap, layers), \
+                (g.edges, h.edges, drop - 1)
             verdicts.add(ok)
+        for size in (16, 5):
+            with mock.patch.object(toric, "BLOCK", size):
+                assert markov_basis(system, cap).basis == basis
+                assert [verify_markov(system, b, cap) for b in kept[:4]] == oks[:4], \
+                    (size, g.edges)
+                if _mixed_blocks(system, cap):
+                    mixed.add(size)
     assert verdicts == {True, False}
+    assert mixed == {16, 5}
 
 
 def _same_split(got, want):
     return all(np.array_equal(a, b) for a, b in zip(got, want))
 
 
+def _unsettled_by_degree(block, n_vars, pairs):
+    """(degree, {t: (rows, low, lead)}): the degree of every row of the
+    padded ``block``, and ``unsettled_split`` run on each degree t apart as
+    the single-degree oracle reads it (the rows of degree t with z
+    stripped, their fibers and the pairs between them), mapped back to
+    block rows."""
+    degree = (block.mono < n_vars).sum(axis=1)
+    heads = degree[block.order[block.counts.cumsum() - block.counts]]
+    out = {}
+    for t in np.unique(heads).tolist():
+        rows = np.flatnonzero(degree == t)
+        where = np.full(len(degree), -1, dtype=np.int64)
+        where[rows] = np.arange(len(rows))
+        keep = heads == t
+        view = toric._Block(toric._take(block.mono[:, :t], rows), None, None,
+                            where[block.order[keep.repeat(block.counts)]],
+                            block.counts[keep], block.room, None)
+        if pairs is not None:
+            ends = where[pairs]
+            ends = ends[ends[:, 0] >= 0]        # both ends lie in one fiber
+        out[t] = tuple(rows[a] for a in unsettled_split(
+            view, n_vars, None if pairs is None else ends))
+    return degree, out
+
+
+def _padded_sides(sides, cap, n_vars):
+    """The pairs ``verify_markov`` joins: every side of degree d <= cap
+    times z^(cap - d), as one group of degree cap."""
+    padded = [np.concatenate((s, np.full((len(s), 2, cap - d), n_vars, dtype=np.int32)), axis=2)
+              for d, s in sides.items() if d <= cap]
+    return {cap: np.concatenate(padded)} if padded else {}
+
+
 def test_split_settles_fibers_against_the_unsettled_oracle():
     # the split with fibers settled from their head against the class sort
-    # on every fiber: every graph on at most 4 vertices into each target,
-    # every block of degree <= 4 (fewer where a layer would pass 20,000
-    # monomials, to keep the test fast), whole and cut into blocks of 16
-    # and 5 rows, with no pairs and with the moves of a Markov basis
-    # missing one element
-    seen = set()
+    # on every fiber, degree by degree: every graph on at most 4 vertices
+    # into each target, every block of the padded layer of degree <= 4
+    # (lower where a layer would pass 20,000 monomials, to keep the test
+    # fast), whole and cut into blocks of 16 and 5 rows, some holding
+    # buckets of several degrees, with no pairs and with the moves of a
+    # Markov basis missing one element
+    seen, mixed = set(), set()
     for n in range(1, 5):
         for g in graphs_upto_iso(n):
             for h in _TARGETS.values():
@@ -461,20 +550,25 @@ def test_split_settles_fibers_against_the_unsettled_oracle():
                 nv = system.num_vars
                 cap = max(t for t in range(1, 5) if t == 1 or comb(nv + t - 1, t) <= 20_000)
                 basis = markov_basis(system, max(cap, 2)).basis.elements
-                sides = toric._basis_sides(system, OrientedBasis(
-                    basis[:len(basis) // 2] + basis[len(basis) // 2 + 1:]))
+                top = _padded_sides(toric._basis_sides(system, OrientedBasis(
+                    basis[:len(basis) // 2] + basis[len(basis) // 2 + 1:])), cap, nv)
                 for size in (toric.BLOCK, 16, 5):
                     with mock.patch.object(toric, "BLOCK", size):
                         layers = toric._Layers(system, cap, 10**7)
-                        for t in range(1, cap + 1):
-                            top = {t: sides[t]} if t in sides else {}
-                            for block in layers.blocks(t):
-                                for pairs in (None, layers.moves(block, top, t)):
-                                    got = toric._split(block, nv, pairs)
-                                    assert _same_split(got, unsettled_split(block, nv, pairs)), \
+                        for block in layers.blocks():
+                            if layers.k > 1 and len(np.unique(block.comps[:, -1])) > 1:
+                                mixed.add(size)
+                            for pairs in (None, layers.moves(block, top)):
+                                got = toric._split(block, nv, pairs)
+                                degree, want = _unsettled_by_degree(block, nv, pairs)
+                                assert set(degree[got[0]].tolist()) <= set(want)
+                                for t, w in want.items():
+                                    sel = degree[got[0]] == t
+                                    assert _same_split(tuple(a[sel] for a in got), w), \
                                         (g.edges, h.edges, size, t)
-                                    seen.add((pairs is None, len(got[0]) > 0))
+                                seen.add((pairs is None, len(got[0]) > 0))
     assert seen == {(True, True), (True, False), (False, True), (False, False)}
+    assert mixed == {16, 5}
 
 
 def test_split_drops_the_pairs_of_settled_fibers():
@@ -499,8 +593,9 @@ def test_split_drops_the_pairs_of_settled_fibers():
 
 
 def _block_walk(system, t):
-    """(blocks, one bucket larger than a block) for the degree-t layer."""
-    blocks = list(toric._Layers(system, t, 10**7).blocks(t))
+    """(blocks, one bucket larger than a block) for the padded layer of
+    degree t."""
+    blocks = list(toric._Layers(system, t, 10**7).blocks())
     return len(blocks), any(len(b.comps) == 1 and len(b.mono) > toric.BLOCK for b in blocks)
 
 
@@ -508,17 +603,20 @@ def test_block_engine_matches_unbucketed_engine():
     # blocks of whole buckets against the whole-layer engine they replace:
     # the same MarkovResult; the same verdicts on the basis, on its flip
     # and on every basis with one element left out; the same fibers, each
-    # in lex order.  A block of 16 rows cuts these small layers into many
-    # blocks and leaves some buckets larger than a block.
+    # in lex order.  Blocks of 16 and 5 rows cut these small padded layers
+    # into many blocks, some holding buckets of several degrees, and leave
+    # some buckets larger than a block.
     cases = list(_engine_cases()) + [(G.path(5), G.complete(3), 3),
                                      (G.cycle(4), G.complete_looped(3), 2)]
-    seen = set()
-    for block in (toric.BLOCK, 16):
+    seen, mixed = set(), set()
+    for block in (toric.BLOCK, 16, 5):
         with mock.patch.object(toric, "BLOCK", block):
             for g, h, cap in cases:
                 system = build_system(g, h)
                 n_blocks, oversized = _block_walk(system, cap)
                 seen.add((block, n_blocks > 1, oversized))
+                if _mixed_blocks(system, cap):
+                    mixed.add(block)
                 res = markov_basis(system, cap)
                 assert res == unbucketed_markov_basis(system, cap), (block, g.edges, h.edges)
                 basis = res.basis
@@ -537,7 +635,8 @@ def test_block_engine_matches_unbucketed_engine():
                     assert all(monos == sorted(monos) for monos in fibers)
                     assert (sorted(fibers)
                             == sorted(sorted(v) for v in naive_fibers(system, t).values()))
-    assert {(toric.BLOCK, False, False), (16, True, True)} <= seen
+    assert {(toric.BLOCK, False, False), (16, True, True), (5, True, True)} <= seen
+    assert mixed == {16, 5}
 
 
 def test_block_memory_follows_the_block_constant():
@@ -560,25 +659,33 @@ def test_block_memory_follows_the_block_constant():
 
 
 def test_largest_bucket_of_the_best_edge():
-    # the buckets of one edge's edge maps, counted combinatorially
+    # the buckets of one edge's edge maps, counted combinatorially: those
+    # of degree t alone, and with z in a class of its own those of the
+    # padded layer, every degree 0..t
     cases = ((G.cycle(6), G.complete_looped(3), 3, 64_836_045, 531_441),
              (G.path(7), G.complete(3), 3, 1_198_144, 32_768),
              (G.complement(G.cycle(8)), G.spoon(), 5, 20_349, 3_003))
     for g, h, t, layer, largest in cases:
         system = build_system(g, h)
-        assert comb(system.num_vars + t - 1, t) == layer
+        n = system.num_vars
+        assert comb(n + t - 1, t) == layer
         classes = toric._bucket_classes(system, t)
-        if layer <= toric.BLOCK:                    # one class: the layer is one block
+        assert len(classes) == n + 1
+        if layer <= toric.BLOCK:        # one class, z included: the padded layer is one block
             assert not classes.any()
             continue
-        sizes = np.bincount(classes)
-        assert toric._largest_bucket(sizes.tolist(), t) == largest
-        comps = toric._compositions(len(sizes), t)
-        counts = [[comb(n + c - 1, c) for c in range(t + 1)] for n in sizes]
-        total = sum(np.prod([counts[i][c] for i, c in enumerate(row)]) for row in comps.tolist())
-        assert total == layer and len(comps) == comb(t + len(sizes) - 1, t)
+        assert classes[n] == classes[:n].max() + 1 == len(np.unique(classes)) - 1
+        for sizes, total_size in ((np.bincount(classes[:n]), layer),
+                                  (np.bincount(classes), comb(n + t, t))):
+            assert toric._largest_bucket(sizes.tolist(), t) == largest
+            comps = toric._compositions(len(sizes), t)
+            counts = [[comb(s + c - 1, c) for c in range(t + 1)] for s in sizes]
+            total = sum(np.prod([counts[i][c] for i, c in enumerate(row)])
+                        for row in comps.tolist())
+            assert total == total_size and len(comps) == comb(t + len(sizes) - 1, t)
     # K2 -> K8 gives every variable its own edge map: one bucket per
     # monomial, a bucket list larger than the layer, so no edge is taken
+    # and z shares the one class
     system = build_system(G.complete(2), G.complete(8))
     assert comb(system.num_vars + 3, 4) == 455_126 > toric.BLOCK
     assert not toric._bucket_classes(system, 4).any()
@@ -752,17 +859,19 @@ def _relabeled(h, rng):
 
 
 def _walked_buckets(system, t):
-    """The classes of ``system``'s variables and the layer indices of the
-    buckets of degree t that ``markov_basis`` walks."""
+    """The classes of ``system``'s variables and z and the layer indices of
+    the buckets of the padded layer of degree t that ``markov_basis``
+    walks."""
     layers = toric._Layers(system, t, 10**7)
     comps = toric._compositions(layers.k, t)
-    return layers.classes, layers.k, set(layers._orbits(comps, t)[0].tolist())
+    return layers.classes, layers.k, set(layers._orbits(comps)[0].tolist())
 
 
 def test_orbit_engine_matches_unbucketed_engine():
     # one bucket per Aut(H)-orbit, the split fibers mapped to the rest of
     # the orbit, against the whole-layer engine: the same MarkovResult,
-    # basis and additions_by_degree.  Randomly relabeled targets move the
+    # basis and additions_by_degree, also where a walked block holds
+    # buckets of several degrees.  Randomly relabeled targets move the
     # automorphisms to other classes; a restricted system keeps only the
     # automorphisms that map its maps onto themselves.
     rng = random.Random(15)
@@ -775,6 +884,7 @@ def test_orbit_engine_matches_unbucketed_engine():
     full = build_system(G.path(4), G.complete(3))
     restricted = full.restrict_columns(i for i, m in enumerate(full.homs.maps) if m[0] < 2)
     assert len(toric._automorphisms(restricted)) == 2       # the swap of 0 and 1
+    mixed = set()
     for block in (16, 5):
         with mock.patch.object(toric, "BLOCK", block):
             for system in systems + [restricted]:
@@ -782,6 +892,9 @@ def test_orbit_engine_matches_unbucketed_engine():
                 cap = 3 if comb(n + 2, 3) <= 5000 else 2
                 assert markov_basis(system, cap) == unbucketed_markov_basis(system, cap), \
                     (block, system.g.edges, system.h.edges)
+                if _mixed_blocks(system, cap, orbits=True):
+                    mixed.add(block)
+    assert mixed == {16, 5}
 
 
 def test_orbit_engine_maps_split_fibers_to_unwalked_buckets():
