@@ -532,8 +532,8 @@ class _Layers:
             if total > mono_cap:
                 raise ResourceCapExceeded(
                     f"{total} monomials of degree {t} exceed the cap {mono_cap}")
-        n, self.system, self.cap = system.num_vars + 1, system, cap
-        self.n, self.classes = n, _bucket_classes(system, cap)
+        self.system, self.cap, self.classes = system, cap, _bucket_classes(system, cap)
+        n = self.n = system.num_vars + 1       # the variables and z
         k = self.k = int(self.classes.max()) + 1
         sizes = np.bincount(self.classes, minlength=k)
         members = np.argsort(self.classes, kind="stable")
