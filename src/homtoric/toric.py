@@ -611,19 +611,18 @@ class _Layers:
         most ``BLOCK`` rows unless it is one bucket.  With ``orbits``, only
         the lex-first bucket of every orbit of Aut(H) is walked, under the
         ``room`` and block bound of the whole layer, and every block carries
-        the ``images`` of the others.  With ``top``, only the buckets of
-        degree cap, where z has a class of its own."""
+        the ``images`` of the others.  With ``top`` (not with ``orbits``),
+        only the buckets of degree cap, where z has a class of its own."""
         t, k = self.cap, self.k
         comps = _compositions(k, t)
+        if top and k > 1:
+            comps = comps[comps[:, -1] == 0]
         sizes = self.count[np.arange(k), comps].prod(axis=1)
         room = (max(min(int(sizes.sum()), BLOCK), int(sizes.max())) - 1).bit_length()
         packed = self.system.packed_columns(t.bit_length(), room)
         images = (np.zeros(0, dtype=np.int64), np.zeros((0, self.n), dtype=np.int32))
         if orbits and k > 1:
             keep, images = self._orbits(comps)
-            comps, sizes = comps[keep], sizes[keep]
-        if top and k > 1:
-            keep = comps[:, -1] == 0
             comps, sizes = comps[keep], sizes[keep]
         ends = sizes.cumsum()
         a = 0
@@ -813,8 +812,8 @@ def iter_fibers(system, degree: int, *, min_size: int = 1,
     number = 0
     for block in _Layers(system, degree, mono_cap).blocks(top=True):
         counts = block.counts
-        head = block.order[counts.cumsum() - counts]
-        keep = (counts >= min_size) & (block.mono[:, -1][head] < system.num_vars)
+        keep = counts >= min_size
+        keep[keep] = block.mono[:, -1][block.order[(counts.cumsum() - counts)[keep]]] < system.num_vars
         monos = list(map(tuple, _take(block.mono, block.order[keep.repeat(counts)]).tolist()))
         start = 0
         for f, c in zip((number + np.flatnonzero(keep)).tolist(), counts[keep].tolist()):
