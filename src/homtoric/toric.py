@@ -809,11 +809,11 @@ def iter_fibers(system, degree: int, *, min_size: int = 1,
     degree with at least ``min_size`` monomials, the monomials of a fiber
     in lex order.  Fibers are numbered in the order the blocks walk them;
     the padded fibers of lower degrees, whose rows end in z, are left out."""
-    number = 0
+    number, n = 0, system.num_vars
     for block in _Layers(system, degree, mono_cap).blocks(top=True):
         counts = block.counts
         keep = counts >= min_size
-        keep[keep] = block.mono[:, -1][block.order[(counts.cumsum() - counts)[keep]]] < system.num_vars
+        keep[keep] = block.mono[block.order[(counts.cumsum() - counts)[keep]], -1] < n
         monos = list(map(tuple, _take(block.mono, block.order[keep.repeat(counts)]).tolist()))
         start = 0
         for f, c in zip((number + np.flatnonzero(keep)).tolist(), counts[keep].tolist()):

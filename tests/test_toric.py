@@ -392,9 +392,10 @@ def test_degree_one_fibers_share_a_block_with_degree_two():
     # doubles every map, so the 8 columns pair up into 4 degree-1 fibers of
     # equal columns.  The padded layer is one block at the default BLOCK
     # and is cut into blocks of 16 and 5 rows; each time some block holds
-    # degree-1 and degree-2 fibers together.  The 4 linear generators count towards degree 2;
-    # they generate the ideal and their moves leave one sink a fiber, and
-    # without any one of them neither verifier passes.
+    # degree-1 and degree-2 fibers together.  The 4 linear generators
+    # count towards degree 2; they generate the ideal and their moves
+    # leave one sink a fiber, and without any one of them neither verifier
+    # passes.
     system = build_system(Graph(3, [(0, 1)]), G.complete_looped(2))
     assert system.num_vars == 8
     for size in (toric.BLOCK, 16, 5):
