@@ -7,6 +7,10 @@ invariant fails (a library ``AssertionError``).  Output is deterministic
 for fixed inputs and configuration.  ``--threads`` is accepted and ignored,
 because the toolkit is single-threaded; ``--seed`` is echoed in the JSON
 output but reserved, because nothing is random.
+
+``main`` builds the ``Report``, emits it once the command returns and maps
+exceptions to exit codes; each ``cmd_*`` function only fills the report
+and returns its exit code.
 """
 
 from __future__ import annotations
@@ -14,6 +18,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from pathlib import Path
 
 from . import graph as graphs
 from .graph import Graph, GraphError, load_graph, parse_labeled_graph_text
@@ -59,10 +64,9 @@ class Report:
 # ---------------------------------------------------------------------------
 # subcommands
 
-def cmd_homs(args) -> int:
+def cmd_homs(args, rep) -> int:
     g, h = load_graph(args.G), load_graph(args.H)
     homs = enumerate_homs(g, h, count_cap=args.mono_cap)
-    rep = Report("homs", args)
     spoonish = h == graphs.spoon()
     sets = indep_encode(g, homs)[0] if spoonish else ()
     entries = []
@@ -76,15 +80,13 @@ def cmd_homs(args) -> int:
         rep.say(text)
     rep.say(f"total {len(homs)}")
     rep.payload = {"count": len(homs), "homs": entries}
-    rep.emit()
     return EXIT_OK
 
 
-def cmd_markov(args) -> int:
+def cmd_markov(args, rep) -> int:
     g, h = load_graph(args.G), load_graph(args.H)
     system = build_system(g, h, count_cap=args.mono_cap)
     res = markov_basis(system, args.cap, mono_cap=args.mono_cap)
-    rep = Report("markov", args)
     basis = [format_binomial(b, system) for b in res.basis]
     rep.lines.extend(basis)
     status = "stable" if res.stable_at_cap else "up to cap"
@@ -93,39 +95,32 @@ def cmd_markov(args) -> int:
                    "cap": res.cap, "stable_at_cap": res.stable_at_cap,
                    "additions_by_degree": {str(k): v for k, v in
                                            res.additions_by_degree.items()}}
-    rep.emit()
     return EXIT_OK
 
 
-def cmd_width(args) -> int:
+def cmd_width(args, rep) -> int:
     g, h = load_graph(args.G), load_graph(args.H)
     system = build_system(g, h, count_cap=args.mono_cap)
     res = markov_basis(system, args.cap, mono_cap=args.mono_cap)
-    rep = Report("width", args)
     rep.say(str(res.width))
     rep.payload = {"width": res.width, "cap": res.cap,
                    "stable_at_cap": res.stable_at_cap}
-    rep.emit()
     return EXIT_OK
 
 
-def cmd_verify_grobner(args) -> int:
+def cmd_verify_grobner(args, rep) -> int:
     g, h = load_graph(args.G), load_graph(args.H)
     system = build_system(g, h, count_cap=args.mono_cap)
-    with open(args.basis) as fh:
-        basis = parse_basis_text(fh.read(), system)
+    basis = parse_basis_text(Path(args.basis).read_text(), system)
     ok = verify_grobner(system, basis, args.cap, mono_cap=args.mono_cap)
-    rep = Report("verify-grobner", args)
     rep.say("grobner basis verified" if ok else "verification failed")
     rep.payload = {"verified": ok, "cap": args.cap, "elements": len(basis)}
-    rep.emit()
     return EXIT_OK if ok else EXIT_NEGATIVE
 
 
-def cmd_indep_grobner(args) -> int:
+def cmd_indep_grobner(args, rep) -> int:
     g = load_graph(args.G)
     isys = IndepSystem(g, count_cap=args.mono_cap)
-    rep = Report("indep-grobner", args)
     bip = graphs.is_bipartite(g)
     if bip is not None:
         basis = bipartite_grobner(isys, bip)
@@ -142,36 +137,26 @@ def cmd_indep_grobner(args) -> int:
         rep.say(f"{line}  # {tags[b]}")
         entries.append({"binomial": line, "tag": tags[b]})
     rep.payload = {"kind": kind, "basis": entries}
-    rep.emit()
     return EXIT_OK
 
 
-def cmd_glue(args) -> int:
-    with open(args.G1) as fh:
-        labels1, edges1 = parse_labeled_graph_text(fh.read())
-    with open(args.G2) as fh:
-        labels2, edges2 = parse_labeled_graph_text(fh.read())
+def cmd_glue(args, rep) -> int:
+    labels1, edges1 = parse_labeled_graph_text(Path(args.G1).read_text())
+    labels2, edges2 = parse_labeled_graph_text(Path(args.G2).read_text())
     all_labels = sorted(set(labels1) | set(labels2))
     if all_labels != list(range(len(all_labels))):
         raise GraphError("glued labels must cover 0..n-1 without gaps")
     union = Graph(len(all_labels), edges1 + edges2)
     h = load_graph(args.H)
     spec = GlueSpec(union, labels1, labels2, h, count_cap=args.mono_cap)
-    rep = Report("glue", args)
     if not check_codim_zero(spec):
         rep.say("intersection configuration is not linearly independent; "
                 "the lift construction does not apply")
         rep.payload = {"codim_zero": False, "shared": list(spec.shared)}
-        rep.emit()
         return EXIT_NEGATIVE
-    basis1 = OrientedBasis.make(())
-    basis2 = OrientedBasis.make(())
-    if args.basis1:
-        with open(args.basis1) as fh:
-            basis1 = parse_basis_text(fh.read(), spec.sys1)
-    if args.basis2:
-        with open(args.basis2) as fh:
-            basis2 = parse_basis_text(fh.read(), spec.sys2)
+    empty = OrientedBasis.make(())
+    basis1 = parse_basis_text(Path(args.basis1).read_text(), spec.sys1) if args.basis1 else empty
+    basis2 = parse_basis_text(Path(args.basis2).read_text(), spec.sys2) if args.basis2 else empty
     res = glue_basis(spec, basis1, basis2, lift_cap=args.lift_cap)
     basis = [format_binomial(b, spec.sys_union) for b in res.basis]
     rep.say(f"# intersection vertices {list(spec.shared)}")
@@ -179,14 +164,12 @@ def cmd_glue(args) -> int:
     rep.say(f"degrees {list(res.degrees_full)}")
     rep.payload = {"shared": list(spec.shared), "basis": basis,
                    "degrees": list(res.degrees_full)}
-    rep.emit()
     return EXIT_OK
 
 
-def cmd_polytope(args) -> int:
+def cmd_polytope(args, rep) -> int:
     g, h = load_graph(args.G), load_graph(args.H)
     poly = build_polytope(g, h, count_cap=args.mono_cap)
-    rep = Report("polytope", args)
     rep.say(f"{poly.num_vertices} vertices in R^{poly.ambient_dim}")
     rep.payload = {"vertices": poly.num_vertices, "ambient_dim": poly.ambient_dim,
                    "maps": [list(m) for m in poly.labels]}
@@ -202,15 +185,11 @@ def cmd_polytope(args) -> int:
         rep.say(f"simple: {srep.simple}; incidence counts {sorted(set(srep.counts))}")
         rep.payload.update({"dim": desc.dim, "facets": fdata,
                             "simple": srep.simple, "counts": list(srep.counts)})
-    rep.emit()
     return EXIT_OK
 
 
-def cmd_hibi(args) -> int:
-    with open(args.poset) as fh:
-        poset = parse_poset_text(fh.read())
-    cmp = hibi_vs_topgraded(poset)
-    rep = Report("hibi", args)
+def cmd_hibi(args, rep) -> int:
+    cmp = hibi_vs_topgraded(parse_poset_text(Path(args.poset).read_text()))
     rep.say(f"lattice relations: {len(cmp.hibi_basis)}")
     rep.say(f"top-graded basis: {len(cmp.top.basis)}")
     rep.say(f"generators match: {cmp.generators_match}")
@@ -218,28 +197,23 @@ def cmd_hibi(args) -> int:
     rep.payload = {"relations": len(cmp.hibi_basis), "top_basis": len(cmp.top.basis),
                    "generators_match": cmp.generators_match,
                    "mutual_generation": cmp.mutual_generation}
-    rep.emit()
     return EXIT_OK if cmp.mutual_generation else EXIT_NEGATIVE
 
 
-def cmd_chromatic_cert(args) -> int:
+def cmd_chromatic_cert(args, rep) -> int:
     g = load_graph(args.G)
     relation = []
-    if args.relation:
-        with open(args.relation) as fh:
-            for raw, line in content_lines(fh.read()):
-                try:
-                    u, v = map(int, line.split())
-                except ValueError:
-                    raise ValueError(f"bad relation line: {raw!r}") from None
-                relation.append((u, v))
+    for raw, line in content_lines(Path(args.relation).read_text() if args.relation else ""):
+        try:
+            u, v = map(int, line.split())
+        except ValueError:
+            raise ValueError(f"bad relation line: {raw!r}") from None
+        relation.append((u, v))
     system, b = find_low_degree_binomial(g, degree_cap=args.cap,
                                          mono_cap=args.mono_cap)
-    rep = Report("chromatic-cert", args)
     if b is None:
         rep.say(f"no disjoint-support binomial of degree <= {args.cap}")
         rep.payload = {"found": False, "cap": args.cap}
-        rep.emit()
         return EXIT_NEGATIVE
     cert = analyze_certificate(g, system, b, relation)
     rep.say(format_certificate(cert))
@@ -252,7 +226,6 @@ def cmd_chromatic_cert(args) -> int:
                    "identifications": [{"pair": list(p), "marker": mk}
                                        for p, mk in row.identifications]}
                   for row in cert.table]}
-    rep.emit()
     return EXIT_OK if cert.verdict != "INCONCLUSIVE" else EXIT_NEGATIVE
 
 
@@ -398,20 +371,13 @@ SCENARIOS = {
 }
 
 
-def cmd_reproduce(args) -> int:
-    names = sorted(SCENARIOS) if args.all else [args.name]
-    if not args.all and args.name not in SCENARIOS:
-        print(f"unknown scenario {args.name!r}; known: {', '.join(sorted(SCENARIOS))}",
-              file=sys.stderr)
-        return EXIT_USAGE
-    rep = Report("reproduce", args)
-    for name in names:
+def cmd_reproduce(args, rep) -> int:
+    for name in sorted(SCENARIOS) if args.all else [args.name]:
         rep.say(f"== {name}")
         sub = Report(name, args)
         SCENARIOS[name](sub)
         rep.lines.extend(sub.lines)
         rep.payload[name] = sub.payload
-    rep.emit()
     return EXIT_OK
 
 
@@ -430,66 +396,34 @@ def build_parser() -> argparse.ArgumentParser:
                      help="monomial enumeration cap")
     sub = top.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("homs", help="enumerate homomorphisms")
-    p.add_argument("G")
-    p.add_argument("H")
-    p.set_defaults(func=cmd_homs)
-
-    p = sub.add_parser("markov", help="minimal-degree generating set")
-    p.add_argument("G")
-    p.add_argument("H")
-    p.add_argument("--cap", type=int, default=4)
-    p.set_defaults(func=cmd_markov)
-
-    p = sub.add_parser("width", help="Markov width up to a degree cap")
-    p.add_argument("G")
-    p.add_argument("H")
-    p.add_argument("--cap", type=int, default=4)
-    p.set_defaults(func=cmd_width)
-
-    p = sub.add_parser("verify-grobner", help="directed fiber-graph check")
-    p.add_argument("G")
-    p.add_argument("H")
-    p.add_argument("--basis", required=True)
-    p.add_argument("--cap", type=int, default=4)
-    p.set_defaults(func=cmd_verify_grobner)
-
-    p = sub.add_parser("indep-grobner", help="independence-ideal basis")
-    p.add_argument("G")
-    p.set_defaults(func=cmd_indep_grobner)
-
-    p = sub.add_parser("glue", help="codimension-zero gluing")
-    p.add_argument("G1")
-    p.add_argument("G2")
-    p.add_argument("H")
-    p.add_argument("--basis1")
-    p.add_argument("--basis2")
-    p.add_argument("--lift-cap", type=int, default=200_000)
-    p.set_defaults(func=cmd_glue)
-
-    p = sub.add_parser("polytope", help="homomorphism polytope")
-    p.add_argument("G")
-    p.add_argument("H")
-    p.add_argument("--facets", action="store_true")
-    p.set_defaults(func=cmd_polytope)
-
-    p = sub.add_parser("hibi", help="lattice relations vs top-graded ideal")
-    p.add_argument("poset")
-    p.set_defaults(func=cmd_hibi)
-
-    p = sub.add_parser("chromatic-cert", help="coloring obstruction certificate")
-    p.add_argument("G")
-    p.add_argument("--relation")
-    p.add_argument("--cap", type=int, default=5)
-    p.set_defaults(func=cmd_chromatic_cert)
-
-    p = sub.add_parser("reproduce", help="run named worked examples")
-    p.add_argument("name", nargs="?")
-    p.add_argument("--all", action="store_true")
-    p.set_defaults(func=cmd_reproduce)
-    for p in sub.choices.values():      # unset after the subcommand, the top value holds
+    def command(func, help, positionals="G H", cap=None, **flags):
+        """The subcommand named after ``func``: its positionals (a trailing
+        ``?`` makes one optional), a ``--flag`` with the ``add_argument``
+        keywords of each of ``flags``, ``--cap`` when it has a default, and
+        ``--mono-cap``, which leaves the top-level value when it is unset."""
+        p = sub.add_parser(func.__name__[4:].replace("_", "-"), help=help)
+        for name in positionals.split():
+            p.add_argument(name.rstrip("?"), nargs="?" if name.endswith("?") else None)
+        for dest, kw in flags.items():
+            p.add_argument("--" + dest.replace("_", "-"), **kw)
+        if cap:
+            p.add_argument("--cap", type=int, default=cap)
         p.add_argument("--mono-cap", type=int, default=argparse.SUPPRESS,
                        help="monomial enumeration cap")
+        p.set_defaults(func=func)
+
+    switch = {"action": "store_true"}
+    command(cmd_homs, "enumerate homomorphisms")
+    command(cmd_markov, "minimal-degree generating set", cap=4)
+    command(cmd_width, "Markov width up to a degree cap", cap=4)
+    command(cmd_verify_grobner, "directed fiber-graph check", cap=4, basis={"required": True})
+    command(cmd_indep_grobner, "independence-ideal basis", "G")
+    command(cmd_glue, "codimension-zero gluing", "G1 G2 H", basis1={}, basis2={},
+            lift_cap={"type": int, "default": 200_000})
+    command(cmd_polytope, "homomorphism polytope", facets=switch)
+    command(cmd_hibi, "lattice relations vs top-graded ideal", "poset")
+    command(cmd_chromatic_cert, "coloring obstruction certificate", "G", cap=5, relation={})
+    command(cmd_reproduce, "run named worked examples", "name?", all=switch)
     return top
 
 
@@ -502,7 +436,14 @@ def main(argv=None) -> int:
         for flag in ("mono_cap", "lift_cap"):
             if getattr(args, flag, 1) < 1:
                 raise ValueError(f"--{flag.replace('_', '-')} must be at least 1")
-        return args.func(args)
+        if args.command == "reproduce" and not args.all and args.name not in SCENARIOS:
+            print(f"unknown scenario {args.name!r}; known: {', '.join(sorted(SCENARIOS))}",
+                  file=sys.stderr)
+            return EXIT_USAGE
+        rep = Report(args.command, args)
+        code = args.func(args, rep)
+        rep.emit()
+        return code
     except (ValueError, OSError) as exc:        # GraphError and GlueError too
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

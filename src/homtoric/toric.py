@@ -750,17 +750,13 @@ def _fibers(words, room: int):
     key sorts least significant word first."""
     n, n_words = words.shape
     position = np.arange(n, dtype=np.int64)
-    order, start = position, np.zeros(n, dtype=bool)
+    order = position
     for w in range(n_words - 1, -1, -1):
         word = words[:, w][order]
         word |= position
         word.sort()
         order = order[word & ((1 << room) - 1)]
-    for w in range(n_words):
-        key = words[:, w][order]
-        start[1:] |= key[1:] != key[:-1]
-    start[:1] = True
-    return order, _run_lengths(start)
+    return order, _run_lengths(_run_starts(*(words[:, w][order] for w in range(n_words))))
 
 
 def _run_starts(*keys):

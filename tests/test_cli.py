@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -295,6 +296,92 @@ def test_reproduce_all(capsys):
                  "octahedron-coloring", "hibi-small", "fan-k4"):
         assert f"== {name}" in out
     assert "NOT_4_COLORABLE" in out
+
+
+def test_unknown_scenario_exit_2(capsys):
+    # the name is checked after the cap checks and before any report is
+    # built, so nothing reaches stdout, in text or JSON
+    unknown = ("unknown scenario 'nosuch'; known: c4-bipartite, c4-polytope, "
+               "c5-almost-bipartite, fan-k4, hibi-small, k3k4-binomial, k5-coloring, "
+               "octahedron-coloring, p4p3, prism-width, spoon-widths\n")
+    for argv, err in ((["reproduce", "nosuch"], unknown),
+                      (["--json", "reproduce", "nosuch"], unknown),
+                      (["--mono-cap", "0", "reproduce", "nosuch"],
+                       "error: --mono-cap must be at least 1\n")):
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert (code, captured.out, captured.err) == (2, "", err), argv
+
+
+# Every action of the parser, as (option strings, dest, default, type,
+# required, nargs, help), pinned so that how the subcommands are declared
+# cannot change what they accept; the --help layout is not compared, as it
+# follows COLUMNS and the Python version.
+_HELP = (("-h", "--help"), "help", argparse.SUPPRESS, None, False, 0,
+         "show this help message and exit")
+_MONO_CAP = (("--mono-cap",), "mono_cap", argparse.SUPPRESS, int, False, None,
+             "monomial enumeration cap")
+
+
+def _positional(dest):
+    return ((), dest, None, None, True, None, None)
+
+
+def _flag(dest, default=None, type=None, required=False, nargs=None):
+    return (("--" + dest.replace("_", "-"),), dest, default, type, required, nargs, None)
+
+
+_G, _H = _positional("G"), _positional("H")
+TOP_ACTIONS = [
+    _HELP,
+    (("--json",), "json", False, None, False, 0, "JSON output"),
+    (("--threads",), "threads", 1, int, False, None,
+     "accepted and ignored; the toolkit is single-threaded"),
+    (("--seed",), "seed", 0, int, False, None,
+     "echoed in the JSON output; reserved, nothing is random"),
+    (("--mono-cap",), "mono_cap", 10_000_000, int, False, None, "monomial enumeration cap"),
+    ((), "command", None, None, True, argparse.PARSER, None),
+]
+SUBCOMMANDS = {     # name: (help, func, actions)
+    "homs": ("enumerate homomorphisms", cli.cmd_homs, [_HELP, _G, _H, _MONO_CAP]),
+    "markov": ("minimal-degree generating set", cli.cmd_markov,
+               [_HELP, _G, _H, _flag("cap", 4, int), _MONO_CAP]),
+    "width": ("Markov width up to a degree cap", cli.cmd_width,
+              [_HELP, _G, _H, _flag("cap", 4, int), _MONO_CAP]),
+    "verify-grobner": ("directed fiber-graph check", cli.cmd_verify_grobner,
+                       [_HELP, _G, _H, _flag("basis", required=True), _flag("cap", 4, int),
+                        _MONO_CAP]),
+    "indep-grobner": ("independence-ideal basis", cli.cmd_indep_grobner,
+                      [_HELP, _G, _MONO_CAP]),
+    "glue": ("codimension-zero gluing", cli.cmd_glue,
+             [_HELP, _positional("G1"), _positional("G2"), _H, _flag("basis1"),
+              _flag("basis2"), _flag("lift_cap", 200_000, int), _MONO_CAP]),
+    "polytope": ("homomorphism polytope", cli.cmd_polytope,
+                 [_HELP, _G, _H, _flag("facets", False, nargs=0), _MONO_CAP]),
+    "hibi": ("lattice relations vs top-graded ideal", cli.cmd_hibi,
+             [_HELP, _positional("poset"), _MONO_CAP]),
+    "chromatic-cert": ("coloring obstruction certificate", cli.cmd_chromatic_cert,
+                       [_HELP, _G, _flag("relation"), _flag("cap", 5, int), _MONO_CAP]),
+    "reproduce": ("run named worked examples", cli.cmd_reproduce,
+                  [_HELP, ((), "name", None, None, False, "?", None),
+                   _flag("all", False, nargs=0), _MONO_CAP]),
+}
+
+
+def test_parser_declares_every_action():
+    def actions(parser):
+        return [(tuple(a.option_strings), a.dest, a.default, a.type, a.required,
+                 a.nargs, a.help) for a in parser._actions]
+
+    top = cli.build_parser()
+    assert actions(top) == TOP_ACTIONS
+    sub = top._actions[-1]
+    assert list(sub.choices) == list(SUBCOMMANDS)
+    assert [(a.dest, a.help) for a in sub._choices_actions] == [
+        (name, help) for name, (help, _, _) in SUBCOMMANDS.items()]
+    for name, parser in sub.choices.items():
+        _, func, expected = SUBCOMMANDS[name]
+        assert (parser.get_default("func"), actions(parser)) == (func, expected), name
 
 
 def test_thread_count_does_not_change_output(capsys):
