@@ -170,19 +170,17 @@ def hibi_vs_topgraded(poset: Poset) -> HibiComparison:
     bp = build_bp(poset)
     isys = IndepSystem(bp)
     top = top_graded(isys, degree_cap=2)
-    var_of = {s: i for i, s in enumerate(top.sets)}
-    if set(var_of) != set(bij.images):
+    if set(top.sets) != set(bij.images):
         raise AssertionError("top variables disagree with the xi images")
+    var = dict(zip(bij.ideals, map({s: i for i, s in enumerate(top.sets)}.get, bij.images)))
     elems = []
     for l1, l2 in combinations(bij.ideals, 2):
         u, m = l1 | l2, l1 & l2
         if {u, m} == {l1, l2}:
             continue
-        plus = tuple(sorted((var_of[xi(poset, l1)], var_of[xi(poset, l2)])))
-        minus = tuple(sorted((var_of[xi(poset, u)], var_of[xi(poset, m)])))
-        elems.append(Binomial(plus, minus))
+        elems.append(Binomial(tuple(sorted((var[l1], var[l2]))), tuple(sorted((var[u], var[m])))))
     hibi_basis = OrientedBasis.make(elems)
-    memberships = top.subsystem.first_non_member(hibi_basis.elements) is None
+    memberships = top.subsystem.first_non_member(hibi_basis) is None
     match = ({b.unordered_key() for b in hibi_basis}
              == {b.unordered_key() for b in top.basis})
     mutual = memberships and verify_markov(top.subsystem, hibi_basis, 3)

@@ -10,6 +10,8 @@ Lift families are counted, not listed: a family's size is the product of
 its factors' extension pool sizes and of each class's pairing count.  Lifts
 are built as ``pair_index[x, y]`` lookups in blocks of at most ``BLOCK``
 rows; a lift's sides share a variable only where its element's sides do.
+Bases are read as ``shapes`` rows; lifts and swaps stay int rows until
+``OrientedBasis.from_rows`` sorts them and builds each element once.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import cache
-from itertools import accumulate, chain, combinations, groupby, islice, product
+from itertools import accumulate, chain, combinations, islice, product
 from math import prod
 from operator import add
 
@@ -172,16 +174,17 @@ def _distinct_matchings(ps, qs, cls):
     yield from islice(fill(0), 1, None)
 
 
-def _lift_run(spec, side, run):
-    """Count the lifts of a run of elements of one shape without listing them.
-    Returns the family sizes and a generator of the lifts of the first
-    ``steps[j]`` steps of element j (matchings in order, extensions in
-    ``product`` order), in blocks of ``BLOCK`` rows; None for a zero lift."""
+def _lift_run(spec, side, shape, rows):
+    """Count the lifts of the elements of one shape, the rows ``plus |
+    minus`` of a basis view, without listing them.  Returns the family
+    sizes and a generator of the lifts of the first ``steps[j]`` steps of
+    element j (matchings in order, extensions in ``product`` order), as
+    int arrays of rows ``plus | minus`` of at most ``BLOCK`` rows; a lift
+    whose sides share a variable is stripped, and dropped when zero."""
     cid, other = (spec.cid1, spec.cid2) if side == 1 else (spec.cid2, spec.cid1)
     nv, size = len(cid), np.bincount(other, minlength=cid.max(initial=0) + 1).tolist()
-    p, q = (np.array(x, dtype=np.int64) for x in zip(*((b.plus, b.minus) for b in run)))
-    kp, kq = (np.sort(cid[x] * nv + x, axis=1) for x in (p, q))
-    if p.shape != q.shape or (kp // nv != kq // nv).any():
+    kp, kq = (np.sort(cid[x] * nv + x, axis=1) for x in (rows[:, :shape[0]], rows[:, shape[0]:]))
+    if shape[0] != shape[1] or (kp // nv != kq // nv).any():
         raise GlueError("binomial sides disagree on intersection classes; "
                         "not liftable (is it really a member?)")
     runs = np.stack([kp // nv, kp, kq], axis=2)
@@ -211,19 +214,20 @@ def _lift_run(spec, side, run):
             (stride, z, base, ps), (per, begin, combo, strip) = fac[:, j], one[:, j]
             s = g - begin
             w = order[base + s[:, None] // stride % z]
-            rows = np.sort(table[np.stack([ps, combos[combo + s // per]]), w], axis=2)
-            for lp, lm, x in zip(*rows.tolist(), strip.tolist()):
-                yield Binomial.make(lp, lm) if x else Binomial(tuple(lp), tuple(lm))
+            lift = np.sort(table[np.stack([ps, combos[combo + s // per]]), w], axis=2)
+            yield np.concatenate(lift, axis=1)[strip == 0]
+            yield from (np.array([b.plus + b.minus])
+                        for b in map(Binomial.make, *lift[:, strip != 0].tolist()) if b)
     return fam, lifts
 
 
-def _quad_binomials(spec):
-    """x1y1 * x2y2 - x1y2 * x2y1 for x1 < x2 and y1 < y2 in one class."""
+def _quad_rows(spec):
+    """x1y1 * x2y2 - x1y2 * x2y1 for x1 < x2 and y1 < y2 in one class, sides unsorted."""
     for c, xs in spec.xs_by_class.items():
         ys = list(combinations(spec.ys_by_class.get(c, ()), 2))
         rows = spec.pair_index[xs].tolist() if ys else ()
         for (r1, r2), (y1, y2) in product(combinations(rows, 2), ys):
-            yield Binomial(tuple(sorted((r1[y1], r2[y2]))), tuple(sorted((r1[y2], r2[y1]))))
+            yield r1[y1], r2[y2], r1[y2], r2[y1]
 
 
 def glue_basis(spec: GlueSpec, basis1: OrientedBasis, basis2: OrientedBasis, *,
@@ -232,22 +236,23 @@ def glue_basis(spec: GlueSpec, basis1: OrientedBasis, basis2: OrientedBasis, *,
 
     A binomial lifts by every pairing of its sides that agrees on the
     intersection and every extension to the other side.  Families are
-    counted, not listed; lifts are pair-table rows built in blocks, cut
-    after ``lift_cap`` steps (with ``allow_truncation``; else an error),
-    and a lift that strips to zero is one step.  Sizes and degrees are exact."""
+    counted, not listed; lifts are pair-table rows built in blocks, shape
+    by shape in the order of the basis view, cut after ``lift_cap`` steps
+    (with ``allow_truncation``; else an error), and a lift that strips to
+    zero is one step.  Sizes and degrees are exact."""
     if not check_codim_zero(spec):
         raise GlueError("intersection configuration is not linearly independent")
     degrees, attempted, runs = set(), 0, []
     for side, basis in ((1, basis1), (2, basis2)):
         (spec.sys1 if side == 1 else spec.sys2).check_basis_members(basis)
-        for shape, run in groupby(basis, key=lambda b: (len(b.plus), len(b.minus))):
-            fam, run_lifts = _lift_run(spec, side, list(run))
+        for shape, (_, rows) in basis.shapes.items():
+            fam, run_lifts = _lift_run(spec, side, shape, rows)
             attempted += sum(fam)
             degrees |= {max(shape)} if any(fam) else set()
             runs.append((fam, run_lifts))
-    quads = list(_quad_binomials(spec))
+    quads = np.sort(np.array([*_quad_rows(spec)], dtype=np.int64).reshape(-1, 2, 2), axis=2)
     attempted += len(quads)
-    degrees |= {2} if quads else set()
+    degrees |= {2} if len(quads) else set()
     if attempted > lift_cap and not allow_truncation:
         raise LiftTooLarge(
             f"lift family has {attempted} members, above the cap {lift_cap}; "
@@ -258,7 +263,7 @@ def glue_basis(spec: GlueSpec, basis1: OrientedBasis, basis2: OrientedBasis, *,
         lifts.append(run_lifts([min(f, max(lift_cap - t, 0)) for f, t in
                                 zip(fam, accumulate(fam, initial=done))]))
         done += sum(fam)
-    basis = OrientedBasis.make(chain(quads, *lifts))
+    basis = OrientedBasis.from_rows(chain([quads.reshape(-1, 4)], *lifts))
     return GlueResult(basis, tuple(sorted(degrees)), attempted > lift_cap, len(basis),
                       attempted)
 
@@ -334,14 +339,10 @@ def forest_pipeline(g: Graph, h: Graph) -> PipelineResult:
     system = system or build_system(g, h)
     # maps that differ only on isolated vertices have equal columns; the
     # gluing treats each side's maps as distinct, so join them linearly
-    first, linear = {}, []
-    for k, col in enumerate(system.cols):
-        if col in first:
-            linear.append(Binomial.make((first[col],), (k,)))
-        else:
-            first[col] = k
+    first = {}
+    linear = [(first[col], k) for k, col in enumerate(system.cols) if first.setdefault(col, k) < k]
     if linear:
-        basis = OrientedBasis.make(basis.elements + tuple(linear))
+        basis = OrientedBasis.from_rows([np.array(linear), *(r for _, r in basis.shapes.values())])
         degrees.add(1)
     return PipelineResult(system, basis, tuple(sorted(degrees)), False)
 

@@ -95,7 +95,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, reduce
 from math import comb
 
 import numpy as np
@@ -156,7 +156,9 @@ class OrientedBasis:
     """A list of binomials, each oriented plus -> minus.  ``weights`` is an
     optional per-variable tuple-of-ints weight (compared lexicographically
     after summing over the factors of a monomial); when present it must
-    strictly separate the two sides of every element."""
+    strictly separate the two sides of every element.  ``shapes`` maps each
+    shape (side lengths), by first element, to its elements' positions and
+    int rows ``plus | minus``: from ``from_rows``, else built on first use."""
     elements: tuple
     weights: tuple = None
 
@@ -165,6 +167,34 @@ class OrientedBasis:
         elems = sorted(set(b for b in binomials if b is not None),
                        key=lambda b: (max(len(b.plus), len(b.minus)), b.plus, b.minus))
         return OrientedBasis(tuple(elems), weights)
+
+    @staticmethod
+    def from_rows(rows):
+        """The basis of the homogeneous binomials given as int arrays of rows
+        ``plus | minus`` (sides sorted, any degrees), sorted and deduplicated
+        as ``make`` does, each element built once."""
+        by_degree, elements, shapes = {}, [], {}
+        for r in filter(len, rows):
+            by_degree.setdefault(r.shape[1] // 2, []).append(r)
+        for d in sorted(by_degree):
+            both = np.concatenate(by_degree[d])
+            both = both[np.lexsort(both.T[::-1])]
+            both = both[_run_starts(*both.T)]
+            shapes[d, d] = np.arange(len(elements), len(elements) + len(both)), both
+            elements += map(Binomial, map(tuple, both[:, :d].tolist()),
+                            map(tuple, both[:, d:].tolist()))
+        basis = OrientedBasis(tuple(elements))
+        basis.__dict__["shapes"] = shapes       # the cached view
+        return basis
+
+    @cached_property
+    def shapes(self):
+        where, elements = {}, self.elements
+        for i, b in enumerate(elements):
+            where.setdefault((len(b.plus), len(b.minus)), []).append(i)
+        return {(p, q): (np.array(w), np.array([elements[i].plus + elements[i].minus for i in w],
+                                               dtype=np.int64).reshape(len(w), p + q))
+                for (p, q), w in where.items()}
 
     def __len__(self):
         return len(self.elements)
@@ -289,32 +319,27 @@ class ToricSystem:
     def membership(self, binomial: Binomial) -> bool:
         """True when both sides have the same image under A; IndexError
         for a variable out of range."""
-        return self.first_non_member((binomial,)) is None
+        return self.first_non_member(OrientedBasis((binomial,))) is None
 
     def check_basis_members(self, basis: OrientedBasis):
         """Raise at the first element of ``basis`` that is not a member:
         IndexError for a variable out of range, else ValueError."""
-        b = self.first_non_member(basis.elements)
+        b = self.first_non_member(basis)
         if b is not None:
             raise ValueError(f"binomial {b.plus} - {b.minus} is not in the ideal")
 
-    def first_non_member(self, elements):
-        """The first of the binomials ``elements`` whose sides have different
-        images under A, or None; IndexError instead when that first failure
-        has a variable out of range.  The elements of one shape (side
-        lengths) are checked together, each side's image the sum of its
-        factors' columns of A packed into int64 words as in
-        ``packed_columns``, at the bits of the longer side's length (cached
-        per bit count): an image entry of a side of degree d is at most d."""
-        n = len(self.homs)
-        shapes, first = {}, len(elements)
-        for i, b in enumerate(elements):
-            shapes.setdefault((len(b.plus), len(b.minus)), []).append(i)
-        for (p, q), where in shapes.items():
-            sides = np.array([elements[i].plus + elements[i].minus for i in where],
-                             dtype=np.int64).reshape(len(where), p + q)
-            out = sides.view(np.uint64) >= n       # a negative variable wraps around
-            bad = out.any(axis=1)
+    def first_non_member(self, basis: OrientedBasis):
+        """The first element of ``basis`` whose sides have different images
+        under A, or None; IndexError instead when that first failure has a
+        variable out of range.  The elements of one shape (side lengths)
+        are checked together, from the rows of ``basis.shapes``, each side's
+        image the sum of its factors' columns of A packed into int64 words
+        as in ``packed_columns``, at the bits of the longer side's length
+        (cached per bit count): an image entry of a side of degree d is at
+        most d."""
+        n, first = len(self.homs), len(basis)
+        for (p, q), (where, sides) in basis.shapes.items():
+            bad = ((sides < 0) | (sides >= n)).any(axis=1)
             if n:                       # else every factor is out of range
                 bits = max(p, q, 1).bit_length()
                 packed = self._packed_words.get(bits)
@@ -323,10 +348,10 @@ class ToricSystem:
                 image = packed.take(sides, axis=0, mode="wrap")     # bad rows stay in range
                 bad |= (image[:, :p].sum(axis=1) != image[:, p:].sum(axis=1)).any(axis=1)
             if bad.any():
-                first = min(first, where[int(bad.argmax())])
-        if first == len(elements):
+                first = min(first, int(where[bad.argmax()]))
+        if first == len(basis):
             return None
-        b = elements[first]
+        b = basis.elements[first]
         for v in b.plus + b.minus:
             if not 0 <= v < n:
                 raise IndexError(f"variable {v} out of range")
@@ -756,7 +781,8 @@ def _fibers(words, room: int):
         word |= position
         word.sort()
         order = order[word & ((1 << room) - 1)]
-    return order, _run_lengths(_run_starts(*(words[:, w][order] for w in range(n_words))))
+    starts = (_run_starts(words[:, w][order]) for w in range(n_words))  # one word at a time
+    return order, _run_lengths(reduce(np.logical_or, starts))
 
 
 def _run_starts(*keys):
@@ -957,9 +983,9 @@ def markov_basis(system, degree_cap: int, *,
     into linear generators; they count towards degree 2 in
     ``additions_by_degree``.  Only one bucket per orbit of Aut(H) is
     walked; the generators of the others are mapped from it, and every
-    one is counted.  The generators are sorted by degree, then as padded
-    rows ``plus | minus`` (the order of ``OrientedBasis.make``), and
-    deduplicated.
+    one is counted.  The generators of each degree go to
+    ``OrientedBasis.from_rows`` as rows ``plus | minus``, which sorts them
+    as ``OrientedBasis.make`` does and deduplicates them.
     """
     if degree_cap < 2:
         raise ValueError("degree cap must be at least 2")
@@ -976,12 +1002,9 @@ def markov_basis(system, degree_cap: int, *,
     both = np.concatenate(found)
     degree = (both[:, :cap] < n).sum(axis=1)        # each side is padded by z^(cap - degree)
     counts = np.bincount(np.maximum(degree, 2), minlength=cap + 1).tolist()
-    order = np.lexsort((*both.T[::-1], degree))
-    both, degree = both[order], degree[order]
-    keep = _run_starts(*both.T)
-    elements = tuple(Binomial(tuple(b[:t]), tuple(b[cap:cap + t]))
-                     for b, t in zip(both[keep].tolist(), degree[keep].tolist()))
-    return MarkovResult(OrientedBasis(elements), cap, {t: counts[t] for t in range(2, cap + 1)})
+    basis = OrientedBasis.from_rows(both.reshape(-1, 2, cap)[degree == t, :, :t].reshape(-1, 2 * t)
+                                    for t in range(1, cap + 1))
+    return MarkovResult(basis, cap, {t: counts[t] for t in range(2, cap + 1)})
 
 
 def _basis_sides(system, basis: OrientedBasis):
@@ -990,14 +1013,12 @@ def _basis_sides(system, basis: OrientedBasis):
     (elements, 2, d) int32 array}, lead first, each sorted.  An element
     with lead == trail moves a monomial only to itself and is left out."""
     system.check_basis_members(basis)
-    groups = {}
-    for b in basis:
-        if len(b.plus) != len(b.minus):
-            raise ValueError(f"binomial {b.plus} - {b.minus} is not homogeneous")
-        groups.setdefault(len(b.plus), []).append(b.plus + b.minus)
     sides = {}
-    for d, g in groups.items():
-        s = np.sort(np.array(g, dtype=np.int32).reshape(len(g), 2, d), axis=2)
+    for (d, q), (where, rows) in basis.shapes.items():     # in order of first element
+        if d != q:
+            b = basis.elements[where[0]]
+            raise ValueError(f"binomial {b.plus} - {b.minus} is not homogeneous")
+        s = np.sort(rows.astype(np.int32, copy=False).reshape(len(rows), 2, d), axis=2)
         s = s[(s[:, 0] != s[:, 1]).any(axis=1)]
         if len(s):
             sides[d] = s

@@ -1,9 +1,10 @@
+import json
 import os
 import sys
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), os.pardir, "tools"))
 
-from bench_record import pair_wins  # noqa: E402
+from bench_record import jobs_at, pair_wins  # noqa: E402
 
 
 def _entry(runs):
@@ -25,3 +26,14 @@ def test_pair_wins_pairs_runs_by_seed_in_the_better_direction():
     got = pair_wins(parent, change, {"wall_s": "lower", "rate": "higher", "other": "lower"})
     assert got == {"a": {"wall_s": {"wins": 1, "pairs": 2, "better": "lower"},
                          "rate": {"wins": 1, "pairs": 2, "better": "higher"}}}
+
+
+def test_jobs_at_ranks_jobs_by_their_raw_median(tmp_path):
+    # ten jobs ranked by the median of their samples, not by their mean,
+    # their first sample or their order in the file: nearest rank puts the
+    # 5th at p50 and the 9th at p90
+    samples = {f"job{i}": [10.0 * i, i, 0.5 + i] for i in range(10)}
+    samples["job0"], samples["job9"] = [100.0, 0.0, 0.1], [9.0, 9.0, 0.0]
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps({"job_seconds": dict(reversed(list(samples.items())))}))
+    assert jobs_at(str(path)) == {"p50": "job4", "p90": "job8"}

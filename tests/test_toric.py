@@ -801,6 +801,96 @@ def test_packed_membership_matches_counter_images():
                     == _outcome(naive_check_basis_members, system, elems[:k]))
 
 
+def _assert_view_of_elements(basis):
+    """``basis.shapes`` holds, per shape in order of its first element, the
+    positions of the elements of that shape and their rows plus | minus."""
+    want = {}
+    for i, b in enumerate(basis.elements):
+        where, rows = want.setdefault((len(b.plus), len(b.minus)), ([], []))
+        where.append(i)
+        rows.append(list(b.plus + b.minus))
+    assert list(basis.shapes) == list(want)
+    for shape, (where, rows) in want.items():
+        got_where, got_rows = basis.shapes[shape]
+        assert got_where.tolist() == where and got_rows.tolist() == rows
+        assert got_rows.shape == (len(rows), sum(shape))
+
+
+def test_from_rows_matches_make_on_random_rows():
+    # seeded random rows of degrees 1-4, split over several arrays of
+    # either int width, with duplicates within and across arrays, rows of
+    # a lower degree beside higher ones (as stripped lifts come), empty
+    # arrays, a single row and no rows: the basis ``make`` gives for the
+    # same binomials, with a view equal to the rows of its elements
+    rng = np.random.default_rng(22)
+    cases = [[], [np.zeros((0, 4), dtype=np.int64)], [np.array([[2, 5, 1, 3]])]]
+    for _ in range(40):
+        arrays = []
+        for _ in range(rng.integers(1, 6)):
+            d, k = int(rng.integers(1, 5)), int(rng.integers(0, 25))
+            rows = np.sort(rng.integers(0, 5, (k, 2, d)), axis=2).reshape(k, 2 * d)
+            if k and rng.random() < 0.5:
+                rows = np.concatenate((rows, rows[rng.integers(0, k, k)]))
+            arrays.append(rows.astype(np.int32 if rng.random() < 0.5 else np.int64))
+        cases.append(arrays + arrays[:1])
+    for arrays in cases:
+        binomials = [Binomial(tuple(r[:len(r) // 2]), tuple(r[len(r) // 2:]))
+                     for a in arrays for r in a.tolist()]
+        basis = OrientedBasis.from_rows(arrays)
+        assert basis == OrientedBasis.make(binomials)
+        assert len(basis) == len(set(binomials))
+        _assert_view_of_elements(basis)
+
+
+def test_shapes_view_matches_the_elements():
+    # bases from make, from markov_basis and from glue_basis (the fan into
+    # K4 mixes the 12/12 shape with the 2/2 swaps), and a parsed basis
+    # whose sides have unequal lengths: each view equals the rows of the
+    # elements, and the fallback view of the same elements equals it too
+    system = build_system(G.path(4), G.spoon())
+    markov = markov_basis(system, 3).basis
+    fan = Graph(5, [(0, 1), (0, 2), (0, 3), (0, 4), (1, 2), (2, 3), (3, 4)])
+    base = OrientedBasis.make([degree12_binomial(build_system(G.complete(3), G.complete(4)))])
+    glued = outerplanar_pipeline(fan, G.complete(4), base_basis=base, lift_cap=5000,
+                                 allow_truncation=True).basis
+    assert set(glued.shapes) == {(2, 2), (12, 12)}
+    parsed = parse_basis_text("0*1 - 2\n3 - 4*5*6\n1*2 - 3*4\n0*7 - 5*6\n4 - 7\n", system)
+    assert len({p == q for p, q in parsed.shapes}) == 2
+    for basis in (OrientedBasis.make(markov.elements[::-1]), markov, glued, parsed):
+        _assert_view_of_elements(basis)
+        fallback = OrientedBasis(basis.elements).shapes
+        assert list(fallback) == list(basis.shapes)
+        for shape, (where, rows) in fallback.items():
+            assert np.array_equal(where, basis.shapes[shape][0])
+            assert np.array_equal(rows, basis.shapes[shape][1])
+
+
+def test_membership_through_the_view_keeps_its_errors():
+    # bases built from rows (the view attached) with a non-member or a
+    # variable out of range in front of, among or behind the members: the
+    # first failure in basis order decides, IndexError for a variable out
+    # of range and ValueError for a non-member, as element by element
+    system = build_system(G.path(4), G.spoon())
+    n = system.num_vars
+    members = [np.array([b.plus + b.minus]) for b in markov_basis(system, 3).basis]
+    assert len(members) > 2 and not naive_membership(system, Binomial((0,), (1,)))
+    odd = {"non-member": [[0, 1]], "high": [[0, n]], "negative": [[-1, 2]],
+           "non-member at 2": [[0, 0, 0, 1]], "high at 3": [[0, 1, 2, 0, 1, n]]}
+    seen = set()
+    for rows in ([odd["non-member"], odd["high at 3"]], [odd["high"], odd["non-member at 2"]],
+                 [odd["negative"]], [odd["non-member at 2"]], [odd["high at 3"]], []):
+        basis = OrientedBasis.from_rows(members + [np.array(r) for r in rows])
+        out = _outcome(system.check_basis_members, basis)
+        assert out == _outcome(naive_check_basis_members, system, basis.elements)
+        first = _outcome(system.first_non_member, basis)
+        if out[0] == "ValueError":
+            assert out[1] == f"binomial {first[1].plus} - {first[1].minus} is not in the ideal"
+        else:
+            assert first == out
+        seen.add(out[0] if out[0] != "returned" else out[1])
+    assert seen == {"IndexError", "ValueError", None}
+
+
 @st.composite
 def _small_graphs(draw, max_n=6):
     n = draw(st.integers(1, max_n))

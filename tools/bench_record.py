@@ -10,7 +10,8 @@ For every workload and seed, each checkout runs ``perfbench/run.py
 from seed to seed.  The file gets one entry per checkout label: the
 commit, the ``src/`` line count and the host facts perfbench reports, and
 per workload the min and median of every end-to-end metric, the
-``complete_passes`` of every run and the raw result lines.  Each ``--cli``
+``complete_passes`` of every run, the ids of each run's jobs at p50 and
+p90 (``jobs_at``, information only) and the raw result lines.  Each ``--cli``
 command runs once per checkout as ``python3 -m homtoric.cli`` with that
 checkout's ``src`` on the path; its exit code, wall time and peak RSS are
 recorded.  An existing output file is updated label by label.  When it
@@ -23,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import shlex
 import statistics
@@ -45,6 +47,17 @@ def run_bench(root, workload, seed, seconds):
     facts = json.loads(next(l for l in out if l.startswith("facts "))[len("facts "):])
     info = json.loads(next(l for l in out if l.startswith("info "))[len("info "):])
     return facts, info, json.loads(out[-1])
+
+
+def jobs_at(path, quantiles=(("p50", 0.5), ("p90", 0.9))):
+    """The ids of the jobs at each quantile of one perfbench run, from the
+    ``job_seconds`` it wrote to ``path``: the jobs ranked by the median of
+    their raw samples, picked by nearest rank as perfbench picks its
+    percentiles.  perfbench ranks normalised times, so this is a guide."""
+    with open(path) as fh:
+        samples = json.load(fh)["job_seconds"]
+    ranked = sorted(samples, key=lambda job: statistics.median(samples[job]))
+    return {name: ranked[max(0, math.ceil(q * len(ranked)) - 1)] for name, q in quantiles}
 
 
 def run_cli(root, argv):
@@ -120,11 +133,13 @@ def main(argv=None):
             for label, root in order:
                 f, info, result = run_bench(root, workload, seed, args.seconds)
                 facts[label] = f
+                at = jobs_at(os.path.join(root, "perfbench", "out",
+                                          f"{workload}-seed{seed}-trace0.json"))
                 runs[label].setdefault(workload, []).append(
-                    {"seed": seed, "info": info, "result": result})
+                    {"seed": seed, "info": info, "result": result, "jobs_at": at})
                 print(f"{workload} seed {seed} {label}: " + json.dumps(
-                    {k: round(v["value"], 4) for k, v in result["metrics"].items()}),
-                    flush=True)
+                    {k: round(v["value"], 4) for k, v in result["metrics"].items()})
+                    + f" jobs at {json.dumps(at)}", flush=True)
     for label, root in checkouts:
         entry = record.setdefault(label, {})
         if label in facts:
@@ -136,6 +151,7 @@ def main(argv=None):
                 "metrics": summarize(wruns),
                 "complete_passes": [r["info"]["complete_passes"] for r in wruns],
                 "failed": [r["result"]["failed"] for r in wruns],
+                "jobs_at": [r["jobs_at"] for r in wruns],
                 "raw": [r["result"] for r in wruns],
             }
         for command in args.cli:
