@@ -179,7 +179,7 @@ class OrientedBasis:
         for d in sorted(by_degree):
             both = np.concatenate(by_degree[d])
             both = both[np.lexsort(both.T[::-1])]
-            both = both[_run_starts(*both.T)]
+            both = both[np.concatenate(([True], (both[1:] != both[:-1]).any(axis=1)))]
             shapes[d, d] = np.arange(len(elements), len(elements) + len(both)), both
             elements += map(Binomial, map(tuple, both[:, :d].tolist()),
                             map(tuple, both[:, d:].tolist()))
@@ -1003,7 +1003,7 @@ def markov_basis(system, degree_cap: int, *,
     degree = (both[:, :cap] < n).sum(axis=1)        # each side is padded by z^(cap - degree)
     counts = np.bincount(np.maximum(degree, 2), minlength=cap + 1).tolist()
     basis = OrientedBasis.from_rows(both.reshape(-1, 2, cap)[degree == t, :, :t].reshape(-1, 2 * t)
-                                    for t in range(1, cap + 1))
+                                    for t in np.flatnonzero(np.bincount(degree)).tolist())
     return MarkovResult(basis, cap, {t: counts[t] for t in range(2, cap + 1)})
 
 
