@@ -170,15 +170,18 @@ def hibi_vs_topgraded(poset: Poset) -> HibiComparison:
     bp = build_bp(poset)
     isys = IndepSystem(bp)
     top = top_graded(isys, degree_cap=2)
-    if set(top.sets) != set(bij.images):
+    index = {s: i for i, s in enumerate(top.sets)}
+    if set(index) != set(bij.images):
         raise AssertionError("top variables disagree with the xi images")
-    var = dict(zip(bij.ideals, map({s: i for i, s in enumerate(top.sets)}.get, bij.images)))
+    var_of = {ideal: index[image] for ideal, image in zip(bij.ideals, bij.images)}
     elems = []
     for l1, l2 in combinations(bij.ideals, 2):
         u, m = l1 | l2, l1 & l2
         if {u, m} == {l1, l2}:
             continue
-        elems.append(Binomial(tuple(sorted((var[l1], var[l2]))), tuple(sorted((var[u], var[m])))))
+        plus = tuple(sorted((var_of[l1], var_of[l2])))
+        minus = tuple(sorted((var_of[u], var_of[m])))
+        elems.append(Binomial(plus, minus))
     hibi_basis = OrientedBasis.make(elems)
     memberships = top.subsystem.first_non_member(hibi_basis) is None
     match = ({b.unordered_key() for b in hibi_basis}

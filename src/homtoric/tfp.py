@@ -339,8 +339,12 @@ def forest_pipeline(g: Graph, h: Graph) -> PipelineResult:
     system = system or build_system(g, h)
     # maps that differ only on isolated vertices have equal columns; the
     # gluing treats each side's maps as distinct, so join them linearly
-    first = {}
-    linear = [(first[col], k) for k, col in enumerate(system.cols) if first.setdefault(col, k) < k]
+    first, linear = {}, []
+    for k, col in enumerate(system.cols):
+        if col in first:
+            linear.append((first[col], k))
+        else:
+            first[col] = k
     if linear:
         basis = OrientedBasis.from_rows([np.array(linear), *(r for _, r in basis.shapes.values())])
         degrees.add(1)

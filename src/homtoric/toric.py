@@ -184,7 +184,7 @@ class OrientedBasis:
             elements += map(Binomial, map(tuple, both[:, :d].tolist()),
                             map(tuple, both[:, d:].tolist()))
         basis = OrientedBasis(tuple(elements))
-        basis.__dict__["shapes"] = shapes       # the cached view
+        basis.__dict__["shapes"] = shapes       # fills the cached_property (no __slots__)
         return basis
 
     @cached_property
@@ -319,7 +319,9 @@ class ToricSystem:
     def membership(self, binomial: Binomial) -> bool:
         """True when both sides have the same image under A; IndexError
         for a variable out of range."""
-        return self.first_non_member(OrientedBasis((binomial,))) is None
+        p, q = len(binomial.plus), len(binomial.minus)
+        row = np.array(binomial.plus + binomial.minus, dtype=np.int64).reshape(1, p + q)
+        return self._first_non_member((binomial,), {(p, q): ((0,), row)}) is None
 
     def check_basis_members(self, basis: OrientedBasis):
         """Raise at the first element of ``basis`` that is not a member:
@@ -331,14 +333,18 @@ class ToricSystem:
     def first_non_member(self, basis: OrientedBasis):
         """The first element of ``basis`` whose sides have different images
         under A, or None; IndexError instead when that first failure has a
-        variable out of range.  The elements of one shape (side lengths)
-        are checked together, from the rows of ``basis.shapes``, each side's
-        image the sum of its factors' columns of A packed into int64 words
-        as in ``packed_columns``, at the bits of the longer side's length
-        (cached per bit count): an image entry of a side of degree d is at
-        most d."""
-        n, first = len(self.homs), len(basis)
-        for (p, q), (where, sides) in basis.shapes.items():
+        variable out of range."""
+        return self._first_non_member(basis.elements, basis.shapes)
+
+    def _first_non_member(self, elements, shapes):
+        """``first_non_member`` of ``elements`` from their view ``shapes``
+        (as ``OrientedBasis.shapes``).  The elements of one shape (side
+        lengths) are checked together, each side's image the sum of its
+        factors' columns of A packed into int64 words as in
+        ``packed_columns``, at the bits of the longer side's length (cached
+        per bit count): an image entry of a side of degree d is at most d."""
+        n, first = len(self.homs), len(elements)
+        for (p, q), (where, sides) in shapes.items():
             bad = ((sides < 0) | (sides >= n)).any(axis=1)
             if n:                       # else every factor is out of range
                 bits = max(p, q, 1).bit_length()
@@ -349,9 +355,9 @@ class ToricSystem:
                 bad |= (image[:, :p].sum(axis=1) != image[:, p:].sum(axis=1)).any(axis=1)
             if bad.any():
                 first = min(first, int(where[bad.argmax()]))
-        if first == len(basis):
+        if first == len(elements):
             return None
-        b = basis.elements[first]
+        b = elements[first]
         for v in b.plus + b.minus:
             if not 0 <= v < n:
                 raise IndexError(f"variable {v} out of range")

@@ -35,6 +35,7 @@ from time import perf_counter
 WORKLOADS = ("markov-large", "forest-verify", "spoon-census", "geometry-cli")
 BENCH_TIMEOUT_S = 300
 BENCHMARK = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "BENCHMARK.json")
+JOB_QUANTILES = (("p50", 0.5), ("p90", 0.9))      # the job percentiles perfbench reports
 
 
 def run_bench(root, workload, seed, seconds):
@@ -49,15 +50,16 @@ def run_bench(root, workload, seed, seconds):
     return facts, info, json.loads(out[-1])
 
 
-def jobs_at(path, quantiles=(("p50", 0.5), ("p90", 0.9))):
-    """The ids of the jobs at each quantile of one perfbench run, from the
-    ``job_seconds`` it wrote to ``path``: the jobs ranked by the median of
-    their raw samples, picked by nearest rank as perfbench picks its
-    percentiles.  perfbench ranks normalised times, so this is a guide."""
+def jobs_at(path):
+    """The ids of the jobs at each of ``JOB_QUANTILES`` in one perfbench
+    run, from the ``job_seconds`` it wrote to ``path``: the jobs ranked by
+    the median of their raw samples, picked by nearest rank as perfbench
+    picks its percentiles.  perfbench ranks normalised times, so this is a
+    guide."""
     with open(path) as fh:
         samples = json.load(fh)["job_seconds"]
     ranked = sorted(samples, key=lambda job: statistics.median(samples[job]))
-    return {name: ranked[max(0, math.ceil(q * len(ranked)) - 1)] for name, q in quantiles}
+    return {name: ranked[max(0, math.ceil(q * len(ranked)) - 1)] for name, q in JOB_QUANTILES}
 
 
 def run_cli(root, argv):
