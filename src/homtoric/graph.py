@@ -319,22 +319,19 @@ def is_almost_bipartite(g: Graph):
 
 
 def independent_sets(g: Graph):
-    """All independent vertex sets, sorted by (size, lex).  Looped vertices
+    """All independent vertex sets, sorted by (size, lex).  They are built
+    size by size: each set of one size, in lex order, carries the bit mask
+    of its vertices' neighbours and grows by every later unlooped vertex
+    outside it, which lists the next size in lex order.  Looped vertices
     are never independent."""
-    allowed = [v for v in range(g.n) if not g.has_loop(v)]
-    out = []
-
-    def extend(start, current):
-        out.append(frozenset(current))
-        for i in range(start, len(allowed)):
-            v = allowed[i]
-            if all(not g.adjacent(v, u) for u in current):
-                current.append(v)
-                extend(i + 1, current)
-                current.pop()
-
-    extend(0, [])
-    return sorted(out, key=lambda s: (len(s), sorted(s)))
+    allowed = [(v, sum(1 << u for u in g.neighbors(v))) for v in range(g.n) if not g.has_loop(v)]
+    out, level = [frozenset()], [((), 0, 0)]
+    while level:
+        level = [(s + (v,), mask | blocked, j + 1)
+                 for s, mask, start in level
+                 for j, (v, blocked) in enumerate(allowed[start:], start) if not mask >> v & 1]
+        out += (frozenset(s) for s, _, _ in level)
+    return out
 
 
 def is_independent(g: Graph, vertices) -> bool:

@@ -5,7 +5,9 @@ A homomorphism G -> H is stored as the tuple (phi(0), ..., phi(n-1)).
 position of a map in the list is its variable index in the associated
 polynomial ring.
 
-``enumerate_homs`` refuses a search over more than ``SEARCH_CAP``
+``enumerate_homs`` backtracks over G in BFS order, trying each vertex only
+on the neighbours of its parent's image, read from adjacency tuples of H
+built once per call.  It refuses a search over more than ``SEARCH_CAP``
 assignments V(G) -> V(H) before it starts, and stops once it has found
 more than ``count_cap`` homomorphisms.
 """
@@ -44,21 +46,34 @@ class HomSet:
 
 
 def enumerate_homs(g: Graph, h: Graph, *, count_cap: int = 10**7) -> HomSet:
-    """Backtracking over the vertices of G in BFS order with forward
-    checking against the adjacency of H.  The search recurses once per
-    vertex of G, so a source with more vertices than half the recursion
-    limit is refused."""
+    """Backtracking over the vertices of G in BFS order, each vertex tried
+    on a candidate list: the neighbours (loops included) of its BFS
+    parent's image, or all of H for the first vertex of a component; only
+    the looped ones when the vertex has a loop.  A candidate is kept when
+    it is adjacent to the images of the vertex's other earlier neighbours.
+    The search recurses once per vertex of G, so a source with more
+    vertices than half the recursion limit is refused."""
     if g.n > 0 and h.n ** g.n > SEARCH_CAP:
         raise HomTooLarge(f"|V(H)|^|V(G)| = {h.n}**{g.n} exceeds the cap")
     if g.n > (depth := sys.getrecursionlimit() // 2):
         raise HomTooLarge(f"{g.n} source vertices exceed the search depth {depth}")
-    order = [v for v, _ in bfs(g)]
-    pos = {v: i for i, v in enumerate(order)}
-    # per assigned vertex: earlier neighbors to check, plus own loop
+    looped = {w for w in range(h.n) if h.has_loop(w)}
+    near = [h.neighbors(w) | ({w} & looped) for w in range(h.n)]
+    adjacent = [tuple(sorted(a)) for a in near]
+    adjacent_looped = [tuple(sorted(a & looped)) for a in near]
+    order = bfs(g)
+    pos = {v: i for i, (v, _) in enumerate(order)}
+    # per vertex: its candidates (by the parent's image, or one tuple for a
+    # root) and its other earlier neighbours
     checks = []
-    for i, v in enumerate(order):
-        earlier = [u for u in g.neighbors(v) if pos[u] < i]
-        checks.append((v, earlier, g.has_loop(v)))
+    for i, (v, parent) in enumerate(order):
+        loop = g.has_loop(v)
+        if parent is None:
+            cands = tuple(sorted(looped)) if loop else tuple(range(h.n))
+        else:
+            cands = adjacent_looped if loop else adjacent
+        others = [u for u in g.neighbors(v) if pos[u] < i and u != parent]
+        checks.append((v, parent, cands, others))
     maps = []
     assign = [0] * g.n
 
@@ -68,13 +83,13 @@ def enumerate_homs(g: Graph, h: Graph, *, count_cap: int = 10**7) -> HomSet:
             if len(maps) > count_cap:
                 raise HomTooLarge(f"more than {count_cap} homomorphisms")
             return
-        v, earlier, loop = checks[i]
-        for w in range(h.n):
-            if loop and not h.adjacent(w, w):
-                continue
-            if all(h.adjacent(w, assign[u]) for u in earlier):
-                assign[v] = w
-                backtrack(i + 1)
+        v, parent, cands, others = checks[i]
+        pool = cands if parent is None else cands[assign[parent]]
+        for u in others:
+            pool = [w for w in pool if w in near[assign[u]]]
+        for w in pool:
+            assign[v] = w
+            backtrack(i + 1)
 
     backtrack(0)
     return HomSet(g, h, maps)

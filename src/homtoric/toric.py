@@ -228,33 +228,38 @@ class OrientedBasis:
 # the system
 
 class ToricSystem:
-    """Edge-separator matrix of Hom(G, H) with exact column data."""
+    """Edge-separator matrix of Hom(G, H) with exact column data.  ``rows``
+    lists the rows (edge of G, edge map) edge by edge, the edges sorted and
+    each edge's maps sorted, a loop's map as (w,); ``entries`` is the
+    (variables x edges) int array of the row each map gives each edge,
+    ascending along every row since the rows go edge by edge; ``cols`` is
+    ``entries`` as tuples."""
 
-    __slots__ = ("g", "h", "homs", "rows", "row_index", "cols", "_key", "_packed",
-                 "_packed_words")
+    __slots__ = ("g", "h", "homs", "rows", "row_index", "entries", "cols", "_key",
+                 "_packed", "_packed_words")
 
     def __init__(self, g: Graph, h: Graph, homs: HomSet):
-        self.g = g
-        self.h = h
-        self.homs = homs
-        rows = []
-        for (u, v) in sorted(g.edges):
-            if u == v:
-                maps = [(w,) for w in range(h.n) if h.adjacent(w, w)]
-            else:
-                maps = sorted((a, b) for a in range(h.n) for b in range(h.n)
-                              if h.adjacent(a, b))
-            rows.extend(((u, v), rho) for rho in maps)
-        self.rows = tuple(rows)
-        self.row_index = {r: i for i, r in enumerate(rows)}
-        cols = []
-        for m in homs.maps:
-            entries = []
-            for (u, v) in sorted(g.edges):
-                rho = (m[u],) if u == v else (m[u], m[v])
-                entries.append(self.row_index[((u, v), rho)])
-            cols.append(tuple(sorted(entries)))
-        self.cols = tuple(cols)
+        pairs = sorted({(a, b) for a, b in h.edges} | {(b, a) for a, b in h.edges})
+        loops = [(w,) for w in range(h.n) if h.has_loop(w)]
+        # tables[0][a, b]: the place of edge map (a, b) among an edge's
+        # maps; tables[1][w, w]: that of (w,) among a loop's
+        tables = np.zeros((2, h.n, h.n), dtype=np.intp)
+        for t, edge_maps in enumerate((pairs, loops)):
+            for i, rho in enumerate(edge_maps):
+                tables[t, rho[0], rho[-1]] = i
+        rows, spec = [], []
+        for u, v in sorted(g.edges):
+            spec.append((u, v, u == v, len(rows)))
+            rows += [((u, v), rho) for rho in (loops if u == v else pairs)]
+        u, v, loop, first = np.array(spec, dtype=np.intp).reshape(len(spec), 4).T
+        maps = np.array(homs.maps, dtype=np.intp).reshape(len(homs), g.n)
+        entries = tables[loop, maps[:, u], maps[:, v]] + first
+        self._fill(g, h, homs, tuple(rows), {r: i for i, r in enumerate(rows)}, entries)
+
+    def _fill(self, g, h, homs, rows, row_index, entries):
+        self.g, self.h, self.homs = g, h, homs
+        self.rows, self.row_index, self.entries = rows, row_index, entries
+        self.cols = tuple(map(tuple, entries.tolist()))
         self._key = None
         self._packed = {}
         self._packed_words = {}
@@ -301,13 +306,10 @@ class ToricSystem:
 
     def dense_matrix(self):
         """A as an int64 array, one row per row of A, one column per
-        variable.  The constructor gives every column exactly one row per
-        edge of G, so the column entries form a (variables x edges) index
-        array and one assignment fills A."""
-        n = len(self.cols)
-        entries = np.array(self.cols, dtype=np.intp).reshape(n, len(self.g.edges))
+        variable: a 1 at each of ``entries``."""
+        n = self.num_vars
         a = np.zeros((len(self.rows), n), dtype=np.int64)
-        a[entries, np.arange(n)[:, None]] = 1
+        a[self.entries, np.arange(n)[:, None]] = 1
         return a
 
     # -- exact images ----------------------------------------------------------
@@ -365,14 +367,17 @@ class ToricSystem:
 
     def restrict_columns(self, var_indices) -> "ToricSystem":
         """The system on the variables ``var_indices``, renumbered 0..k-1 in
-        the given order.  The indices must be strictly increasing and in
-        range: HomSet sorts its maps, so any other order would silently
-        renumber the variables."""
+        the given order, with this system's rows.  The indices must be
+        strictly increasing and in range: HomSet sorts its maps, so any
+        other order would silently renumber the variables."""
         idx = tuple(var_indices)
-        if any(a >= b for a, b in zip(idx, idx[1:])) or (idx and idx[0] < 0):
-            raise ValueError("variable indices must be strictly increasing and nonnegative")
-        maps = [self.homs.maps[v] for v in idx]
-        return ToricSystem(self.g, self.h, HomSet(self.g, self.h, maps))
+        if (any(a >= b for a, b in zip(idx, idx[1:]))
+                or (idx and (idx[0] < 0 or idx[-1] >= self.num_vars))):
+            raise ValueError("variable indices must be strictly increasing and in range")
+        sub = ToricSystem.__new__(ToricSystem)
+        sub._fill(self.g, self.h, HomSet(self.g, self.h, [self.homs.maps[v] for v in idx]),
+                  self.rows, self.row_index, self.entries[list(idx)])
+        return sub
 
 
 def _pack(matrix, bits: int, room: int):
@@ -481,7 +486,7 @@ def _bucket_classes(system, cap: int):
     layer = comb(n + cap - 1, cap)
     if layer <= BLOCK or not system.g.edges:
         return classes
-    rows = np.array(system.cols, dtype=np.intp).reshape(n, len(system.g.edges))
+    rows = system.entries
     best, pick = layer, None
     for e in range(rows.shape[1]):
         sizes = np.bincount(rows[:, e])

@@ -6,10 +6,12 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, combinations_with_replacement, permutations, product
 from math import gcd
+from random import Random
 
 import numpy as np
 
-from homtoric.graph import Bipartition, Graph, components
+from homtoric.graph import (Bipartition, Graph, complete, complete_looped, components,
+                            path, spoon)
 from homtoric.hibi import Poset
 from homtoric.polytope import Facet, FacetDescription
 
@@ -104,6 +106,28 @@ def queue_is_bipartite(g):
     part1 = frozenset(v for v in range(g.n) if color[v] == 0)
     part2 = frozenset(v for v in range(g.n) if color[v] == 1)
     return Bipartition(part1, part2)
+
+
+def with_seeded_loops(g, seed):
+    """g with a loop added at each vertex a seeded coin picks."""
+    rng = Random(seed)
+    return Graph(g.n, [*g.edges, *((v, v) for v in range(g.n) if rng.random() < 0.4)])
+
+
+def hom_sources():
+    """Sources for the hom search and the columns of A: the graph with no
+    vertices and every loop-free graph on 1..4 vertices (isolated vertices
+    and several components included), each also with seeded loops."""
+    out = [Graph(0)]
+    for n in range(1, 5):
+        for k, g in enumerate(graphs_upto_iso(n)):
+            out += [g, with_seeded_loops(g, 100 * n + k)]
+    return out
+
+
+def hom_targets():
+    """spoon, K3, P3, the looped K2 and a spoon with an isolated vertex."""
+    return [spoon(), complete(3), path(3), complete_looped(2), Graph(3, [(0, 1), (1, 1)])]
 
 
 def naive_homs(g, h):
@@ -269,6 +293,27 @@ def naive_all_posets(n):
             seen.add(canon)
             out.append(Poset(n, rel))
     return out
+
+
+def naive_system_columns(g, h, homs):
+    """(rows, cols) of the edge-separator matrix by the per-map loop that
+    built ``ToricSystem`` before its entries array: the rows edge by edge
+    (edges sorted, each edge's maps sorted, a loop's map as (w,)), and per
+    map the sorted tuple of the rows it gives the edges."""
+    rows = []
+    for (u, v) in sorted(g.edges):
+        if u == v:
+            maps = [(w,) for w in range(h.n) if h.adjacent(w, w)]
+        else:
+            maps = sorted((a, b) for a in range(h.n) for b in range(h.n) if h.adjacent(a, b))
+        rows.extend(((u, v), rho) for rho in maps)
+    row_index = {r: i for i, r in enumerate(rows)}
+    cols = []
+    for m in homs.maps:
+        entries = [row_index[((u, v), (m[u],) if u == v else (m[u], m[v]))]
+                   for (u, v) in sorted(g.edges)]
+        cols.append(tuple(sorted(entries)))
+    return tuple(rows), tuple(cols)
 
 
 def naive_image(system, mono):

@@ -7,7 +7,8 @@ from homtoric.graph import Graph
 from homtoric import homset
 from homtoric.homset import HomTooLarge, enumerate_homs, indep_encode
 
-from helpers import graphs_upto_iso, naive_homs, naive_independent_sets
+from helpers import (graphs_upto_iso, hom_sources, hom_targets, naive_homs,
+                     naive_independent_sets)
 
 
 def test_p4_p3_eight_homs():
@@ -41,6 +42,21 @@ def test_enumeration_matches_bruteforce_everywhere():
     for g in graphs_upto_iso(4):
         for h in targets:
             assert list(enumerate_homs(g, h).maps) == naive_homs(g, h)
+
+
+def test_enumeration_matches_bruteforce_on_looped_and_split_sources():
+    # loops, isolated vertices, several components, no vertices; a target
+    # with an isolated vertex
+    for g in hom_sources():
+        for h in hom_targets():
+            assert list(enumerate_homs(g, h).maps) == naive_homs(g, h), (g.edges, h.edges)
+
+
+def test_count_cap_boundary():
+    g, h = G.path(4), G.path(3)
+    assert len(enumerate_homs(g, h, count_cap=8)) == 8
+    with pytest.raises(HomTooLarge, match=r"^more than 7 homomorphisms$"):
+        enumerate_homs(g, h, count_cap=7)
 
 
 def test_all_enumerated_maps_preserve_edges():

@@ -18,11 +18,12 @@ from homtoric.toric import (Binomial, OrientedBasis, ResourceCapExceeded, _rank,
                             format_binomial, iter_fibers, markov_basis, parse_basis_text,
                             strip_common, verify_grobner, verify_markov)
 
-from helpers import (MoveIndex, engine_layer, graphs_upto_iso, naive_check_basis_members,
-                     naive_fiber_is_grobner, naive_fibers, naive_layer_fibers,
-                     naive_markov_basis, naive_markov_width, naive_membership,
-                     naive_pivot_columns, naive_verify_markov, same_partition,
-                     unbucketed_layer, unbucketed_markov_basis, unbucketed_verify_grobner,
+from helpers import (MoveIndex, engine_layer, graphs_upto_iso, hom_sources, hom_targets,
+                     naive_check_basis_members, naive_fiber_is_grobner, naive_fibers,
+                     naive_layer_fibers, naive_markov_basis, naive_markov_width,
+                     naive_membership, naive_pivot_columns, naive_system_columns,
+                     naive_verify_markov, same_partition, unbucketed_layer,
+                     unbucketed_markov_basis, unbucketed_verify_grobner,
                      unbucketed_verify_markov, unsettled_split)
 
 
@@ -122,6 +123,24 @@ def test_dense_matrix_matches_columns():
         assert a.dtype == np.int64 and a.shape == (len(system.rows), system.num_vars)
         assert a.tolist() == [[col.count(j) for col in system.cols]
                               for j in range(len(system.rows))]
+
+
+def test_columns_match_the_per_map_oracle():
+    def check(system):
+        rows, cols = naive_system_columns(system.g, system.h, system.homs)
+        assert system.rows == rows
+        assert system.row_index == {r: i for i, r in enumerate(rows)}
+        assert system.cols == cols
+        assert all(type(j) is int for col in system.cols for j in col)
+        assert system.dense_matrix().tolist() == [[col.count(j) for col in cols]
+                                                  for j in range(len(rows))]
+
+    pairs = [(g, h) for g in hom_sources() for h in hom_targets()]
+    pairs += [(G.complete(3), G.octahedron()), (G.cycle(5), G.complete_looped(3))]
+    for g, h in pairs:
+        system = build_system(g, h)
+        check(system)
+        check(system.restrict_columns(range(0, system.num_vars, 2)))
 
 
 # ---------------------------------------------------------------------------
@@ -1103,7 +1122,9 @@ def test_restrict_columns_keeps_columns_and_rejects_reordering():
     assert sub.homs.maps == tuple(system.homs.maps[v] for v in (1, 4, 6))
     assert sub.cols == tuple(system.cols[v] for v in (1, 4, 6))
     assert sub.rows == system.rows
-    for bad in ((4, 1), (1, 1), (-1, 2)):
+    assert sub.row_index is system.row_index
+    assert np.array_equal(sub.dense_matrix(), system.dense_matrix()[:, [1, 4, 6]])
+    for bad in ((4, 1), (1, 1), (-1, 2), (0, system.num_vars)):
         with pytest.raises(ValueError):
             system.restrict_columns(bad)
 
