@@ -306,7 +306,7 @@ class ToricSystem:
 
     def dense_matrix(self):
         """A as an int64 array, one row per row of A, one column per
-        variable: a 1 at each of ``entries``."""
+        variable j, with a 1 at the rows ``entries[j]``."""
         n = self.num_vars
         a = np.zeros((len(self.rows), n), dtype=np.int64)
         a[self.entries, np.arange(n)[:, None]] = 1
