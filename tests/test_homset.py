@@ -7,8 +7,7 @@ from homtoric.graph import Graph
 from homtoric import homset
 from homtoric.homset import HomTooLarge, enumerate_homs, indep_encode
 
-from helpers import (graphs_upto_iso, hom_sources, hom_targets, naive_homs,
-                     naive_independent_sets)
+from helpers import hom_sources, hom_targets, naive_homs, naive_independent_sets
 
 
 def test_p4_p3_eight_homs():
@@ -38,13 +37,6 @@ def test_c4_spoon_seven_homs():
 
 
 def test_enumeration_matches_bruteforce_everywhere():
-    targets = [G.spoon(), G.complete(3), G.path(3), G.complete_looped(2)]
-    for g in graphs_upto_iso(4):
-        for h in targets:
-            assert list(enumerate_homs(g, h).maps) == naive_homs(g, h)
-
-
-def test_enumeration_matches_bruteforce_on_looped_and_split_sources():
     # loops, isolated vertices, several components, no vertices; a target
     # with an isolated vertex
     for g in hom_sources():
