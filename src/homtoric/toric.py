@@ -83,10 +83,9 @@ basis arrays; when it fails, every bucket is walked.  ``verify_grobner``
 walks every bucket, ``iter_fibers`` every bucket of its degree.
 
 All arithmetic is exact integer arithmetic.  numpy groups each block into
-fibers, settles every fiber whose monomials all share a variable with its
-smallest one (it is connected), splits the rest at once, turns a basis
-into moves between block rows and peels the sinks of directed fiber
-graphs; membership compares the images of the two sides under A, packed
+fibers, settles every fiber that its two ends show connected (see
+``_split``), splits the rest at once, turns a basis into moves between
+block rows and peels the sinks of directed fiber graphs; membership compares the images of the two sides under A, packed
 the same way into int64 words, for all the elements of one shape (side
 lengths) at once.
 """
@@ -868,11 +867,15 @@ def _split(block, n_vars: int, pairs=None):
     monomial shares a variable with its first, smallest monomial (its
     head) is connected: those, most fibers, are settled by t * t
     comparisons with the head's factor columns and dropped with their
-    pairs.  Within an open fiber a smaller position is a smaller monomial,
-    so the smallest position of a component is its smallest monomial.
-    The (fiber, variable) classes of the factors are runs of one
-    ``np.sort`` of ``class << room | position``, which fits: positions
-    stay below 2**room and so do the fibers."""
+    pairs.  The fibers left open are compared so with their last, largest
+    monomial (their tail) and settled when every monomial shares a
+    variable with the head or the tail and one with both: two stars joined
+    by a bridge are connected, pairs or not.  Without a bridge a fiber may
+    split, and stays open.  Within an open fiber a smaller position is a
+    smaller monomial, so the smallest position of a component is its
+    smallest monomial.  The (fiber, variable) classes of the factors are
+    runs of one ``np.sort`` of ``class << room | position``, which fits:
+    positions stay below 2**room and so do the fibers."""
     many = block.counts >= 2
     rows = block.order[many.repeat(block.counts)]
     counts = block.counts[many]
@@ -881,17 +884,24 @@ def _split(block, n_vars: int, pairs=None):
     if not len(rows):
         return none, none, none
     cols = [block.mono[:, q][rows] for q in range(t)]
-    heads = counts.cumsum() - counts
-    near = np.zeros(len(rows), dtype=bool)     # shares a variable with its head
-    for head in cols:
-        head = np.where(head[heads] == n_vars, -1, head[heads]).repeat(counts)
+    for tail in (False, True):          # the head, then the tail of every fiber left open
+        heads = counts.cumsum() - counts
+        end = heads + counts - 1 if tail else heads
+        star = np.zeros(len(rows), dtype=bool)      # shares a variable with that end
         for col in cols:
-            near |= col == head
-    open_ = ~np.logical_and.reduceat(near, heads)
-    if not open_.any():
-        return none, none, none
-    keep = open_.repeat(counts)
-    rows, counts = rows[keep], counts[open_]
+            col = np.where(col[end] == n_vars, -1, col[end]).repeat(counts)
+            for other in cols:
+                star |= other == col
+        if tail:                        # two stars joined by a bridge
+            settled = (np.logical_and.reduceat(star | near, heads)
+                       & np.logical_or.reduceat(star & near, heads))
+        else:
+            settled = np.logical_and.reduceat(star, heads)
+        if settled.all():
+            return none, none, none
+        keep = (~settled).repeat(counts)
+        rows, counts, near = rows[keep], counts[~settled], star[keep]
+        cols = [col[keep] for col in cols]
     n = len(rows)
     ix = np.int32 if n < 2**31 else np.int64
     fiber = np.arange(len(counts), dtype=np.int64).repeat(counts)
@@ -899,7 +909,6 @@ def _split(block, n_vars: int, pairs=None):
     real = np.empty((t, n), dtype=bool)
     base = fiber * (n_vars + 1)
     for q, col in enumerate(cols):
-        col = col[keep]
         np.not_equal(col, n_vars, out=real[q])
         np.add(col, base, out=keys[q])
     del base, cols

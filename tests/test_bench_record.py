@@ -2,9 +2,11 @@ import json
 import os
 import sys
 
+import pytest
+
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), os.pardir, "tools"))
 
-from bench_record import jobs_at, pair_wins  # noqa: E402
+from bench_record import jobs_at, pair_wins, summarize_cli  # noqa: E402
 
 
 def _entry(runs):
@@ -37,3 +39,25 @@ def test_jobs_at_ranks_jobs_by_their_raw_median(tmp_path):
     path = tmp_path / "run.json"
     path.write_text(json.dumps({"job_seconds": dict(reversed(list(samples.items())))}))
     assert jobs_at(str(path)) == {"p50": "job4", "p90": "job8"}
+
+
+def _cli_run(exit, wall, rss, stderr=()):
+    return {"argv": ["width", "path:3", "complete:3"], "exit": exit, "wall_s": wall,
+            "peak_rss_mb": rss, "stderr": list(stderr)}
+
+
+def test_summarize_cli_keeps_the_median_min_and_samples_of_every_run():
+    # the medians stand under the keys one run used to fill; the min and
+    # the samples, in run order, ride along
+    runs = [_cli_run(3, 1.14, 40.0, ["too large"]), _cli_run(3, 0.90, 38.5, ["too large"]),
+            _cli_run(3, 0.95, 41.0, ["too large"])]
+    assert summarize_cli(runs) == {
+        "argv": ["width", "path:3", "complete:3"], "exit": 3, "stderr": ["too large"],
+        "wall_s": 0.95, "peak_rss_mb": 40.0, "min": {"wall_s": 0.90, "peak_rss_mb": 38.5},
+        "samples": [{"wall_s": 1.14, "peak_rss_mb": 40.0}, {"wall_s": 0.90, "peak_rss_mb": 38.5},
+                    {"wall_s": 0.95, "peak_rss_mb": 41.0}]}
+
+
+def test_summarize_cli_refuses_runs_whose_exit_codes_differ():
+    with pytest.raises(ValueError, match="exit codes"):
+        summarize_cli([_cli_run(0, 1.0, 40.0), _cli_run(3, 0.1, 30.0), _cli_run(0, 1.0, 40.0)])

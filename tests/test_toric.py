@@ -554,15 +554,41 @@ def _padded_sides(sides, cap, n_vars):
     return {cap: np.concatenate(padded)} if padded else {}
 
 
+def _star_kinds(block, n_vars):
+    """(fibers settled by their tail alone, fibers that the stars of their
+    head and tail cover with no bridge between them) among the fibers of
+    two or more monomials of ``block``.  A row is in the star of a
+    monomial when they share a variable other than the pad z = ``n_vars``;
+    the head and tail are a fiber's first and last rows in lex order."""
+    many = block.counts >= 2
+    counts = block.counts[many]
+    if not len(counts):
+        return 0, 0
+    mono = block.mono[block.order[many.repeat(block.counts)]]
+    first = counts.cumsum() - counts
+
+    def star(end):
+        ends = np.where(mono[end] == n_vars, -1, mono[end]).repeat(counts, axis=0)
+        return (mono[:, :, None] == ends[:, None, :]).any(axis=(1, 2))
+
+    near, far = star(first), star(first + counts - 1)
+    head = np.logical_and.reduceat(near, first)
+    cover = np.logical_and.reduceat(near | far, first)
+    bridge = np.logical_or.reduceat(near & far, first)
+    return int((~head & cover & bridge).sum()), int((cover & ~bridge).sum())
+
+
 def test_split_settles_fibers_against_the_unsettled_oracle():
-    # the split with fibers settled from their head against the class sort
-    # on every fiber, degree by degree: every graph on at most 4 vertices
-    # into each target, every block of the padded layer of degree <= 4
-    # (lower where a layer would pass 20,000 monomials, to keep the test
-    # fast), whole and cut into blocks of 16 and 5 rows, some holding
+    # the split with fibers settled from their head and tail against the
+    # class sort on every fiber, degree by degree: every graph on at most 4
+    # vertices into each target, every block of the padded layer of degree
+    # <= 4 (lower where a layer would pass 20,000 monomials, to keep the
+    # test fast), whole and cut into blocks of 16 and 5 rows, some holding
     # buckets of several degrees, with no pairs and with the moves of a
-    # Markov basis missing one element
+    # Markov basis missing one element.  The sweep reaches fibers that only
+    # their tail settles and fibers that the two stars cover with no bridge
     seen, mixed = set(), set()
+    kinds = np.zeros(2, dtype=np.int64)
     for n in range(1, 5):
         for g in graphs_upto_iso(n):
             for h in _TARGETS.values():
@@ -578,6 +604,7 @@ def test_split_settles_fibers_against_the_unsettled_oracle():
                         for block in layers.blocks():
                             if layers.k > 1 and len(np.unique(block.comps[:, -1])) > 1:
                                 mixed.add(size)
+                            kinds += _star_kinds(block, nv)
                             for pairs in (None, layers.moves(block, top)):
                                 got = toric._split(block, nv, pairs)
                                 degree, want = _unsettled_by_degree(block, nv, pairs)
@@ -589,26 +616,56 @@ def test_split_settles_fibers_against_the_unsettled_oracle():
                                 seen.add((pairs is None, len(got[0]) > 0))
     assert seen == {(True, True), (True, False), (False, True), (False, False)}
     assert mixed == {16, 5}
+    assert kinds.all(), kinds
+
+
+def _one_fiber(monos, n_vars):
+    """A block of one fiber of the given degree-2 monomials, in lex order."""
+    mono = toric._take(np.array(monos, dtype=np.int32), np.arange(len(monos)))
+    return toric._Block(mono, None, None, np.arange(len(monos)), np.array([len(monos)]),
+                        4, None)
+
+
+@pytest.mark.parametrize("monos, want, sorted_rows", [
+    # head 11 and tail 23 are joined by 12: settled by the tail pass
+    ([[1, 1], [1, 2], [2, 3]], ([], [], []), 0),
+    # the stars of 11 and 34 cover it with no bridge, and 12 - 23 joins
+    # them: it stays open and comes out whole
+    ([[1, 1], [1, 2], [2, 3], [3, 4]], ([], [], []), 4),
+    # the stars of 11 and 45 cover it with no bridge, and it splits
+    ([[1, 1], [1, 2], [3, 4], [4, 5]], ([0, 1, 2, 3], [0, 0, 2, 2], [0, 0, 0, 0]), 4),
+])
+def test_split_settles_a_fiber_from_both_ends(monos, want, sorted_rows):
+    # the class sort sees only the fibers that the two stars leave open
+    block = _one_fiber(monos, 6)
+    with mock.patch.object(toric, "_min_labels", wraps=toric._min_labels) as labels:
+        got = toric._split(block, 6)
+    assert _same_split(got, unsettled_split(block, 6))
+    assert [a.tolist() for a in got] == list(map(list, want))
+    assert [len(c.args[0]) for c in labels.call_args_list] == ([sorted_rows] if sorted_rows else [])
 
 
 def test_split_drops_the_pairs_of_settled_fibers():
-    # one block of three fibers of degree 2, listed in the order S, X, T:
-    # S = {00, 01, 02} is settled (every monomial holds its head's 0), T =
-    # {11, 12, 23} is connected in two hops (23 meets 11 only through 12),
-    # and X = {33, 45, 55} splits into {33} and {45, 55}.  Settling S moves
-    # every later fiber to lower positions, so a pair inside S read at its
-    # old positions would join 33 and 55, and one inside X would join T
-    mono = toric._take(np.array([[0, 0], [0, 1], [0, 2], [1, 1], [1, 2], [2, 3], [3, 3],
-                                 [4, 5], [5, 5]], dtype=np.int32), np.arange(9))
-    block = toric._Block(mono, None, None, np.array([0, 1, 2, 6, 7, 8, 3, 4, 5]),
-                         np.array([3, 3, 3]), 4, None)
-    x_split = ([6, 7, 8], [6, 7, 7], [6, 6, 6])
+    # one block of three fibers of degree 2, listed in the order S, T, X:
+    # S = {00, 01, 02} is settled (every monomial holds its head's 0); T =
+    # {66, 67, 78, 89} stays open, as the stars of 66 and 89 cover it with
+    # no bridge, but is connected (67 - 78); and X = {33, 45, 55} splits
+    # into {33} and {45, 55}.  X's rows come before T's in lex order but
+    # its positions in the class sort after T's, so a pair of X read at
+    # its rows instead of its positions would join T to X and leave X
+    # split, and a pair of T would reach past the last position
+    mono = toric._take(np.array([[0, 0], [0, 1], [0, 2], [3, 3], [4, 5], [5, 5], [6, 6],
+                                 [6, 7], [7, 8], [8, 9]], dtype=np.int32), np.arange(10))
+    block = toric._Block(mono, None, None, np.array([0, 1, 2, 6, 7, 8, 9, 3, 4, 5]),
+                         np.array([3, 4, 3]), 4, None)
+    x_split = ([3, 4, 5], [3, 4, 4], [3, 3, 3])
     none = ([], [], [])
-    for pairs, want in ((None, x_split), ([[0, 2]], x_split), ([[0, 2], [3, 5]], x_split),
-                        ([[6, 8]], none), ([[0, 2], [6, 8]], none), ([[7, 6]], none)):
+    for pairs, want in ((None, x_split), ([[0, 2]], x_split), ([[0, 2], [6, 9]], x_split),
+                        ([[7, 8]], x_split), ([[3, 5]], none), ([[0, 2], [3, 5]], none),
+                        ([[4, 3]], none)):
         pairs = None if pairs is None else np.array(pairs)
-        got = toric._split(block, 6, pairs)
-        assert _same_split(got, unsettled_split(block, 6, pairs)), pairs
+        got = toric._split(block, 10, pairs)
+        assert _same_split(got, unsettled_split(block, 10, pairs)), pairs
         assert [a.tolist() for a in got] == list(map(list, want)), pairs
 
 

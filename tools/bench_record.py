@@ -12,9 +12,12 @@ commit, the ``src/`` line count and the host facts perfbench reports, and
 per workload the min and median of every end-to-end metric, the
 ``complete_passes`` of every run, the ids of each run's jobs at p50 and
 p90 (``jobs_at``, information only) and the raw result lines.  Each ``--cli``
-command runs once per checkout as ``python3 -m homtoric.cli`` with that
-checkout's ``src`` on the path; its exit code, wall time and peak RSS are
-recorded.  An existing output file is updated label by label.  When it
+command runs ``CLI_RUNS`` times per checkout as ``python3 -m homtoric.cli``
+with that checkout's ``src`` on the path, in rounds that run every command
+once per checkout, the order of the checkouts alternating from round to
+round; its exit code, the median and min of its wall time and peak RSS and
+every sample are recorded, and the exit code must be the same every run.
+An existing output file is updated label by label.  When it
 holds both a ``parent`` and a ``change`` label, ``pair_wins`` gives per
 workload and end-to-end metric how many seeds run by both the change won,
 in the direction ``BENCHMARK.json`` names as better.
@@ -36,6 +39,8 @@ WORKLOADS = ("markov-large", "forest-verify", "spoon-census", "geometry-cli")
 BENCH_TIMEOUT_S = 300
 BENCHMARK = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "BENCHMARK.json")
 JOB_QUANTILES = (("p50", 0.5), ("p90", 0.9))      # the job percentiles perfbench reports
+CLI_RUNS = 3
+CLI_METRICS = ("wall_s", "peak_rss_mb")
 
 
 def run_bench(root, workload, seed, seconds):
@@ -75,6 +80,23 @@ def run_cli(root, argv):
     return {"argv": argv, "exit": proc.returncode, "wall_s": round(wall, 3),
             "peak_rss_mb": round(usage.ru_maxrss / 1024, 1),
             "stderr": err.strip().splitlines()[-1:]}
+
+
+def summarize_cli(samples):
+    """One record of the runs of one CLI command: its ``argv``, ``exit``
+    and ``stderr`` (from the first run), the median of every one of
+    ``CLI_METRICS`` under its own name, their ``min`` and the ``samples``.
+    Raises ValueError when the runs exit with different codes."""
+    exits = sorted({s["exit"] for s in samples})
+    if len(exits) > 1:
+        raise ValueError(f"{samples[0]['argv']}: exit codes {exits} differ between runs")
+    out = {k: samples[0][k] for k in ("argv", "exit", "stderr")}
+    for name in CLI_METRICS:
+        values = [s[name] for s in samples]
+        out[name] = statistics.median(values)
+        out.setdefault("min", {})[name] = min(values)
+    out["samples"] = [{name: s[name] for name in CLI_METRICS} for s in samples]
+    return out
 
 
 def summarize(runs):
@@ -142,6 +164,13 @@ def main(argv=None):
                 print(f"{workload} seed {seed} {label}: " + json.dumps(
                     {k: round(v["value"], 4) for k, v in result["metrics"].items()})
                     + f" jobs at {json.dumps(at)}", flush=True)
+    cli = {label: {command: [] for command in args.cli} for label, _ in checkouts}
+    for i in range(CLI_RUNS if args.cli else 0):
+        for label, root in checkouts if i % 2 == 0 else checkouts[::-1]:
+            for command in args.cli:
+                result = run_cli(root, shlex.split(command))
+                cli[label][command].append(result)
+                print(f"cli {label} run {i + 1}: {json.dumps(result)}", flush=True)
     for label, root in checkouts:
         entry = record.setdefault(label, {})
         if label in facts:
@@ -156,10 +185,8 @@ def main(argv=None):
                 "jobs_at": [r["jobs_at"] for r in wruns],
                 "raw": [r["result"] for r in wruns],
             }
-        for command in args.cli:
-            result = run_cli(root, shlex.split(command))
-            entry.setdefault("cli", {})[command] = result
-            print(f"cli {label}: {json.dumps(result)}", flush=True)
+        for command, samples in cli[label].items():
+            entry.setdefault("cli", {})[command] = summarize_cli(samples)
     if "parent" in record and "change" in record:
         with open(BENCHMARK) as fh:
             better = {m["name"]: m["better"] for m in json.load(fh)["end_to_end"]}
