@@ -85,9 +85,9 @@ walks every bucket, ``iter_fibers`` every bucket of its degree.
 All arithmetic is exact integer arithmetic.  numpy groups each block into
 fibers, settles every fiber that its two ends show connected (see
 ``_split``), splits the rest at once, turns a basis into moves between
-block rows and peels the sinks of directed fiber graphs; membership compares the images of the two sides under A, packed
-the same way into int64 words, for all the elements of one shape (side
-lengths) at once.
+block rows and peels the sinks of directed fiber graphs; membership
+compares the images of the two sides under A, packed the same way into
+int64 words, for all the elements of one shape (side lengths) at once.
 """
 
 from __future__ import annotations

@@ -165,7 +165,7 @@ def main(argv=None):
                     {k: round(v["value"], 4) for k, v in result["metrics"].items()})
                     + f" jobs at {json.dumps(at)}", flush=True)
     cli = {label: {command: [] for command in args.cli} for label, _ in checkouts}
-    for i in range(CLI_RUNS if args.cli else 0):
+    for i in range(CLI_RUNS):
         for label, root in checkouts if i % 2 == 0 else checkouts[::-1]:
             for command in args.cli:
                 result = run_cli(root, shlex.split(command))
