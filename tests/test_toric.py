@@ -619,7 +619,7 @@ def test_split_settles_fibers_against_the_unsettled_oracle():
     assert kinds.all(), kinds
 
 
-def _one_fiber(monos, n_vars):
+def _one_fiber(monos):
     """A block of one fiber of the given degree-2 monomials, in lex order."""
     mono = toric._take(np.array(monos, dtype=np.int32), np.arange(len(monos)))
     return toric._Block(mono, None, None, np.arange(len(monos)), np.array([len(monos)]),
@@ -628,21 +628,21 @@ def _one_fiber(monos, n_vars):
 
 @pytest.mark.parametrize("monos, want, sorted_rows", [
     # head 11 and tail 23 are joined by 12: settled by the tail pass
-    ([[1, 1], [1, 2], [2, 3]], ([], [], []), 0),
+    ([[1, 1], [1, 2], [2, 3]], ([], [], []), []),
     # the stars of 11 and 34 cover it with no bridge, and 12 - 23 joins
     # them: it stays open and comes out whole
-    ([[1, 1], [1, 2], [2, 3], [3, 4]], ([], [], []), 4),
+    ([[1, 1], [1, 2], [2, 3], [3, 4]], ([], [], []), [4]),
     # the stars of 11 and 45 cover it with no bridge, and it splits
-    ([[1, 1], [1, 2], [3, 4], [4, 5]], ([0, 1, 2, 3], [0, 0, 2, 2], [0, 0, 0, 0]), 4),
+    ([[1, 1], [1, 2], [3, 4], [4, 5]], ([0, 1, 2, 3], [0, 0, 2, 2], [0, 0, 0, 0]), [4]),
 ])
 def test_split_settles_a_fiber_from_both_ends(monos, want, sorted_rows):
     # the class sort sees only the fibers that the two stars leave open
-    block = _one_fiber(monos, 6)
+    block = _one_fiber(monos)
     with mock.patch.object(toric, "_min_labels", wraps=toric._min_labels) as labels:
         got = toric._split(block, 6)
     assert _same_split(got, unsettled_split(block, 6))
     assert [a.tolist() for a in got] == list(map(list, want))
-    assert [len(c.args[0]) for c in labels.call_args_list] == ([sorted_rows] if sorted_rows else [])
+    assert [len(c.args[0]) for c in labels.call_args_list] == sorted_rows
 
 
 def test_split_drops_the_pairs_of_settled_fibers():
