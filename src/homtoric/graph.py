@@ -318,22 +318,6 @@ def is_almost_bipartite(g: Graph):
     return None
 
 
-def independent_sets(g: Graph):
-    """All independent vertex sets, sorted by (size, lex).  They are built
-    size by size: each set of one size, in lex order, carries the bit mask
-    of its vertices' neighbours and grows by every later unlooped vertex
-    outside it, which lists the next size in lex order.  Looped vertices
-    are never independent."""
-    allowed = [(v, sum(1 << u for u in g.neighbors(v))) for v in range(g.n) if not g.has_loop(v)]
-    out, level = [frozenset()], [((), 0, 0)]
-    while level:
-        level = [(s + (v,), mask | blocked, j + 1)
-                 for s, mask, start in level
-                 for j, (v, blocked) in enumerate(allowed[start:], start) if not mask >> v & 1]
-        out += (frozenset(s) for s, _, _ in level)
-    return out
-
-
 def is_independent(g: Graph, vertices) -> bool:
     vs = list(vertices)
     if any(g.has_loop(v) for v in vs):

@@ -16,7 +16,8 @@ from itertools import combinations, permutations
 
 import numpy as np
 
-from .graph import Graph
+from .graph import Graph, is_independent, spoon
+from .homset import enumerate_homs, indep_encode
 from .indep import IndepSystem, TopGraded, top_graded
 from .toric import Binomial, OrientedBasis, verify_markov
 from .util import ResourceCapExceeded, content_lines
@@ -136,12 +137,13 @@ class XiBijection:
 
 def xi_bijection(poset: Poset) -> XiBijection:
     """The verified bijection between lower ideals and maximum independent
-    sets of B_P."""
-    bp = build_bp(poset)
+    sets of B_P, read from Hom(B_P, spoon).  ``PosetTooLarge`` fires first,
+    then the caps of ``enumerate_homs``: a 20-chain's B_P (2^40 > ``SEARCH_CAP``)
+    raises ``HomTooLarge``."""
     ideals = lower_ideals(poset)
+    bp = build_bp(poset)
     images = [xi(poset, L) for L in ideals]
-    from .graph import independent_sets, is_independent
-    maximum = {s for s in independent_sets(bp) if len(s) == poset.n}
+    maximum = {s for s in indep_encode(bp, enumerate_homs(bp, spoon()))[0] if len(s) == poset.n}
     for L, img in zip(ideals, images):
         if not is_independent(bp, img):
             raise AssertionError(f"xi({sorted(L)}) is not independent")
@@ -163,19 +165,18 @@ class HibiComparison:
 
 
 def hibi_vs_topgraded(poset: Poset) -> HibiComparison:
-    """Map the relations r_L1 r_L2 - r_{L1|L2} r_{L1&L2} through xi into the
-    top-graded independence ideal of B_P and certify they cut out the same
-    ideal, checking that they connect every fiber up to degree 3."""
-    bij = xi_bijection(poset)
-    bp = build_bp(poset)
-    isys = IndepSystem(bp)
-    top = top_graded(isys, degree_cap=2)
+    """Map the relations r_L1 r_L2 - r_{L1|L2} r_{L1&L2} through xi (one to one
+    onto the maximum independent sets of B_P) into its top-graded independence
+    ideal and certify they cut out the same ideal, connecting every fiber to degree 3."""
+    ideals = lower_ideals(poset)
+    images = [xi(poset, L) for L in ideals]
+    top = top_graded(IndepSystem(build_bp(poset)), degree_cap=2)
     index = {s: i for i, s in enumerate(top.sets)}
-    if set(index) != set(bij.images):
+    if set(index) != set(images) or len(set(images)) != len(images):
         raise AssertionError("top variables disagree with the xi images")
-    var_of = {ideal: index[image] for ideal, image in zip(bij.ideals, bij.images)}
+    var_of = {ideal: index[image] for ideal, image in zip(ideals, images)}
     elems = []
-    for l1, l2 in combinations(bij.ideals, 2):
+    for l1, l2 in combinations(ideals, 2):
         u, m = l1 | l2, l1 & l2
         if {u, m} == {l1, l2}:
             continue

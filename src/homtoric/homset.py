@@ -30,10 +30,9 @@ class HomTooLarge(ResourceCapExceeded):
 class HomSet:
     """All homomorphisms G -> H, sorted lexicographically by map tuple."""
 
-    __slots__ = ("source", "target", "maps", "index")
+    __slots__ = ("target", "maps", "index")
 
-    def __init__(self, source: Graph, target: Graph, maps):
-        self.source = source
+    def __init__(self, target: Graph, maps):
         self.target = target
         self.maps = tuple(sorted(maps))
         self.index = {m: i for i, m in enumerate(self.maps)}
@@ -92,7 +91,7 @@ def enumerate_homs(g: Graph, h: Graph, *, count_cap: int = 10**7) -> HomSet:
             backtrack(i + 1)
 
     backtrack(0)
-    return HomSet(g, h, maps)
+    return HomSet(h, maps)
 
 
 UNLOOPED = 0

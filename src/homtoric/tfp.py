@@ -282,22 +282,30 @@ def glue_grobner(spec: GlueSpec, gb1: OrientedBasis, gb2: OrientedBasis) -> Orie
     """
     if gb1.weights is None or gb2.weights is None:
         raise GlueError("glue_grobner needs weighted bases")
-    for gb in (gb1, gb2):
-        for b in gb:
-            if gb.monomial_weight(b.plus) == gb.monomial_weight(b.minus):
-                raise GlueError("input weights do not separate a basis element")
     width = max([len(w) for w in gb1.weights + gb2.weights] or [0])
     w1, w2 = ([tuple(w) + (0,) * (width - len(w)) for w in gb.weights] for gb in (gb1, gb2))
+    for gb, w in ((gb1, w1), (gb2, w2)):
+        for b in gb:
+            if _weight_sum(w, b.plus) == _weight_sum(w, b.minus):
+                raise GlueError("input weights do not separate a basis element")
     weights = tuple(tuple(map(add, w1[x], w2[y])) + (x * y,) for x, y in zip(spec.r1, spec.r2))
-    wsum = OrientedBasis((), weights).monomial_weight
     result = glue_basis(spec, gb1, gb2)
     oriented = []
     for b in result.basis:
-        wp, wm = wsum(b.plus), wsum(b.minus)
+        wp, wm = _weight_sum(weights, b.plus), _weight_sum(weights, b.minus)
         if wp == wm:
             raise AssertionError("glued weights fail to separate a binomial")
         oriented.append(b if wp > wm else b.flipped())
     return OrientedBasis(OrientedBasis.make(oriented).elements, weights)
+
+
+def _weight_sum(weights, mono):
+    """The sum of ``weights[v]`` (tuples of one length) over the factors v of ``mono``."""
+    total = [0] * len(weights[0])
+    for v in mono:
+        for i, x in enumerate(weights[v]):
+            total[i] += x
+    return tuple(total)
 
 
 # ---------------------------------------------------------------------------

@@ -152,20 +152,20 @@ class Binomial:
 
 @dataclass(frozen=True)
 class OrientedBasis:
-    """A list of binomials, each oriented plus -> minus.  ``weights`` is an
-    optional per-variable tuple-of-ints weight (compared lexicographically
-    after summing over the factors of a monomial); when present it must
-    strictly separate the two sides of every element.  ``shapes`` maps each
-    shape (side lengths), by first element, to its elements' positions and
-    int rows ``plus | minus``: from ``from_rows``, else built on first use."""
+    """A list of binomials, each oriented plus -> minus.  ``weights``, set
+    by ``tfp.glue_grobner``, is an optional per-variable tuple-of-ints
+    weight whose sums separate the two sides of every element.  ``shapes``
+    maps each shape (side lengths), by first element, to its elements'
+    positions and int rows ``plus | minus``: from ``from_rows``, else built
+    on first use."""
     elements: tuple
     weights: tuple = None
 
     @staticmethod
-    def make(binomials, weights=None):
+    def make(binomials):
         elems = sorted(set(b for b in binomials if b is not None),
                        key=lambda b: (max(len(b.plus), len(b.minus)), b.plus, b.minus))
-        return OrientedBasis(tuple(elems), weights)
+        return OrientedBasis(tuple(elems))
 
     @staticmethod
     def from_rows(rows):
@@ -211,17 +211,6 @@ class OrientedBasis:
     def is_squarefree(self) -> bool:
         return all(b.is_squarefree() for b in self.elements)
 
-    def monomial_weight(self, mono):
-        if self.weights is None:
-            raise ValueError("basis carries no weights")
-        width = max((len(w) for w in self.weights), default=0)
-        total = [0] * width
-        for v in mono:
-            w = self.weights[v]
-            for i, x in enumerate(w):
-                total[i] += x
-        return tuple(total)
-
 
 # ---------------------------------------------------------------------------
 # the system
@@ -234,8 +223,7 @@ class ToricSystem:
     ascending along every row since the rows go edge by edge; ``cols`` is
     ``entries`` as tuples."""
 
-    __slots__ = ("g", "h", "homs", "rows", "row_index", "entries", "cols", "_key",
-                 "_packed", "_packed_words")
+    __slots__ = ("g", "h", "homs", "rows", "entries", "cols", "_key", "_packed", "_packed_words")
 
     def __init__(self, g: Graph, h: Graph, homs: HomSet):
         pairs = sorted({(a, b) for a, b in h.edges} | {(b, a) for a, b in h.edges})
@@ -253,11 +241,11 @@ class ToricSystem:
         u, v, loop, first = np.array(spec, dtype=np.intp).reshape(len(spec), 4).T
         maps = np.array(homs.maps, dtype=np.intp).reshape(len(homs), g.n)
         entries = tables[loop, maps[:, u], maps[:, v]] + first
-        self._fill(g, h, homs, tuple(rows), {r: i for i, r in enumerate(rows)}, entries)
+        self._fill(g, h, homs, tuple(rows), entries)
 
-    def _fill(self, g, h, homs, rows, row_index, entries):
+    def _fill(self, g, h, homs, rows, entries):
         self.g, self.h, self.homs = g, h, homs
-        self.rows, self.row_index, self.entries = rows, row_index, entries
+        self.rows, self.entries = rows, entries
         self.cols = tuple(map(tuple, entries.tolist()))
         self._key = None
         self._packed = {}
@@ -374,8 +362,8 @@ class ToricSystem:
                 or (idx and (idx[0] < 0 or idx[-1] >= self.num_vars))):
             raise ValueError("variable indices must be strictly increasing and in range")
         sub = ToricSystem.__new__(ToricSystem)
-        sub._fill(self.g, self.h, HomSet(self.g, self.h, [self.homs.maps[v] for v in idx]),
-                  self.rows, self.row_index, self.entries[list(idx)])
+        sub._fill(self.g, self.h, HomSet(self.h, [self.homs.maps[v] for v in idx]),
+                  self.rows, self.entries[list(idx)])
         return sub
 
 

@@ -1,6 +1,6 @@
 """Helpers shared by every layer: the resource-cap exception, the text
-line reader and exact integer elimination, the one such routine in the
-package."""
+line reader and exact integer elimination.  ``polytope._hyperplanes`` runs
+its own batched fraction-free elimination for the facet normals."""
 
 from __future__ import annotations
 

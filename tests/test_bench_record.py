@@ -6,7 +6,7 @@ import pytest
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), os.pardir, "tools"))
 
-from bench_record import jobs_at, pair_wins, summarize_cli  # noqa: E402
+from bench_record import jobs_at, pair_wins, summarize_cli, worse_than_bound  # noqa: E402
 
 
 def _entry(runs):
@@ -61,3 +61,27 @@ def test_summarize_cli_keeps_the_median_min_and_samples_of_every_run():
 def test_summarize_cli_refuses_runs_whose_exit_codes_differ():
     with pytest.raises(ValueError, match="exit codes"):
         summarize_cli([_cli_run(0, 1.0, 40.0), _cli_run(3, 0.1, 30.0), _cli_run(0, 1.0, 40.0)])
+
+
+def _medians(runs):
+    """A recorded checkout's summaries: {workload: {metric: median}}."""
+    return {"workloads": {w: {"metrics": {k: {"median": v} for k, v in m.items()}}
+                          for w, m in runs.items()}}
+
+
+def test_worse_than_bound_lists_the_metrics_past_their_bound_as_a_fraction():
+    # wall_s (lower is better, bound 0.25) may read up to 1.25 times the
+    # parent median and rate (higher is better, bound 0.1) down to 0.9
+    # times it; gains, metrics without a bound entry and workloads that
+    # only one side ran are never listed
+    metrics = {"wall_s": {"better": "lower", "bound": 0.25},
+               "rate": {"better": "higher", "bound": 0.1}}
+    parent = _medians({"a": {"wall_s": 4.0, "rate": 10.0, "other": 1.0},
+                       "b": {"wall_s": 2.0, "rate": 10.0}, "c": {"wall_s": 1.0}})
+    change = _medians({"a": {"wall_s": 5.0, "rate": 9.0, "other": 9.0},
+                       "b": {"wall_s": 2.6, "rate": 8.9}, "d": {"wall_s": 9.0}})
+    assert worse_than_bound(parent, change, metrics) == {
+        "b": {"wall_s": {"parent": 2.0, "change": 2.6, "bound": 0.25},
+              "rate": {"parent": 10.0, "change": 8.9, "bound": 0.1}}}
+    better = _medians({"a": {"wall_s": 0.1, "rate": 99.0}})
+    assert worse_than_bound(_medians({"a": {"wall_s": 1.0, "rate": 1.0}}), better, metrics) == {}

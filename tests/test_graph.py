@@ -4,13 +4,12 @@ import pytest
 
 from homtoric import graph as G
 from homtoric.graph import (Graph, GraphError, bfs, build_named, complement, components,
-                            independent_sets, induced_subgraph, is_almost_bipartite,
-                            is_bipartite, parse_graph_text)
+                            induced_subgraph, is_almost_bipartite, is_bipartite,
+                            parse_graph_text)
 from homtoric.homset import enumerate_homs
 
-from helpers import (brute_bipartition_exists, graphs_upto_iso, naive_homs,
-                     naive_independent_sets, queue_bfs_order, queue_components,
-                     queue_is_bipartite, with_seeded_loops)
+from helpers import (brute_bipartition_exists, graphs_upto_iso, naive_homs, queue_bfs_order,
+                     queue_components, queue_is_bipartite)
 
 
 def test_build_named_spoon():
@@ -149,12 +148,3 @@ def test_graph_text_roundtrip():
     assert parse_graph_text("# comment\nn 2\ne 0 1\ne 1 1\n") == G.spoon()
     with pytest.raises(GraphError):
         parse_graph_text("e 0 1\nq bogus\nn 2")
-
-
-def test_independent_sets_match_the_subset_oracle_in_order():
-    graphs = [Graph(0)]
-    for n in range(1, 6):
-        for k, g in enumerate(graphs_upto_iso(n)):
-            graphs += [g, with_seeded_loops(g, 10 * n + k)]
-    for g in graphs:
-        assert independent_sets(g) == naive_independent_sets(g), g.edges

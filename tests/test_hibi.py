@@ -4,7 +4,7 @@ from itertools import combinations
 import pytest
 
 from homtoric import graph as G
-from homtoric import hibi
+from homtoric import hibi, homset
 from homtoric.hibi import (Poset, PosetError, all_posets,
                            build_bp, hibi_vs_topgraded, lower, lower_ideals,
                            parse_poset_text, upper, xi, xi_bijection)
@@ -104,6 +104,60 @@ def test_xi_bijection_small_posets():
             maximum = [s for s in naive_independent_sets(bp) if len(s) == p.n]
             assert len(bij.ideals) == len(maximum)
             assert set(bij.images) == set(maximum)
+
+
+def _broken_xi(kind):
+    """xi with one fault: ``drop`` leaves a vertex out of the image of the
+    empty ideal, ``merge`` sends the whole poset to that image too, and
+    ``swap`` trades upper(1) for lower(0) there, which is adjacent to
+    upper(0)."""
+    def broken(poset, ideal):
+        if ideal and not (kind == "merge" and len(ideal) == poset.n):
+            return xi(poset, ideal)
+        image = xi(poset, frozenset())
+        if kind == "drop":
+            return image - {upper(0)}
+        return image - {upper(1)} | {lower(0)} if kind == "swap" else image
+    return broken
+
+
+@pytest.mark.parametrize("kind, message", [("drop", "wrong cardinality"),
+                                           ("merge", "not a bijection"),
+                                           ("swap", "is not independent")])
+def test_xi_checks_catch_a_broken_xi(monkeypatch, kind, message):
+    vee = Poset(3, [(0, 1), (0, 2)])
+    monkeypatch.setattr(hibi, "xi", _broken_xi(kind))
+    with pytest.raises(AssertionError, match=message):
+        xi_bijection(vee)
+    with pytest.raises(AssertionError, match="top variables disagree with the xi images"):
+        hibi_vs_topgraded(vee)
+
+
+def test_xi_checks_catch_two_ideals_with_one_image(monkeypatch):
+    # the ideals listed with one of them twice: the images cover every
+    # maximum independent set, but one of them twice
+    vee = Poset(3, [(0, 1), (0, 2)])
+    ideals = lower_ideals(vee)
+    monkeypatch.setattr(hibi, "lower_ideals", lambda poset: ideals + ideals[:1])
+    with pytest.raises(AssertionError, match="not a bijection"):
+        xi_bijection(vee)
+    with pytest.raises(AssertionError, match="top variables disagree with the xi images"):
+        hibi_vs_topgraded(vee)
+
+
+def test_xi_bijection_inherits_the_hom_caps(monkeypatch):
+    # the ideals are listed first, so the ideal cap fires before the
+    # search cap; the B_P of a 20-element chain has 2**40 assignments into
+    # the spoon, above SEARCH_CAP
+    with pytest.raises(homset.HomTooLarge, match=r"= 2\*\*40 exceeds the cap"):
+        xi_bijection(Poset(20, [(i, i + 1) for i in range(19)]))
+    monkeypatch.setattr(homset, "SEARCH_CAP", 2 ** 6 - 1)
+    with pytest.raises(homset.HomTooLarge, match=r"= 2\*\*6 exceeds the cap"):
+        xi_bijection(Poset(3, []))
+    monkeypatch.setattr(hibi, "IDEAL_CAP", 7)
+    with pytest.raises(hibi.PosetTooLarge, match="too many lower ideals"):
+        xi_bijection(Poset(3, []))
+    assert len(xi_bijection(Poset(2, [])).images) == 4
 
 
 def test_alpha_of_bp_is_poset_size():

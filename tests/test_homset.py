@@ -7,7 +7,8 @@ from homtoric.graph import Graph
 from homtoric import homset
 from homtoric.homset import HomTooLarge, enumerate_homs, indep_encode
 
-from helpers import hom_sources, hom_targets, naive_homs, naive_independent_sets
+from helpers import (graphs_upto_iso, hom_sources, hom_targets, naive_homs,
+                     naive_independent_sets, with_seeded_loops)
 
 
 def test_p4_p3_eight_homs():
@@ -100,7 +101,13 @@ def test_search_cap():
 
 
 def test_indep_encode_bijection():
-    for g in [G.cycle(4), G.complete(4), G.path(5), G.cycle(5)]:
+    # Hom(G, spoon) is the package's one source of independent sets: every
+    # graph on at most 5 vertices, each also with seeded loops, and Graph(0)
+    graphs = [Graph(0)]
+    for n in range(1, 6):
+        for k, g in enumerate(graphs_upto_iso(n)):
+            graphs += [g, with_seeded_loops(g, 10 * n + k)]
+    for g in graphs:
         homs = enumerate_homs(g, G.spoon())
         sets, index = indep_encode(g, homs)
         assert sorted(sets, key=lambda s: (len(s), sorted(s))) == naive_independent_sets(g)

@@ -310,6 +310,25 @@ def test_glue_grobner_needs_weights():
         glue_grobner(spec, OrientedBasis.make(()), OrientedBasis.make(()))
 
 
+def _weighted_quadratics(system, weight):
+    return OrientedBasis(markov_basis(system, 2).basis.elements,
+                         tuple(weight(v) for v in range(system.num_vars)))
+
+
+def test_glue_grobner_needs_weights_that_separate_every_element():
+    # P3 -> spoon has the one quadratic x_{0} x_{2} - x_{} x_{0,2}; equal
+    # weights tie on it on whichever side of the glue it stands, and
+    # weights that separate it glue
+    for side1, side2 in (([0, 1, 2], [2, 3]), ([0, 1], [1, 2, 3])):
+        spec = GlueSpec(G.path(4), side1, side2, G.spoon())
+        tied = [_weighted_quadratics(s, lambda v: (1,)) for s in (spec.sys1, spec.sys2)]
+        assert sorted(map(len, tied)) == [0, 1]
+        with pytest.raises(GlueError, match="input weights do not separate a basis element"):
+            glue_grobner(spec, *tied)
+        apart = [_weighted_quadratics(s, lambda v: (v * v,)) for s in (spec.sys1, spec.sys2)]
+        assert verify_grobner(spec.sys_union, glue_grobner(spec, *apart), 3)
+
+
 # ---------------------------------------------------------------------------
 # pipelines
 

@@ -87,7 +87,7 @@ def test_square_spoon_matrix_reproduced_exactly():
             rho = (1, 0)
         else:
             rho = (1, 1)
-        return system.row_index[((u, v), rho)]
+        return system.rows.index(((u, v), rho))
 
     dense = [[0] * system.num_vars for _ in range(len(system.rows))]
     for j, col in enumerate(system.cols):
@@ -129,7 +129,6 @@ def test_columns_match_the_per_map_oracle():
     def check(system):
         rows, cols = naive_system_columns(system.g, system.h, system.homs)
         assert system.rows == rows
-        assert system.row_index == {r: i for i, r in enumerate(rows)}
         assert system.cols == cols
         assert all(type(j) is int for col in system.cols for j in col)
         assert system.dense_matrix().tolist() == [[col.count(j) for col in cols]
@@ -1179,7 +1178,6 @@ def test_restrict_columns_keeps_columns_and_rejects_reordering():
     assert sub.homs.maps == tuple(system.homs.maps[v] for v in (1, 4, 6))
     assert sub.cols == tuple(system.cols[v] for v in (1, 4, 6))
     assert sub.rows == system.rows
-    assert sub.row_index is system.row_index
     assert np.array_equal(sub.dense_matrix(), system.dense_matrix()[:, [1, 4, 6]])
     for bad in ((4, 1), (1, 1), (-1, 2), (0, system.num_vars)):
         with pytest.raises(ValueError):

@@ -20,7 +20,10 @@ every sample are recorded, and the exit code must be the same every run.
 An existing output file is updated label by label.  When it
 holds both a ``parent`` and a ``change`` label, ``pair_wins`` gives per
 workload and end-to-end metric how many seeds run by both the change won,
-in the direction ``BENCHMARK.json`` names as better.
+in the direction ``BENCHMARK.json`` names as better, and
+``worse_than_bound`` lists per workload every end-to-end metric whose
+change median is worse than the parent median by more than that metric's
+``bound``, a fraction of the parent median.
 """
 
 from __future__ import annotations
@@ -133,6 +136,25 @@ def pair_wins(parent, change, better):
     return out
 
 
+def worse_than_bound(parent, change, metrics):
+    """{workload: {metric: {"parent", "change", "bound"}}} for every metric
+    of ``metrics`` (name -> its ``BENCHMARK.json`` entry) whose change median
+    is worse than the parent median by more than ``bound`` times the parent
+    median, in the direction the entry names as better; empty when none is."""
+    out = {}
+    for workload in sorted(set(parent.get("workloads", {})) & set(change.get("workloads", {}))):
+        medians = [entry["workloads"][workload]["metrics"] for entry in (parent, change)]
+        for name, spec in sorted(metrics.items()):
+            if name not in medians[0] or name not in medians[1]:
+                continue
+            p, c = medians[0][name]["median"], medians[1][name]["median"]
+            worse = c - p if spec["better"] == "lower" else p - c
+            if worse > spec["bound"] * abs(p):
+                out.setdefault(workload, {})[name] = {"parent": p, "change": c,
+                                                      "bound": spec["bound"]}
+    return out
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--out", required=True)
@@ -189,11 +211,14 @@ def main(argv=None):
             entry.setdefault("cli", {})[command] = summarize_cli(samples)
     if "parent" in record and "change" in record:
         with open(BENCHMARK) as fh:
-            better = {m["name"]: m["better"] for m in json.load(fh)["end_to_end"]}
-        record["pair_wins"] = pair_wins(record["parent"], record["change"], better)
-        for workload, metrics in record["pair_wins"].items():
+            metrics = {m["name"]: m for m in json.load(fh)["end_to_end"]}
+        record["pair_wins"] = pair_wins(record["parent"], record["change"],
+                                        {name: m["better"] for name, m in metrics.items()})
+        for workload, wins in record["pair_wins"].items():
             print(f"{workload} change wins: " + json.dumps(
-                {name: f"{m['wins']}/{m['pairs']}" for name, m in metrics.items()}), flush=True)
+                {name: f"{m['wins']}/{m['pairs']}" for name, m in wins.items()}), flush=True)
+        record["worse_than_bound"] = worse_than_bound(record["parent"], record["change"], metrics)
+        print("worse than bound: " + json.dumps(record["worse_than_bound"]), flush=True)
     with open(args.out, "w") as fh:
         json.dump(record, fh, indent=1, sort_keys=True)
         fh.write("\n")
