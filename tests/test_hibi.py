@@ -112,12 +112,12 @@ def _broken_xi(kind):
     ``swap`` trades upper(1) for lower(0) there, which is adjacent to
     upper(0)."""
     def broken(poset, ideal):
-        if ideal and not (kind == "merge" and len(ideal) == poset.n):
-            return xi(poset, ideal)
-        image = xi(poset, frozenset())
-        if kind == "drop":
-            return image - {upper(0)}
-        return image - {upper(1)} | {lower(0)} if kind == "swap" else image
+        if kind == "merge" and len(ideal) == poset.n:
+            ideal = frozenset()
+        image = xi(poset, ideal)
+        if ideal or kind == "merge":
+            return image
+        return image - {upper(0)} if kind == "drop" else image - {upper(1)} | {lower(0)}
     return broken
 
 
