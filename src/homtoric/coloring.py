@@ -15,6 +15,7 @@ from itertools import permutations
 
 from . import graph as graphs
 from .graph import Graph
+from .homset import enumerate_homs
 from .toric import DEFAULT_MONO_CAP, Binomial, ToricSystem, build_system, iter_fibers
 
 GENERATOR_DEGREE_K3_K4 = 12
@@ -124,37 +125,18 @@ def analyze_certificate(g: Graph, system: ToricSystem, b: Binomial,
 
 
 # ---------------------------------------------------------------------------
-# brute-force coloring (oracle-grade, used for verdict confirmation)
+# colorings as homomorphisms into K_k
 
 def is_k_colorable(g: Graph, k: int) -> bool:
-    if not g.is_loopfree():
-        return False
-    colors = [-1] * g.n
-    order = sorted(range(g.n), key=lambda v: -len(g.neighbors(v)))
-
-    def backtrack(i):
-        if i == g.n:
-            return True
-        v = order[i]
-        used = {colors[u] for u in g.neighbors(v) if colors[u] != -1}
-        for c in range(k):
-            if c not in used:
-                colors[v] = c
-                if backtrack(i + 1):
-                    return True
-                colors[v] = -1
-        return False
-
-    return backtrack(0)
+    """Whether Hom(g, K_k) is non-empty; a loop leaves it empty.  Under the
+    caps of ``enumerate_homs``: k^n at most ``SEARCH_CAP``, at most 10^7 maps."""
+    return len(enumerate_homs(g, graphs.complete(k))) > 0
 
 
 def chromatic_number(g: Graph) -> int:
-    if g.n == 0:
-        return 0
-    for k in range(1, g.n + 1):
-        if is_k_colorable(g, k):
-            return k
-    return g.n
+    """The first k in 1..n with ``is_k_colorable(g, k)``, else n (0 for
+    ``Graph(0)``); each call is under its caps on k^n and on the maps."""
+    return next((k for k in range(1, g.n + 1) if is_k_colorable(g, k)), g.n)
 
 
 def format_certificate(cert: ObstructionCertificate) -> str:

@@ -289,26 +289,20 @@ def components(g: Graph):
 
 
 def is_bipartite(g: Graph):
-    """2-coloring by BFS parity from the lowest vertex of each component;
-    loops or an odd cycle give None.  Color-0 vertices land in part1."""
-    if not g.is_loopfree():
+    """Parts read off the lex-first map in Hom(g, K2), which sends each
+    component's lowest vertex to 0 (part1); None for a loop or an odd cycle.
+    Caps of ``enumerate_homs``: 2^n <= ``SEARCH_CAP``, and 2^c <= 10^7 maps on c components."""
+    from .homset import enumerate_homs      # homset imports this module
+    maps = enumerate_homs(g, complete(2)).maps
+    if not maps:
         return None
-    color = [0] * g.n
-    for v, parent in bfs(g):
-        if parent is not None:
-            color[v] = 1 - color[parent]
-    if any(color[u] == color[v] for u, v in g.edges):
-        return None
-    part1 = frozenset(v for v in range(g.n) if color[v] == 0)
-    part2 = frozenset(v for v in range(g.n) if color[v] == 1)
-    return Bipartition(part1, part2)
+    return Bipartition(*(frozenset(v for v in range(g.n) if maps[0][v] == c) for c in (0, 1)))
 
 
 def is_almost_bipartite(g: Graph):
-    """Lowest vertex whose deletion leaves a loop-free bipartite graph."""
+    """Lowest vertex whose deletion leaves a loop-free bipartite graph; one
+    ``is_bipartite`` call per apex, under its caps on 2^n and on the maps."""
     for apex in range(g.n):
-        if any(u == v and u != apex for u, v in g.edges):
-            continue
         sub = delete_vertex(g, apex)
         bip = is_bipartite(sub.graph)
         if bip is not None:
@@ -316,10 +310,3 @@ def is_almost_bipartite(g: Graph):
             part2 = frozenset(sub.vertices[i] for i in bip.part2)
             return AlmostBipartiteSplit(apex, part1, part2)
     return None
-
-
-def is_independent(g: Graph, vertices) -> bool:
-    vs = list(vertices)
-    if any(g.has_loop(v) for v in vs):
-        return False
-    return all(not g.adjacent(u, v) for u, v in combinations(vs, 2))

@@ -108,6 +108,31 @@ def queue_is_bipartite(g):
     return Bipartition(part1, part2)
 
 
+def naive_is_k_colorable(g, k):
+    """The backtracking colorer that Hom(g, K_k) replaced: vertices by
+    descending degree, each tried on the colors its colored neighbours
+    leave free."""
+    if not g.is_loopfree():
+        return False
+    colors = [-1] * g.n
+    order = sorted(range(g.n), key=lambda v: -len(g.neighbors(v)))
+
+    def backtrack(i):
+        if i == g.n:
+            return True
+        v = order[i]
+        used = {colors[u] for u in g.neighbors(v) if colors[u] != -1}
+        for c in range(k):
+            if c not in used:
+                colors[v] = c
+                if backtrack(i + 1):
+                    return True
+                colors[v] = -1
+        return False
+
+    return backtrack(0)
+
+
 def with_seeded_loops(g, seed):
     """g with a loop added at each vertex a seeded coin picks."""
     rng = Random(seed)

@@ -7,9 +7,11 @@ from homtoric.graph import Graph
 from homtoric.coloring import (analyze_certificate, chromatic_number,
                                find_low_degree_binomial, format_certificate,
                                is_k_colorable)
+from homtoric.homset import HomTooLarge
 from homtoric.toric import Binomial, build_system, iter_fibers
 
-from helpers import naive_low_degree_binomial
+from helpers import (graphs_upto_iso, naive_is_k_colorable, naive_low_degree_binomial,
+                     with_seeded_loops)
 
 
 def k5_binomial(system):
@@ -77,6 +79,30 @@ def test_verdicts_agree_with_bruteforce():
     assert chromatic_number(G.octahedron()) == 3
     assert chromatic_number(G.cycle(5)) == 3
     assert chromatic_number(G.complete(4)) == 4
+
+
+def test_colorings_match_the_backtracker_they_replaced():
+    assert chromatic_number(Graph(0)) == 0
+    assert chromatic_number(Graph(4)) == 1
+    cases = [Graph(0), Graph(4)]
+    for n in range(1, 6):
+        for i, g in enumerate(graphs_upto_iso(n)):
+            cases += [g, with_seeded_loops(g, 100 * n + i)]
+    for g in cases:
+        for k in range(1, 5):
+            assert is_k_colorable(g, k) == naive_is_k_colorable(g, k), (g, k)
+        chi = chromatic_number(g)
+        if g.is_loopfree():
+            assert naive_is_k_colorable(g, chi), g
+            assert chi <= 1 or not naive_is_k_colorable(g, chi - 1), g
+        else:
+            assert chi == g.n, g
+
+
+def test_colorability_refuses_before_the_search():
+    # 3^26 assignments exceed SEARCH_CAP; the backtracker answered this
+    with pytest.raises(HomTooLarge, match="exceeds the cap"):
+        is_k_colorable(G.path(26), 3)
 
 
 def test_octahedron_without_relation_is_inconclusive():

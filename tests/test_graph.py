@@ -6,7 +6,7 @@ from homtoric import graph as G
 from homtoric.graph import (Graph, GraphError, bfs, build_named, complement, components,
                             induced_subgraph, is_almost_bipartite, is_bipartite,
                             parse_graph_text)
-from homtoric.homset import enumerate_homs
+from homtoric.homset import HomTooLarge, enumerate_homs
 
 from helpers import (brute_bipartition_exists, graphs_upto_iso, naive_homs, queue_bfs_order,
                      queue_components, queue_is_bipartite)
@@ -122,6 +122,12 @@ def test_bipartite_larger_instances():
     star = Graph(12, [(0, i) for i in range(1, 12)])
     bip = is_bipartite(star)
     assert bip.part1 == frozenset({0})
+
+
+def test_bipartite_refuses_before_the_search():
+    # 2^40 assignments exceed SEARCH_CAP; the BFS parity answered this
+    with pytest.raises(HomTooLarge, match="exceeds the cap"):
+        is_bipartite(G.path(40))
 
 
 def test_bipartition_is_valid():
