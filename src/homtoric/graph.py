@@ -296,12 +296,12 @@ def is_bipartite(g: Graph):
     maps = enumerate_homs(g, complete(2)).maps
     if not maps:
         return None
-    return Bipartition(*(frozenset(v for v in range(g.n) if maps[0][v] == c) for c in (0, 1)))
+    return Bipartition(frozenset(v for v in range(g.n) if maps[0][v] == 0),
+                       frozenset(v for v in range(g.n) if maps[0][v] == 1))
 
 
 def is_almost_bipartite(g: Graph):
-    """Lowest vertex whose deletion leaves a loop-free bipartite graph; one
-    ``is_bipartite`` call per apex, under its caps on 2^n and on the maps."""
+    """Lowest vertex whose removal leaves a graph that ``is_bipartite`` splits, under its caps."""
     for apex in range(g.n):
         sub = delete_vertex(g, apex)
         bip = is_bipartite(sub.graph)

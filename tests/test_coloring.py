@@ -100,7 +100,7 @@ def test_colorings_match_the_backtracker_they_replaced():
 
 
 def test_colorability_refuses_before_the_search():
-    # 3^26 assignments exceed SEARCH_CAP; the backtracker answered this
+    # 3^26 assignments exceed SEARCH_CAP, so the search never starts
     with pytest.raises(HomTooLarge, match="exceeds the cap"):
         is_k_colorable(G.path(26), 3)
 

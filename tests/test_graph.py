@@ -125,7 +125,7 @@ def test_bipartite_larger_instances():
 
 
 def test_bipartite_refuses_before_the_search():
-    # 2^40 assignments exceed SEARCH_CAP; the BFS parity answered this
+    # 2^40 assignments exceed SEARCH_CAP, so the search never starts
     with pytest.raises(HomTooLarge, match="exceeds the cap"):
         is_bipartite(G.path(40))
 
