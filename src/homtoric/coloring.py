@@ -15,7 +15,7 @@ from itertools import permutations
 
 from . import graph as graphs
 from .graph import Graph
-from .homset import enumerate_homs
+from .homset import iter_homs
 from .toric import DEFAULT_MONO_CAP, Binomial, ToricSystem, build_system, iter_fibers
 
 GENERATOR_DEGREE_K3_K4 = 12
@@ -128,14 +128,13 @@ def analyze_certificate(g: Graph, system: ToricSystem, b: Binomial,
 # colorings as homomorphisms into K_k
 
 def is_k_colorable(g: Graph, k: int) -> bool:
-    """Whether Hom(g, K_k) is non-empty; a loop leaves it empty.  Under the
-    caps of ``enumerate_homs``: k^n at most ``SEARCH_CAP``, at most 10^7 maps."""
-    return len(enumerate_homs(g, graphs.complete(k))) > 0
+    """Whether Hom(g, K_k) has a map (none if g has a loop); k^n <= ``SEARCH_CAP``."""
+    return next(iter_homs(g, graphs.complete(k)), None) is not None
 
 
 def chromatic_number(g: Graph) -> int:
     """The first k in 1..n with ``is_k_colorable(g, k)``, else n (0 for
-    ``Graph(0)``); each call is under its caps on k^n and on the maps."""
+    ``Graph(0)``); each k^n tried is at most ``SEARCH_CAP``."""
     return next((k for k in range(1, g.n + 1) if is_k_colorable(g, k)), g.n)
 
 

@@ -255,10 +255,6 @@ def induced_subgraph(g: Graph, vertices) -> InducedSubgraph:
     return InducedSubgraph(Graph(len(vs), es), tuple(vs), index)
 
 
-def delete_vertex(g: Graph, v: int) -> InducedSubgraph:
-    return induced_subgraph(g, [u for u in range(g.n) if u != v])
-
-
 def bfs(g: Graph) -> list:
     """Breadth-first (vertex, parent) pairs over every component.  Each
     component starts at its lowest vertex, whose parent is None, and
@@ -289,24 +285,21 @@ def components(g: Graph):
 
 
 def is_bipartite(g: Graph):
-    """Parts read off the lex-first map in Hom(g, K2), which sends each
+    """Parts read off the first map in ``iter_homs(g, K2)``, which sends each
     component's lowest vertex to 0 (part1); None for a loop or an odd cycle.
-    Caps of ``enumerate_homs``: 2^n <= ``SEARCH_CAP``, and 2^c <= 10^7 maps on c components."""
-    from .homset import enumerate_homs      # homset imports this module
-    maps = enumerate_homs(g, complete(2)).maps
-    if not maps:
+    2^n at most ``SEARCH_CAP``."""
+    from .homset import iter_homs      # homset imports this module
+    m = next(iter_homs(g, complete(2)), None)
+    if m is None:
         return None
-    return Bipartition(frozenset(v for v in range(g.n) if maps[0][v] == 0),
-                       frozenset(v for v in range(g.n) if maps[0][v] == 1))
+    return Bipartition(*(frozenset(v for v in range(g.n) if m[v] == c) for c in (0, 1)))
 
 
 def is_almost_bipartite(g: Graph):
-    """Lowest vertex whose removal leaves a graph that ``is_bipartite`` splits, under its caps."""
+    """Lowest vertex whose edges' removal leaves a graph that ``is_bipartite`` splits
+    (2^n at most ``SEARCH_CAP``); the apex, isolated, lands in part1 and is dropped."""
     for apex in range(g.n):
-        sub = delete_vertex(g, apex)
-        bip = is_bipartite(sub.graph)
+        bip = is_bipartite(Graph(g.n, [e for e in g.edges if apex not in e]))
         if bip is not None:
-            part1 = frozenset(sub.vertices[i] for i in bip.part1)
-            part2 = frozenset(sub.vertices[i] for i in bip.part2)
-            return AlmostBipartiteSplit(apex, part1, part2)
+            return AlmostBipartiteSplit(apex, bip.part1 - {apex}, bip.part2)
     return None

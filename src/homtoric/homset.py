@@ -5,16 +5,16 @@ A homomorphism G -> H is stored as the tuple (phi(0), ..., phi(n-1)).
 position of a map in the list is its variable index in the associated
 polynomial ring.
 
-``enumerate_homs`` backtracks over G in BFS order, trying each vertex only
-on the neighbours of its parent's image, read from adjacency tuples of H
-built once per call.  It refuses a search over more than ``SEARCH_CAP``
-assignments V(G) -> V(H) before it starts, and stops once it has found
-more than ``count_cap`` homomorphisms.
+``iter_homs`` is the one search, a generator: it walks G in BFS order
+with an explicit stack, so with no depth limit, trying each vertex only on
+the neighbours of its parent's image.  It refuses a search over more than
+``SEARCH_CAP`` assignments V(G) -> V(H) before it tries one.  A yes/no
+question reads the first map; ``enumerate_homs`` lists at most ``count_cap``.
 """
 
 from __future__ import annotations
 
-import sys
+from itertools import islice
 
 from .graph import Graph, bfs, spoon
 from .util import ResourceCapExceeded
@@ -44,53 +44,61 @@ class HomSet:
         return iter(self.maps)
 
 
-def enumerate_homs(g: Graph, h: Graph, *, count_cap: int = 10**7) -> HomSet:
-    """Backtracking over the vertices of G in BFS order, each vertex tried
-    on a candidate list: the neighbours (loops included) of its BFS
-    parent's image, or all of H for the first vertex of a component; only
-    the looped ones when the vertex has a loop.  A candidate is kept when
-    it is adjacent to the images of the vertex's other earlier neighbours.
-    The search recurses once per vertex of G, so a source with more
-    vertices than half the recursion limit is refused."""
-    if g.n > 0 and h.n ** g.n > SEARCH_CAP:
+def iter_homs(g: Graph, h: Graph):
+    """Every map in Hom(G, H) once.  Each vertex of G, in BFS order, is
+    tried on the neighbours (loops included) of its BFS parent's image, or
+    on all of H if it is a root; only on looped ones if it has a loop.  A
+    candidate is kept when it is adjacent to the images of the vertex's
+    other earlier neighbours.  A root tries 0 first, so for K2 the first
+    map is the lex-first map."""
+    if h.n ** g.n > SEARCH_CAP:
         raise HomTooLarge(f"|V(H)|^|V(G)| = {h.n}**{g.n} exceeds the cap")
-    if g.n > (depth := sys.getrecursionlimit() // 2):
-        raise HomTooLarge(f"{g.n} source vertices exceed the search depth {depth}")
     looped = {w for w in range(h.n) if h.has_loop(w)}
     near = [h.neighbors(w) | ({w} & looped) for w in range(h.n)]
     adjacent = [tuple(sorted(a)) for a in near]
     adjacent_looped = [tuple(sorted(a & looped)) for a in near]
     order = bfs(g)
     pos = {v: i for i, (v, _) in enumerate(order)}
-    # per vertex: its candidates (by the parent's image, or one tuple for a
-    # root) and its other earlier neighbours
+    # per vertex: candidates (by the parent's image, one tuple for a root), earlier neighbours
     checks = []
     for i, (v, parent) in enumerate(order):
-        loop = g.has_loop(v)
         if parent is None:
-            cands = tuple(sorted(looped)) if loop else tuple(range(h.n))
+            cands = tuple(sorted(looped)) if g.has_loop(v) else tuple(range(h.n))
         else:
-            cands = adjacent_looped if loop else adjacent
+            cands = adjacent_looped if g.has_loop(v) else adjacent
         others = [u for u in g.neighbors(v) if pos[u] < i and u != parent]
         checks.append((v, parent, cands, others))
-    maps = []
     assign = [0] * g.n
 
-    def backtrack(i):
-        if i == g.n:
-            maps.append(tuple(assign))
-            if len(maps) > count_cap:
-                raise HomTooLarge(f"more than {count_cap} homomorphisms")
-            return
+    def frame(i):
         v, parent, cands, others = checks[i]
         pool = cands if parent is None else cands[assign[parent]]
         for u in others:
             pool = [w for w in pool if w in near[assign[u]]]
-        for w in pool:
-            assign[v] = w
-            backtrack(i + 1)
+        return v, iter(pool)
 
-    backtrack(0)
+    if g.n == 0:
+        yield ()
+        return
+    # stack[i]: vertex i of the BFS order and its untried candidates
+    stack = [frame(0)]
+    while stack:
+        v, untried = stack[-1]
+        for assign[v] in untried:
+            if len(stack) == g.n:
+                yield tuple(assign)
+            else:
+                stack.append(frame(len(stack)))
+                break
+        else:
+            stack.pop()
+
+
+def enumerate_homs(g: Graph, h: Graph, *, count_cap: int = 10**7) -> HomSet:
+    """``iter_homs(g, h)`` as a ``HomSet``; over ``count_cap`` maps is refused."""
+    maps = list(islice(iter_homs(g, h), count_cap + 1))
+    if len(maps) > count_cap:
+        raise HomTooLarge(f"more than {count_cap} homomorphisms")
     return HomSet(h, maps)
 
 

@@ -10,8 +10,8 @@ from random import Random
 
 import numpy as np
 
-from homtoric.graph import (Bipartition, Graph, complete, complete_looped, components,
-                            path, spoon)
+from homtoric.graph import (AlmostBipartiteSplit, Bipartition, Graph, complete,
+                            complete_looped, components, induced_subgraph, path, spoon)
 from homtoric.hibi import Poset
 from homtoric.polytope import Facet, FacetDescription
 
@@ -106,6 +106,18 @@ def queue_is_bipartite(g):
     part1 = frozenset(v for v in range(g.n) if color[v] == 0)
     part2 = frozenset(v for v in range(g.n) if color[v] == 1)
     return Bipartition(part1, part2)
+
+
+def naive_almost_bipartite(g):
+    """The apex split by deletion: the lowest vertex whose induced
+    complement ``queue_is_bipartite`` splits, parts relabelled back."""
+    for apex in range(g.n):
+        sub = induced_subgraph(g, [u for u in range(g.n) if u != apex])
+        bip = queue_is_bipartite(sub.graph)
+        if bip is not None:
+            return AlmostBipartiteSplit(apex, frozenset(sub.vertices[i] for i in bip.part1),
+                                        frozenset(sub.vertices[i] for i in bip.part2))
+    return None
 
 
 def naive_is_k_colorable(g, k):

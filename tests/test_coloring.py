@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 
@@ -7,6 +8,7 @@ from homtoric.graph import Graph
 from homtoric.coloring import (analyze_certificate, chromatic_number,
                                find_low_degree_binomial, format_certificate,
                                is_k_colorable)
+from homtoric import homset
 from homtoric.homset import HomTooLarge
 from homtoric.toric import Binomial, build_system, iter_fibers
 
@@ -97,6 +99,19 @@ def test_colorings_match_the_backtracker_they_replaced():
             assert chi <= 1 or not naive_is_k_colorable(g, chi - 1), g
         else:
             assert chi == g.n, g
+
+
+def test_colorability_stops_at_the_first_map(monkeypatch):
+    # Graph(12) has 4^12 maps into K4; one settles the answer, and no
+    # HomSet of them is built
+    def listed(*args):
+        raise AssertionError("Hom(G, K4) listed whole")
+
+    monkeypatch.setattr(homset, "HomSet", listed)
+    start = time.perf_counter()
+    assert is_k_colorable(Graph(12), 4)
+    assert chromatic_number(Graph(12)) == 1
+    assert time.perf_counter() - start < 0.5
 
 
 def test_colorability_refuses_before_the_search():

@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 
@@ -8,8 +9,9 @@ from homtoric.graph import (Graph, GraphError, bfs, build_named, complement, com
                             parse_graph_text)
 from homtoric.homset import HomTooLarge, enumerate_homs
 
-from helpers import (brute_bipartition_exists, graphs_upto_iso, naive_homs, queue_bfs_order,
-                     queue_components, queue_is_bipartite)
+from helpers import (brute_bipartition_exists, graphs_upto_iso, naive_almost_bipartite,
+                     naive_homs, queue_bfs_order, queue_components, queue_is_bipartite,
+                     with_seeded_loops)
 
 
 def test_build_named_spoon():
@@ -145,6 +147,23 @@ def test_almost_bipartite_c5():
 def test_almost_bipartite_k4_fails():
     assert is_almost_bipartite(G.complete(4)) is None
     assert is_bipartite(G.complete(4)) is None
+
+
+def test_almost_bipartite_matches_the_deletion_route():
+    # cutting the apex's edges in place keeps each component's lowest
+    # vertex, so the split equals the one read off the relabelled graph
+    for n in range(1, 7):
+        for k, g in enumerate(graphs_upto_iso(n)):
+            for case in (g, with_seeded_loops(g, 10 * n + k)):
+                assert is_almost_bipartite(case) == naive_almost_bipartite(case), case
+
+
+def test_bipartite_of_many_components_stops_at_the_first_map():
+    # Graph(24) has 2^24 maps into K2; the first one is the answer
+    start = time.perf_counter()
+    bip = is_bipartite(Graph(24))
+    assert time.perf_counter() - start < 0.5
+    assert bip.part1 == frozenset(range(24)) and bip.part2 == frozenset()
 
 
 def test_graph_text_roundtrip():

@@ -5,7 +5,7 @@ import pytest
 from homtoric import graph as G
 from homtoric.graph import Graph
 from homtoric import homset
-from homtoric.homset import HomTooLarge, enumerate_homs, indep_encode
+from homtoric.homset import HomTooLarge, enumerate_homs, indep_encode, iter_homs
 
 from helpers import (graphs_upto_iso, hom_sources, hom_targets, naive_homs,
                      naive_independent_sets, with_seeded_loops)
@@ -98,6 +98,29 @@ def test_search_cap():
     assert 5 ** 20 > homset.SEARCH_CAP
     with pytest.raises(HomTooLarge, match=r"= 5\*\*20 exceeds the cap$"):
         enumerate_homs(G.path(20), G.complete(5))
+
+
+def test_iter_homs_yields_each_map_once():
+    # every graph on at most 5 vertices, each also with seeded loops
+    targets = [G.spoon(), G.complete(2), G.complete(3), G.path(3), G.complete_looped(2)]
+    for n in range(1, 6):
+        for k, g in enumerate(graphs_upto_iso(n)):
+            for case in (g, with_seeded_loops(g, 10 * n + k)):
+                for h in targets:
+                    maps = list(iter_homs(case, h))
+                    assert len(maps) == len(set(maps))
+                    assert set(maps) == set(naive_homs(case, h)), (case, h)
+
+
+def test_iter_homs_of_the_empty_graph():
+    assert list(iter_homs(Graph(0), G.complete(3))) == [()]
+    assert list(iter_homs(Graph(0), Graph(0))) == [()]
+
+
+def test_iter_homs_refuses_on_the_first_next():
+    maps = iter_homs(G.path(20), G.complete(5))
+    with pytest.raises(HomTooLarge, match=r"= 5\*\*20 exceeds the cap$"):
+        next(maps)
 
 
 def test_indep_encode_bijection():
