@@ -31,7 +31,7 @@ from .toric import (DEFAULT_MONO_CAP, Binomial, OrientedBasis, build_system,
                     format_binomial, markov_basis, parse_basis_text, verify_grobner)
 from .coloring import (analyze_certificate, find_low_degree_binomial,
                        format_certificate, is_k_colorable)
-from .hibi import hibi_vs_topgraded, parse_poset_text
+from .hibi import Poset, hibi_vs_topgraded, parse_poset_text
 from .util import ResourceCapExceeded, content_lines
 
 EXIT_OK, EXIT_NEGATIVE, EXIT_USAGE, EXIT_CAP, EXIT_INTERNAL = 0, 1, 2, 3, 4
@@ -283,7 +283,7 @@ def _scenario_c4_polytope(rep):
                         "simple": srep.simple, "empty_check": empty.num_vertices})
 
 
-def _scenario_k3k4(rep):
+def _scenario_k3k4_binomial(rep):
     # the search finds nothing up to degree 4 exactly when every fiber of
     # degree <= 4 is a single monomial (see find_low_degree_binomial)
     system, b = find_low_degree_binomial(graphs.complete(4), degree_cap=4)
@@ -303,27 +303,26 @@ def _scenario_fan_k4(rep):
     rep.payload.update({"degrees": list(res.degrees_full), "truncated": res.truncated})
 
 
-def _scenario_k5_coloring(rep):
-    system = build_system(graphs.complete(3), graphs.complete(5))
-    b = _paper_binomial(system, "123 145 325 341 521 543", "125 143 321 345 523 541")
-    cert = analyze_certificate(graphs.complete(5), system, b)
+def _say_certificate(rep, g, plus, minus, relation=()):
+    """The certificate of the binomial ``plus`` - ``minus`` of K3 into ``g``."""
+    system = build_system(graphs.complete(3), g)
+    cert = analyze_certificate(g, system, _paper_binomial(system, plus, minus), relation)
     rep.say(format_certificate(cert))
-    rep.payload.update({"verdict": cert.verdict})
+    rep.payload["verdict"] = cert.verdict
+
+
+def _scenario_k5_coloring(rep):
+    _say_certificate(rep, graphs.complete(5), "123 145 325 341 521 543", "125 143 321 345 523 541")
 
 
 def _scenario_octahedron_coloring(rep):
     octa = graphs.octahedron()
-    system = build_system(graphs.complete(3), octa)
-    b = _paper_binomial(system, "135 146 236 245", "136 145 235 246")
-    cert = analyze_certificate(octa, system, b, relation=[(0, 1), (2, 3), (4, 5)])
-    rep.say(format_certificate(cert))
+    _say_certificate(rep, octa, "135 146 236 245", "136 145 235 246", [(0, 1), (2, 3), (4, 5)])
     rep.say(f"octahedron 4-colorable: {is_k_colorable(octa, 4)}")
-    rep.payload.update({"verdict": cert.verdict,
-                        "four_colorable": is_k_colorable(octa, 4)})
+    rep.payload["four_colorable"] = is_k_colorable(octa, 4)
 
 
 def _scenario_hibi_small(rep):
-    from .hibi import Poset
     for name, poset in [("chain2", Poset(2, [(0, 1)])),
                         ("antichain2", Poset(2, [])),
                         ("vee", Poset(3, [(0, 1), (0, 2)]))]:
@@ -356,19 +355,11 @@ def _degree12_binomial(system):
                            "124 213 342 431 234 143 412 321 314 423 132 241")
 
 
-SCENARIOS = {
-    "p4p3": _scenario_p4p3,
-    "prism-width": _scenario_prism_width,
-    "c4-bipartite": _scenario_c4_bipartite,
-    "c5-almost-bipartite": _scenario_c5_almost_bipartite,
-    "c4-polytope": _scenario_c4_polytope,
-    "k3k4-binomial": _scenario_k3k4,
-    "fan-k4": _scenario_fan_k4,
-    "k5-coloring": _scenario_k5_coloring,
-    "octahedron-coloring": _scenario_octahedron_coloring,
-    "hibi-small": _scenario_hibi_small,
-    "spoon-widths": _scenario_spoon_widths,
-}
+SCENARIOS = {f.__name__[len("_scenario_"):].replace("_", "-"): f for f in (
+    _scenario_p4p3, _scenario_prism_width, _scenario_c4_bipartite,
+    _scenario_c5_almost_bipartite, _scenario_c4_polytope, _scenario_k3k4_binomial,
+    _scenario_fan_k4, _scenario_k5_coloring, _scenario_octahedron_coloring,
+    _scenario_hibi_small, _scenario_spoon_widths)}
 
 
 def cmd_reproduce(args, rep) -> int:

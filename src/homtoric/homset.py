@@ -8,8 +8,9 @@ polynomial ring.
 ``iter_homs`` is the one search, a generator: it walks G in BFS order
 with an explicit stack, so with no depth limit, trying each vertex only on
 the neighbours of its parent's image.  It refuses a search over more than
-``SEARCH_CAP`` assignments V(G) -> V(H) before it tries one.  A yes/no
-question reads the first map; ``enumerate_homs`` lists at most ``count_cap``.
+``SEARCH_CAP`` assignments V(G) -> V(H) before it tries one, and ends at a
+component with no map.  A yes/no question reads the first map;
+``enumerate_homs`` lists at most ``count_cap``.
 """
 
 from __future__ import annotations
@@ -50,7 +51,9 @@ def iter_homs(g: Graph, h: Graph):
     on all of H if it is a root; only on looped ones if it has a loop.  A
     candidate is kept when it is adjacent to the images of the vertex's
     other earlier neighbours.  A root tries 0 first, so for K2 the first
-    map is the lex-first map."""
+    map is the lex-first map.  Components come one after another in BFS
+    order, so a root that runs out of candidates before its component was
+    once assigned in full ends the search: that component has no map."""
     if h.n ** g.n > SEARCH_CAP:
         raise HomTooLarge(f"|V(H)|^|V(G)| = {h.n}**{g.n} exceeds the cap")
     looped = {w for w in range(h.n) if h.has_loop(w)}
@@ -68,6 +71,10 @@ def iter_homs(g: Graph, h: Graph):
             cands = adjacent_looped if g.has_loop(v) else adjacent
         others = [u for u in g.neighbors(v) if pos[u] < i and u != parent]
         checks.append((v, parent, cands, others))
+    ends = [0] * g.n    # ends[i]: the end of root i's component in the BFS order, else 0
+    roots = [i for i, (_, parent) in enumerate(order) if parent is None]
+    for i, end in zip(roots, roots[1:] + [g.n]):
+        ends[i] = end
     assign = [0] * g.n
 
     def frame(i):
@@ -80,17 +87,23 @@ def iter_homs(g: Graph, h: Graph):
     if g.n == 0:
         yield ()
         return
-    # stack[i]: vertex i of the BFS order and its untried candidates
-    stack = [frame(0)]
+    # stack[i]: vertex i of the BFS order and its untried candidates;
+    # reached: the vertices before it were all assigned at the last root pushed or map
+    stack, reached = [frame(0)], 0
     while stack:
         v, untried = stack[-1]
         for assign[v] in untried:
             if len(stack) == g.n:
+                reached = g.n
                 yield tuple(assign)
             else:
+                if ends[len(stack)]:
+                    reached = len(stack)
                 stack.append(frame(len(stack)))
                 break
         else:
+            if ends[len(stack) - 1] > reached:
+                return          # this root's component has no map
             stack.pop()
 
 

@@ -169,30 +169,22 @@ def almost_bipartite_grobner(isys: IndepSystem) -> TaggedBasis:
     for plus, minus in _sorting_moves(isys, lab.bullet, lambda p, q: p | q | apex):
         emit(plus, minus, "covered")
 
-    # mixed moves: shift E from the circ A-part into the bullet C-part
+    # mixed moves: shift E from the circ A-part into the bullet C-part, and
+    # transfer one vertex from the bullet D-part to the circ B-part
     for i, a, b in lab.circ:
         for j, c, d in lab.bullet:
             pool = sorted(a - c)
             for mask in range(1, 1 << len(pool)):
                 e = frozenset(pool[t] for t in range(len(pool)) if mask >> t & 1)
                 ne = frozenset().union(*(nbrs[x] for x in e)) - e
-                s1 = (a - e) | b | (ne & d)
-                s2 = c | e | (d - ne) | apex
-                k1, k2 = isys.index.get(s1), isys.index.get(s2)
-                if k1 is None or k2 is None:
-                    continue
-                emit((i, j), tuple(sorted((k1, k2))), "mixed")
-
-    # mixed moves: transfer one vertex from the bullet D-part to the circ B-part
-    for i, a, b in lab.circ:
-        for j, c, d in lab.bullet:
+                k1 = isys.index.get((a - e) | b | (ne & d))
+                k2 = isys.index.get(c | e | (d - ne) | apex)
+                if k1 is not None and k2 is not None:
+                    emit((i, j), tuple(sorted((k1, k2))), "mixed")
             for u in sorted(d - b):
-                s1 = a | b | {u}
-                k1 = isys.index.get(s1)
-                if k1 is None:
-                    continue
-                s2 = c | (d - {u}) | apex
-                emit((i, j), tuple(sorted((k1, isys.index[s2]))), "mixed")
+                k1 = isys.index.get(a | b | {u})
+                if k1 is not None:
+                    emit((i, j), tuple(sorted((k1, isys.index[c | (d - {u}) | apex]))), "mixed")
 
     basis = OrientedBasis.make([b for b, _ in elems.values()])
     tags = {b: tag for b, tag in elems.values()}

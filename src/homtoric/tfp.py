@@ -50,12 +50,11 @@ class GlueSpec:
     pipeline passes one ``_systems`` dict (graph -> system over ``h``) to
     all of its separations, so each graph's system is built once."""
 
-    __slots__ = ("union", "side1", "side2", "shared", "h", "sub1", "sub2", "inter",
+    __slots__ = ("side1", "side2", "shared", "h", "sub1", "sub2", "inter",
                  "sys_union", "sys1", "sys2", "sys_inter", "cls1", "cls2", "cid1", "cid2",
                  "pair_index", "r1", "r2", "xs_by_class", "ys_by_class")
 
     def __init__(self, union: Graph, side1, side2, h: Graph, *, _systems=None, **caps):
-        self.union = union
         self.side1 = tuple(sorted(set(side1)))
         self.side2 = tuple(sorted(set(side2)))
         if set(self.side1) | set(self.side2) != set(range(union.n)):

@@ -240,13 +240,10 @@ class ToricSystem:
             rows += [((u, v), rho) for rho in (loops if u == v else pairs)]
         u, v, loop, first = np.array(spec, dtype=np.intp).reshape(len(spec), 4).T
         maps = np.array(homs.maps, dtype=np.intp).reshape(len(homs), g.n)
-        entries = tables[loop, maps[:, u], maps[:, v]] + first
-        self._fill(g, h, homs, tuple(rows), entries)
-
-    def _fill(self, g, h, homs, rows, entries):
         self.g, self.h, self.homs = g, h, homs
-        self.rows, self.entries = rows, entries
-        self.cols = tuple(map(tuple, entries.tolist()))
+        self.rows = tuple(rows)
+        self.entries = tables[loop, maps[:, u], maps[:, v]] + first
+        self.cols = tuple(map(tuple, self.entries.tolist()))
         self._key = None
         self._packed = {}
         self._packed_words = {}
@@ -308,9 +305,7 @@ class ToricSystem:
     def membership(self, binomial: Binomial) -> bool:
         """True when both sides have the same image under A; IndexError
         for a variable out of range."""
-        p, q = len(binomial.plus), len(binomial.minus)
-        row = np.array(binomial.plus + binomial.minus, dtype=np.int64).reshape(1, p + q)
-        return self._first_non_member((binomial,), {(p, q): ((0,), row)}) is None
+        return self.first_non_member(OrientedBasis((binomial,))) is None
 
     def check_basis_members(self, basis: OrientedBasis):
         """Raise at the first element of ``basis`` that is not a member:
@@ -322,18 +317,14 @@ class ToricSystem:
     def first_non_member(self, basis: OrientedBasis):
         """The first element of ``basis`` whose sides have different images
         under A, or None; IndexError instead when that first failure has a
-        variable out of range."""
-        return self._first_non_member(basis.elements, basis.shapes)
-
-    def _first_non_member(self, elements, shapes):
-        """``first_non_member`` of ``elements`` from their view ``shapes``
-        (as ``OrientedBasis.shapes``).  The elements of one shape (side
-        lengths) are checked together, each side's image the sum of its
-        factors' columns of A packed into int64 words as in
+        variable out of range.  The elements of one shape (side lengths,
+        ``basis.shapes``) are checked together, each side's image the sum
+        of its factors' columns of A packed into int64 words as in
         ``packed_columns``, at the bits of the longer side's length (cached
         per bit count): an image entry of a side of degree d is at most d."""
+        elements = basis.elements
         n, first = len(self.homs), len(elements)
-        for (p, q), (where, sides) in shapes.items():
+        for (p, q), (where, sides) in basis.shapes.items():
             bad = ((sides < 0) | (sides >= n)).any(axis=1)
             if n:                       # else every factor is out of range
                 bits = max(p, q, 1).bit_length()
@@ -353,18 +344,15 @@ class ToricSystem:
         return b
 
     def restrict_columns(self, var_indices) -> "ToricSystem":
-        """The system on the variables ``var_indices``, renumbered 0..k-1 in
-        the given order, with this system's rows.  The indices must be
-        strictly increasing and in range: HomSet sorts its maps, so any
-        other order would silently renumber the variables."""
+        """The system of the maps ``var_indices`` alone, renumbered 0..k-1,
+        built as any system: a map's entries depend only on that map, so
+        the rows are this system's and ``entries`` its slice.  The indices
+        must be strictly increasing and in range, as HomSet sorts its maps."""
         idx = tuple(var_indices)
         if (any(a >= b for a, b in zip(idx, idx[1:]))
                 or (idx and (idx[0] < 0 or idx[-1] >= self.num_vars))):
             raise ValueError("variable indices must be strictly increasing and in range")
-        sub = ToricSystem.__new__(ToricSystem)
-        sub._fill(self.g, self.h, HomSet(self.h, [self.homs.maps[v] for v in idx]),
-                  self.rows, self.entries[list(idx)])
-        return sub
+        return ToricSystem(self.g, self.h, HomSet(self.h, [self.homs.maps[v] for v in idx]))
 
 
 def _pack(matrix, bits: int, room: int):

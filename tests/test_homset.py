@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 
@@ -110,6 +111,18 @@ def test_iter_homs_yields_each_map_once():
                     maps = list(iter_homs(case, h))
                     assert len(maps) == len(set(maps))
                     assert set(maps) == set(naive_homs(case, h)), (case, h)
+
+
+def test_iter_homs_ends_at_a_component_with_no_map():
+    # 16 disjoint edges and then a triangle on the highest vertices: the
+    # triangle has no map into K2, so the search ends at its root rather
+    # than retrying all 2^16 images of the edges' roots
+    n = 35
+    g = Graph(n, [(2 * i, 2 * i + 1) for i in range(16)] + [(32, 33), (33, 34), (32, 34)])
+    start = time.perf_counter()
+    assert G.is_bipartite(g) is None
+    assert time.perf_counter() - start < 0.05
+    assert list(iter_homs(g, G.complete(2))) == []
 
 
 def test_iter_homs_of_the_empty_graph():

@@ -979,6 +979,11 @@ _TARGETS = {"spoon": G.spoon(), "K3": G.complete(3), "P3": G.path(3),
             "looped2": G.complete_looped(2)}
 
 
+def _drawn_cap(system):
+    """3, or 2 when the degree-3 layer has more than 3,000 monomials."""
+    return 3 if comb(system.num_vars + 2, 3) <= 3000 else 2
+
+
 @settings(derandomize=True, database=None, max_examples=150, deadline=None)
 @given(g=_small_graphs(), target=st.sampled_from(sorted(_TARGETS)), t=st.integers(1, 3))
 def test_layer_partition_matches_naive_fibers(g, target, t):
@@ -1169,6 +1174,27 @@ def test_orbit_verifier_without_automorphisms_past_the_cap():
     assert not _invariant(res.system, kept)
 
 
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(g=_small_graphs(), target=st.sampled_from(sorted(_TARGETS)), data=st.data())
+def test_orbit_verdict_matches_whole_layer_verdict_on_drawn_systems(g, target, data):
+    # in blocks of 16 rows, so small systems get buckets: the verdict
+    # against the whole-layer walk on the Markov basis and on it with one
+    # drawn element dropped or flipped; a basis invariant under Aut(H) is
+    # walked one bucket per orbit, any other in every bucket
+    system = build_system(g, _TARGETS[target])
+    cap = _drawn_cap(system)
+    basis = markov_basis(system, cap).basis
+    elems = basis.elements
+    bases = [basis]
+    if elems:
+        i = data.draw(st.integers(0, len(elems) - 1))
+        bases.append(OrientedBasis(elems[:i] + elems[i + 1:]))
+        bases.append(OrientedBasis(elems[:i] + (elems[i].flipped(),) + elems[i + 1:]))
+    with mock.patch.object(toric, "BLOCK", 16):
+        for b in bases:
+            assert verify_markov(system, b, cap) == unbucketed_verify_markov(system, b, cap)
+
+
 # ---------------------------------------------------------------------------
 # restriction
 
@@ -1285,6 +1311,32 @@ def test_verify_grobner_matches_naive_check_on_random_orientations():
             verdicts.append(naive)
     assert len(verdicts) == 231
     assert verdicts.count(True) > 50 and verdicts.count(False) > 50
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(g=_small_graphs(), target=st.sampled_from(sorted(_TARGETS)), data=st.data())
+def test_verify_grobner_matches_naive_check_on_drawn_orientations(g, target, data):
+    # a Markov basis whose every element is drawn kept, flipped, dropped or
+    # joined by its reverse: the directed check against the reference over
+    # every fiber of two or more monomials up to the cap, in one block and
+    # in blocks of 5 rows
+    system = build_system(g, _TARGETS[target])
+    assume(comb(system.num_vars + 1, 2) <= 3000)    # keep the pure-python oracle fast
+    cap = _drawn_cap(system)
+    basis = markov_basis(system, cap).basis
+    ops = data.draw(st.lists(st.sampled_from(("keep", "flip", "drop", "both")),
+                             min_size=len(basis), max_size=len(basis)))
+    elems = []
+    for b, op in zip(basis, ops):
+        elems += {"keep": [b], "flip": [b.flipped()], "drop": [], "both": [b, b.flipped()]}[op]
+    variant = OrientedBasis.make(elems)
+    index = MoveIndex(variant)
+    naive = all(naive_fiber_is_grobner(monos, index)
+                for t in range(1, cap + 1) for monos in naive_fibers(system, t).values()
+                if len(monos) >= 2)
+    assert verify_grobner(system, variant, cap) == naive
+    with mock.patch.object(toric, "BLOCK", 5):
+        assert verify_grobner(system, variant, cap) == naive
 
 
 def test_verify_grobner_rejects_cycle_beside_unique_sink():
