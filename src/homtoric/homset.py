@@ -71,10 +71,6 @@ def iter_homs(g: Graph, h: Graph):
             cands = adjacent_looped if g.has_loop(v) else adjacent
         others = [u for u in g.neighbors(v) if pos[u] < i and u != parent]
         checks.append((v, parent, cands, others))
-    ends = [0] * g.n    # ends[i]: the end of root i's component in the BFS order, else 0
-    roots = [i for i, (_, parent) in enumerate(order) if parent is None]
-    for i, end in zip(roots, roots[1:] + [g.n]):
-        ends[i] = end
     assign = [0] * g.n
 
     def frame(i):
@@ -88,7 +84,7 @@ def iter_homs(g: Graph, h: Graph):
         yield ()
         return
     # stack[i]: vertex i of the BFS order and its untried candidates;
-    # reached: the vertices before it were all assigned at the last root pushed or map
+    # reached: the place of the last root pushed, or g.n after a map
     stack, reached = [frame(0)], 0
     while stack:
         v, untried = stack[-1]
@@ -97,13 +93,13 @@ def iter_homs(g: Graph, h: Graph):
                 reached = g.n
                 yield tuple(assign)
             else:
-                if ends[len(stack)]:
+                if checks[len(stack)][1] is None:
                     reached = len(stack)
                 stack.append(frame(len(stack)))
                 break
         else:
-            if ends[len(stack) - 1] > reached:
-                return          # this root's component has no map
+            if reached == len(stack) - 1:
+                return          # no later root or map since this root: its component has no map
             stack.pop()
 
 
