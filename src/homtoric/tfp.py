@@ -7,18 +7,24 @@ generating set of the glued ideal is obtained by lifting generating sets
 of both sides in all compatible ways and adding the quadratic swaps of
 second components between homomorphisms that agree on the intersection.
 Lift families are counted, not listed: a family's size is the product of
-its factors' extension pool sizes and of each class's pairing count.  Lifts
+its factors' extension pool sizes and of each class's pairing count, exact
+integers for all the elements of one shape at once.  Which pairings are
+distinct depends only on an element's run pattern (where its classes and
+its runs of equal plus or minus factors begin), so they are listed once
+per pattern, as positions of minus factors, and cached.  Strides, pools and
+matchings of all the elements of a shape are gathered with numpy, and lifts
 are built as ``pair_index[x, y]`` lookups in blocks of at most ``BLOCK``
 rows; a lift's sides share a variable only where its element's sides do.
 Bases are read as ``shapes`` rows; lifts and swaps stay int rows until
-``OrientedBasis.from_rows`` sorts them and builds each element once.
+``OrientedBasis.from_rows`` sorts them and makes each element, a tuple,
+from its row.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, lru_cache
 from itertools import accumulate, chain, combinations, islice, product
 from math import prod
 from operator import add
@@ -32,6 +38,7 @@ from .util import ResourceCapExceeded, echelon
 
 BLOCK = 1 << 14     # lift rows built at a time
 PIPELINE_LIFT_CAP = 500_000     # lift family size per gluing of a pipeline
+MATCHING_TABLES = 1 << 10   # (run pattern, count) tables of matchings kept
 
 
 class GlueError(ValueError):
@@ -143,11 +150,27 @@ def _pairing_count(runs, counts, start=0):
 @cache
 def _pairings(starts):
     """Distinct pairings of an element, from the bytes of its run-start flags
-    (class, plus factor, minus factor) at each position, in sorted order."""
-    cls, p, q = (list(accumulate(starts[o::3])) for o in range(3))
+    (class, plus factor, minus factor) at each position, in sorted order,
+    and at one more position, where every run ends."""
+    cls, p, q = (list(accumulate(starts[o:-3:3])) for o in range(3))
     return prod(_pairing_count(*(tuple(sorted(Counter(r for r, e in zip(side, cls) if e == c)
                                               .values())) for side in (p, q)))
                 for c in set(cls))
+
+
+@lru_cache(maxsize=MATCHING_TABLES)
+def _matchings(starts, count):
+    """The first ``count`` distinct pairings of an element with run-start
+    bytes ``starts`` (see ``_pairings``) in ``_distinct_matchings`` order,
+    each as the positions of the minus factors matched to the plus factors
+    in turn, read-only as every caller shares it.  A factor is named by the
+    first position of its run, so the run pattern alone decides the
+    pairings and their order."""
+    cls, p, q = (list(accumulate((i * f for i, f in enumerate(starts[o:-3:3])), max))
+                 for o in range(3))
+    table = np.array([*islice(_distinct_matchings(p, q, cls), count)], dtype=np.int64)
+    table.flags.writeable = False
+    return table.reshape(count, len(cls))
 
 
 def _distinct_matchings(ps, qs, cls):
@@ -176,47 +199,49 @@ def _distinct_matchings(ps, qs, cls):
 def _lift_run(spec, side, shape, rows):
     """Count the lifts of the elements of one shape, the rows ``plus |
     minus`` of a basis view, without listing them.  Returns the family
-    sizes and a generator of the lifts of the first ``steps[j]`` steps of
-    element j (matchings in order, extensions in ``product`` order), as
-    int arrays of rows ``plus | minus`` of at most ``BLOCK`` rows; a lift
-    whose sides share a variable is stripped, and dropped when zero."""
+    sizes (an object array of ints) and a generator of the lifts of the
+    first ``steps[j]`` steps of element j (matchings in order, extensions
+    in ``product`` order), as int arrays of rows ``plus | minus`` of at
+    most ``BLOCK`` rows; a lift whose sides share a variable is stripped,
+    and dropped when zero.  Elements are grouped by run pattern: one
+    cached table of matchings serves every element of a pattern."""
     cid, other = (spec.cid1, spec.cid2) if side == 1 else (spec.cid2, spec.cid1)
-    nv, size = len(cid), np.bincount(other, minlength=cid.max(initial=0) + 1).tolist()
+    nv, size = len(cid), np.bincount(other, minlength=cid.max(initial=0) + 1)
     kp, kq = (np.sort(cid[x] * nv + x, axis=1) for x in (rows[:, :shape[0]], rows[:, shape[0]:]))
-    if shape[0] != shape[1] or (kp // nv != kq // nv).any():
+    cls, (n, d) = kp // nv, kp.shape
+    if shape[0] != shape[1] or (cls != kq // nv).any():
         raise GlueError("binomial sides disagree on intersection classes; "
                         "not liftable (is it really a member?)")
-    runs = np.stack([kp // nv, kp, kq], axis=2)
-    starts = np.ones(runs.shape, dtype=bool)
-    starts[:, 1:] = runs[:, 1:] != runs[:, :-1]
-    cls, plus, minus = runs[..., 0].tolist(), (kp % nv).tolist(), (kq % nv).tolist()
-    fam = [prod(size[x] for x in c) * _pairings(k) for c, k in zip(cls, map(bytes, starts))]
+    starts = np.ones((n, d + 1, 3), dtype=bool)     # a last position ends every run
+    for o, run in enumerate((cls, kp, kq)):
+        starts[:, 1:d, o] = run[:, 1:] != run[:, :-1]
+    keys = starts.reshape(n, 3 * d + 3).view(np.dtype((np.void, 3 * d + 3)))[:, 0].tolist()
+    z = size[cls]
+    fam = np.prod(z, axis=1, dtype=object) * list(map(_pairings, keys))
 
     def lifts(steps):
-        order, first = np.argsort(other, kind="stable"), list(accumulate(size, initial=0))
-        table, d = spec.pair_index if side == 1 else spec.pair_index.T, kp.shape[1]
-        fac, one, combos, ends = [], [], [], [0]
-        for c, ps, qs, r in zip(cls, plus, minus, steps):
-            if r:
-                z = [size[x] for x in c]
-                per, stride = min(prod(z), r), [min(prod(z[i + 1:]), r) for i in range(d)]
-                fac.append((stride, z, [first[x] for x in c], ps))
-                one.append((per, ends[-1], len(combos), not ps or not set(ps).isdisjoint(qs)))
-                ends.append(ends[-1] + r)
-                combos.extend(islice(_distinct_matchings(ps, qs, c), -(-r // per)))
-        fac = np.array(fac, dtype=np.int64).reshape(len(fac), 4, d).transpose(1, 0, 2)
-        one = np.array(one, dtype=np.int64).reshape(len(one), 4).T
-        combos = np.array(combos, dtype=np.int64).reshape(len(combos), d)
+        cum = np.ones((n, d + 1), dtype=np.int64)     # min(prod(z[:, i:]), steps)
+        for i in range(d - 1, -1, -1):
+            np.minimum(cum[:, i + 1] * z[:, i], steps, out=cum[:, i])
+        count = -(-steps // np.maximum(cum[:, 0], 1))   # matchings used, cum[:, 0] steps each
+        pos = np.concatenate([*map(_matchings, keys, count.tolist())])
+        ends, ps, qs = np.cumsum(steps), kp % nv, kq % nv
+        fac = np.array([cum[:, 1:], z, np.cumsum(size)[cls] - z, ps])
+        one = np.array([cum[:, 0], ends - steps, np.cumsum(count) - count,
+                        (ps[:, :, None] == qs[:, None, :]).any(axis=(1, 2)) | (d == 0)])
+        order = np.argsort(other, kind="stable")
+        table = spec.pair_index if side == 1 else spec.pair_index.T
         for lo in range(0, ends[-1], BLOCK):
             g = np.arange(lo, min(lo + BLOCK, ends[-1]))
-            j = np.searchsorted(ends[1:], g, side="right")
-            (stride, z, base, ps), (per, begin, combo, strip) = fac[:, j], one[:, j]
+            e = ends.searchsorted(g, side="right")
+            (stride, pool, base, ps), (per, begin, combo, strip) = fac[:, e], one[:, e]
             s = g - begin
-            w = order[base + s[:, None] // stride % z]
-            lift = np.sort(table[np.stack([ps, combos[combo + s // per]]), w], axis=2)
-            yield np.concatenate(lift, axis=1)[strip == 0]
+            lift = np.sort(table[np.array([ps, qs[e[:, None], pos[combo + s // per]]]),
+                                 order[base + s[:, None] // stride % pool]], axis=2)
+            keep = strip == 0
+            yield np.concatenate(lift, axis=1)[keep]
             yield from (np.array([b.plus + b.minus])
-                        for b in map(Binomial.make, *lift[:, strip != 0].tolist()) if b)
+                        for b in map(Binomial.make, *lift[:, ~keep].tolist()) if b)
     return fam, lifts
 
 
@@ -246,8 +271,8 @@ def glue_basis(spec: GlueSpec, basis1: OrientedBasis, basis2: OrientedBasis, *,
         (spec.sys1 if side == 1 else spec.sys2).check_basis_members(basis)
         for shape, (_, rows) in basis.shapes.items():
             fam, run_lifts = _lift_run(spec, side, shape, rows)
-            attempted += sum(fam)
-            degrees |= {max(shape)} if any(fam) else set()
+            attempted += fam.sum()
+            degrees |= {max(shape)} if fam.any() else set()
             runs.append((fam, run_lifts))
     quads = np.sort(np.array([*_quad_rows(spec)], dtype=np.int64).reshape(-1, 2, 2), axis=2)
     attempted += len(quads)
@@ -259,9 +284,9 @@ def glue_basis(spec: GlueSpec, basis1: OrientedBasis, basis2: OrientedBasis, *,
     # materialization pass: the first lift_cap enumeration steps, in order
     lifts, done = [], 0
     for fam, run_lifts in runs:
-        lifts.append(run_lifts([min(f, max(lift_cap - t, 0)) for f, t in
-                                zip(fam, accumulate(fam, initial=done))]))
-        done += sum(fam)
+        left = np.maximum(lift_cap - done - np.cumsum(fam) + fam, 0)
+        lifts.append(run_lifts(np.minimum(left, fam).astype(np.int64)))
+        done += fam.sum()
     basis = OrientedBasis.from_rows(chain([quads.reshape(-1, 4)], *lifts))
     return GlueResult(basis, tuple(sorted(degrees)), attempted > lift_cap, len(basis),
                       attempted)

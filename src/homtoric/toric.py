@@ -9,9 +9,10 @@ as a sorted tuple of variable indices (repeats encode exponents).
 A fiber is a set of monomials of one degree with the same image under A.
 They are grouped by one key for every target: the rows of A that are
 linearly independent modulo the all-ones row, chosen by exact integer
-elimination.  Every other row of A is a combination of those rows and
-the all-ones row, which is constant (the degree) on a layer, so the key
-separates exactly the monomials that A separates.
+elimination of the rows that can be pivots.  Every other row of A is a
+combination of those rows and the all-ones row, which is constant (the
+degree) on a layer, so the key separates exactly the monomials that A
+separates.
 
 The key is never stored row by row.  At degree t every key entry of a
 monomial lies in 0..t < 2**b, b = t.bit_length().  A sort word keeps its
@@ -79,7 +80,11 @@ Then s maps each fiber onto a fiber, its gcd classes onto those of the
 image and the degree-t moves of the basis inside it onto the moves inside
 the image, so a split fiber in a bucket left out has a split image in the
 walked bucket of its orbit.  Invariance is tested once per call on the
-basis arrays; when it fails, every bucket is walked.  ``verify_grobner``
+basis arrays: every s moves each side, which is re-sorted and ranked in
+its layer; the sorted ranks must be the basis's own, and an element is
+then one int64 word of its two sides' places among them, low first, so
+the test is exact at any layer size; it stops at the first s whose sorted
+words differ.  When it fails, every bucket is walked.  ``verify_grobner``
 walks every bucket, ``iter_fibers`` every bucket of its degree.
 
 All arithmetic is exact integer arithmetic.  numpy groups each block into
@@ -95,7 +100,9 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property, reduce
+from itertools import repeat
 from math import comb
+from typing import NamedTuple
 
 import numpy as np
 
@@ -121,10 +128,10 @@ def strip_common(plus, minus):
     return p, m
 
 
-@dataclass(frozen=True)
-class Binomial:
+class Binomial(NamedTuple):
     """plus - minus with disjoint supports; plus is the declared leading
-    side when the binomial sits in an oriented basis."""
+    side when the binomial sits in an oriented basis.  A tuple, so it
+    equals and hashes as the plain tuple ``(plus, minus)``."""
     plus: tuple
     minus: tuple
 
@@ -180,8 +187,8 @@ class OrientedBasis:
             both = both[np.lexsort(both.T[::-1])]
             both = both[np.concatenate(([True], (both[1:] != both[:-1]).any(axis=1)))]
             shapes[d, d] = np.arange(len(elements), len(elements) + len(both)), both
-            elements += map(Binomial, map(tuple, both[:, :d].tolist()),
-                            map(tuple, both[:, d:].tolist()))
+            sides = zip(map(tuple, both[:, :d].tolist()), map(tuple, both[:, d:].tolist()))
+            elements += map(tuple.__new__, repeat(Binomial), sides)    # no Python __new__
         basis = OrientedBasis(tuple(elements))
         basis.__dict__["shapes"] = shapes       # fills the cached_property (no __slots__)
         return basis
@@ -269,10 +276,20 @@ class ToricSystem:
         # M = [1; A].  The pivot columns of M^T are the rows of M that are
         # independent of the rows above them; the Gram matrix M M^T has the
         # same ones (x^T M M^T = 0 exactly when x^T M = 0) and is the
-        # smaller matrix when M has fewer rows than columns.
+        # smaller matrix when M has fewer rows than columns.  A zero row, a
+        # repeat of an earlier row and each edge's last used row (the
+        # all-ones row minus the edge's other rows) lie in the span of the
+        # rows above them, so they are left out and the pivots stay the same.
         m = np.ones((len(self.rows) + 1, len(self.homs)), dtype=np.int64)
         m[1:] = self.dense_matrix()
-        small = m @ m.T if m.shape[0] <= m.shape[1] else m.T
+        f = m.astype(np.float64)        # exact: a Gram entry is at most the column count
+        gram = (f @ f.T).astype(np.int64)
+        norm = gram.diagonal()          # 0/1 rows are equal when their product is the larger norm
+        first = (gram == np.maximum(norm, norm[:, None])).argmax(axis=1)
+        first[self.entries.max(axis=0, initial=-1) + 1] = -1     # each edge's last used row
+        keep = (first == np.arange(len(m))) & (norm > 0)
+        m = m[keep]
+        small = gram[keep][:, keep] if len(m) <= m.shape[1] else m.T
         rows = [p for p in echelon(small.tolist())[0] if p]
         return m[rows]
 
@@ -283,8 +300,9 @@ class ToricSystem:
         see the module docstring.  The low ``room`` bits hold a row number."""
         packed = self._packed.get((bits, room))
         if packed is None:
-            padded = np.pad(self.key_matrix, ((0, 1), (0, 1)))
-            padded[-1, -1] = 1
+            key = self.key_matrix
+            padded = np.zeros((key.shape[0] + 1, key.shape[1] + 1), dtype=np.int64)
+            padded[:-1, :-1], padded[-1, -1] = key, 1
             packed = self._packed[bits, room] = _pack(padded, bits, room)
         return packed
 
@@ -749,7 +767,7 @@ class _Layers:
                 rank = _rank(mono, self.n)
                 del mono
                 ends.append(rank if block.rank is None else block.rank.searchsorted(rank))
-            out.append(np.stack(ends, axis=1))
+            out.append(np.array(ends).T)
         return np.concatenate(out) if out else np.zeros((0, 2), dtype=np.int64)
 
 
@@ -1014,7 +1032,9 @@ def _basis_sides(system, basis: OrientedBasis):
         if d != q:
             b = basis.elements[where[0]]
             raise ValueError(f"binomial {b.plus} - {b.minus} is not homogeneous")
-        s = np.sort(rows.astype(np.int32, copy=False).reshape(len(rows), 2, d), axis=2)
+        s = rows.astype(np.int32)       # a copy: its sides are sorted in place
+        _sort_rows(s.reshape(2 * len(rows), d))
+        s = s.reshape(len(rows), 2, d)
         s = s[(s[:, 0] != s[:, 1]).any(axis=1)]
         if len(s):
             sides[d] = s
@@ -1024,17 +1044,32 @@ def _basis_sides(system, basis: OrientedBasis):
 def _invariant(sides, perms, n_vars: int) -> bool:
     """True when every variable permutation of ``perms`` (identity first)
     maps the elements of ``sides`` (see ``_basis_sides``), read as a
-    multiset of unordered binomials, onto itself: each side is moved,
-    re-sorted and ranked in its layer, the two ranks of every element put
-    low first and the pairs sorted."""
+    multiset of unordered binomials, onto itself; stops at the first that
+    does not.  Each side is moved, re-sorted and ranked in its layer, and
+    the sorted ranks must be the basis's.  A side is then named by its
+    place among the distinct ranks, so an element is one int64 word (its
+    two places, low first) at any layer size, and the words are sorted."""
     for d, s in sides.items():
-        pairs = []
+        words = None
         for perm in perms:
-            rank = _rank(np.sort(perm[s], axis=2).reshape(-1, d), n_vars).reshape(-1, 2)
-            rank.sort(axis=1)
-            pairs.append(rank[np.lexsort((rank[:, 1], rank[:, 0]))])
-        if not all(np.array_equal(p, pairs[0]) for p in pairs[1:]):
-            return False
+            moved = perm[s].reshape(-1, d)
+            _sort_rows(moved)
+            rank = _rank(moved, n_vars)
+            order = rank.argsort()
+            if words is None:
+                ranks = rank[order]
+                place = np.cumsum(_run_starts(ranks))
+            elif not np.array_equal(rank[order], ranks):
+                return False
+            at = np.empty_like(place)
+            at[order] = place
+            lead, trail = at[0::2], at[1::2]
+            word = np.minimum(lead, trail) * len(at) + np.maximum(lead, trail)
+            word.sort()
+            if words is None:
+                words = word
+            elif not np.array_equal(word, words):
+                return False
     return True
 
 

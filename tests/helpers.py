@@ -865,6 +865,23 @@ def unbucketed_verify_markov(system, basis, cap, mono_cap=10**7):
     return True
 
 
+def naive_invariant(sides, perms, n_vars):
+    """``toric._invariant`` as it was before the one-word keys: every side
+    moved, re-sorted by ``np.sort`` and ranked in its layer, the two ranks
+    of every element put low first and the pairs sorted by ``np.lexsort``;
+    each permutation's pairs compared with the identity's."""
+    from homtoric.toric import _rank
+    for d, s in sides.items():
+        pairs = []
+        for perm in perms:
+            rank = _rank(np.sort(perm[s], axis=2).reshape(-1, d), n_vars).reshape(-1, 2)
+            rank.sort(axis=1)
+            pairs.append(rank[np.lexsort((rank[:, 1], rank[:, 0]))])
+        if not all(np.array_equal(p, pairs[0]) for p in pairs[1:]):
+            return False
+    return True
+
+
 def unbucketed_verify_grobner(system, basis, cap, mono_cap=10**7):
     """``verify_grobner`` on whole layers."""
     from homtoric.toric import _basis_sides

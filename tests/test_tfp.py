@@ -1,6 +1,6 @@
 import random
 from collections import Counter
-from itertools import combinations_with_replacement, product
+from itertools import accumulate, chain, combinations_with_replacement, product
 
 import pytest
 
@@ -8,9 +8,9 @@ from homtoric import graph as G
 from homtoric import tfp
 from homtoric.graph import Graph
 from homtoric.homset import HomTooLarge
-from homtoric.tfp import (GlueError, GlueSpec, LiftTooLarge, _distinct_matchings,
-                          _pairing_count, check_codim_zero, forest_pipeline, glue_basis,
-                          glue_grobner, outerplanar_pipeline)
+from homtoric.tfp import (GlueError, GlueSpec, LiftTooLarge, _distinct_matchings, _matchings,
+                          _pairing_count, _pairings, check_codim_zero, forest_pipeline,
+                          glue_basis, glue_grobner, outerplanar_pipeline)
 from homtoric.toric import (Binomial, OrientedBasis, build_system, markov_basis,
                             verify_grobner, verify_markov)
 
@@ -157,6 +157,29 @@ def test_matchings_stay_inside_classes():
     assert list(_distinct_matchings(ps, qs, cls)) == expected
     assert len(expected) == _pairing_count((1, 2), (1, 2)) * _pairing_count((1, 1), (1, 1))
     assert _pairing_count((1,) * 12, (1,) * 12) == 479001600
+
+
+def test_matching_tables_per_run_pattern_match_distinct_matchings():
+    # every run pattern up to degree 4: per position after the first, a
+    # new class (so new plus and minus runs), or in one class a new plus
+    # run or not and a new minus run or not.  The pattern's table of
+    # minus positions, read at actual values, lists _distinct_matchings
+    # in order, any prefix of it too, and in full has _pairings rows
+    steps = ((1, 1, 1), (0, 0, 0), (0, 0, 1), (0, 1, 0), (0, 1, 1))
+    patterns = 0
+    for d in range(1, 5):
+        for flags in product(steps, repeat=d - 1):
+            flags = ((1, 1, 1),) + flags
+            cls, p, q = (list(accumulate(f[o] for f in flags)) for o in range(3))
+            ps, qs = ([10 * c + v for c, v in zip(cls, side)] for side in (p, q))
+            starts = bytes(chain(*flags, (1, 1, 1)))    # as _lift_run keys an element
+            full = list(_distinct_matchings(ps, qs, cls))
+            assert _pairings(starts) == len(full)
+            for count in range(1, len(full) + 1):
+                rows = _matchings(starts, count).tolist()
+                assert [tuple(qs[j] for j in row) for row in rows] == full[:count]
+            patterns += 1
+    assert patterns == 1 + 5 + 25 + 125
 
 
 def test_truncated_glue_matches_per_binomial_budgets():

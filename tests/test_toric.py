@@ -1,5 +1,6 @@
 import random
 import tracemalloc
+from bisect import bisect_right
 from itertools import combinations, combinations_with_replacement
 from math import comb
 from unittest import mock
@@ -21,8 +22,8 @@ from homtoric.toric import (Binomial, OrientedBasis, ResourceCapExceeded, _rank,
 from helpers import (MoveIndex, engine_layer, graphs_upto_iso, hom_sources, hom_targets,
                      naive_check_basis_members, naive_fiber_is_grobner, naive_fibers,
                      naive_layer_fibers, naive_markov_basis, naive_markov_width,
-                     naive_membership, naive_pivot_columns, naive_system_columns,
-                     naive_verify_markov, same_partition, unbucketed_layer,
+                     naive_invariant, naive_membership, naive_pivot_columns,
+                     naive_system_columns, naive_verify_markov, same_partition, unbucketed_layer,
                      unbucketed_markov_basis, unbucketed_verify_grobner,
                      unbucketed_verify_markov, unsettled_split)
 
@@ -234,6 +235,25 @@ def test_key_rows_independent_modulo_degree():
         assert all(row in a for row in key)
         rank = len(naive_pivot_columns(list(zip(*(ones + a)))))
         assert len(naive_pivot_columns(list(zip(*(ones + key))))) == len(key) + 1 == rank
+
+
+def test_key_is_the_first_independent_rows_of_a():
+    # the elimination sees no zero row, no repeat of an earlier row and no
+    # edge's last used row, which are never pivots: the key is still every
+    # row of A independent of the all-ones row and the rows above it
+    full = build_system(G.path(4), G.complete(3))
+    systems = [build_system(g, h) for g, h, _ in _fiber_cases()] + [
+        full.restrict_columns(i for i, m in enumerate(full.homs.maps) if m[0] < 2),
+        build_system(Graph(4, [(0, 1), (0, 2), (0, 3)]), G.spoon()),
+        build_system(G.path(6), G.complete(3))]
+    repeats = zeros = 0
+    for system in systems:
+        a = system.dense_matrix().tolist()
+        pivots = naive_pivot_columns(list(zip(*([[1] * system.num_vars] + a))))
+        assert system.key_matrix.tolist() == [a[p - 1] for p in pivots if p]
+        zeros += sum(not any(row) for row in a)
+        repeats += len(a) - len({tuple(row) for row in a})
+    assert zeros and repeats
 
 
 def test_mono_cap():
@@ -1193,6 +1213,83 @@ def test_orbit_verdict_matches_whole_layer_verdict_on_drawn_systems(g, target, d
     with mock.patch.object(toric, "BLOCK", 16):
         for b in bases:
             assert verify_markov(system, b, cap) == unbucketed_verify_markov(system, b, cap)
+
+
+@settings(derandomize=True, database=None, max_examples=40, deadline=None)
+@given(g=_small_graphs(), target=st.sampled_from(sorted(_TARGETS)), data=st.data())
+def test_invariance_matches_the_naive_test_on_drawn_bases(g, target, data):
+    # the one-word invariance test against the lexsorted rank pairs of
+    # naive_invariant, on the Markov basis and on it with one drawn
+    # element dropped or flipped
+    system = build_system(g, _TARGETS[target])
+    basis = markov_basis(system, _drawn_cap(system)).basis
+    perms, n, elems = toric._automorphisms(system), system.num_vars, basis.elements
+    bases = [basis]
+    if elems:
+        i = data.draw(st.integers(0, len(elems) - 1))
+        bases.append(OrientedBasis(elems[:i] + elems[i + 1:]))
+        bases.append(OrientedBasis(elems[:i] + (elems[i].flipped(),) + elems[i + 1:]))
+    for b in bases:
+        sides = toric._basis_sides(system, b)
+        assert toric._invariant(sides, perms, n) == naive_invariant(sides, perms, n)
+
+
+def test_invariance_is_exact_where_two_layer_ranks_overflow_a_word():
+    # C(n + d - 1, d)^2 >= 2^63, so a word of two layer ranks would not
+    # fit; bases closed under the reversal v -> n - 1 - v (elements and
+    # their images, some flipped), and each with one element dropped, one
+    # side moved or the images left out
+    rng = random.Random(29)
+    verdicts = set()
+    for n, d in ((100_000, 2), (3_000, 3)):
+        assert comb(n + d - 1, d) ** 2 >= 2**63 > comb(n + d - 1, d)
+        reverse = np.arange(n + 1, dtype=np.int32)
+        reverse[:n] = reverse[n - 1::-1]
+        perms = np.stack([np.arange(n + 1, dtype=np.int32), reverse])
+        for _ in range(4):
+            low = ([rng.randrange(n) for _ in range(20)]
+                   + [n - 1 - rng.randrange(30) for _ in range(20)])    # ranks near C
+            elems = set()
+            while len(elems) < 12:
+                lead, trail = (tuple(sorted(rng.sample(low, d))) for _ in range(2))
+                if lead != trail:
+                    elems.add((lead, trail))
+            closed = sorted(elems | {tuple(tuple(sorted(int(reverse[v]) for v in side))
+                                           for side in e[::-1]) for e in elems})
+            moved = closed[1:] + [(closed[0][0], tuple(sorted(set(low) - set(closed[0][0])))[:d])]
+            for case in (closed, closed[1:], moved, sorted(elems)):
+                sides = {d: np.array(case, dtype=np.int32)}
+                verdict = toric._invariant(sides, perms, n)
+                assert verdict == naive_invariant(sides, perms, n)
+                verdicts.add(verdict)
+    assert verdicts == {True, False}
+    # two elements whose words of layer ranks, lead * C + trail, agree
+    # modulo 2^64; a permutation that maps one onto the other moves a
+    # basis holding only the first
+    n = 150_000
+    size = comb(n + 1, 2)
+    k = round(2**64 / size)
+
+    def before(a):                      # the degree-2 monomials before (a, a) in lex order
+        return a * n - a * (a - 1) // 2
+
+    def monomial(rank):
+        a = bisect_right(range(n), rank, key=before) - 1
+        return (a, a + rank - before(a))
+    for gap in range(n, 4 * n, 1000):  # the second trail a row or more past its lead
+        ranks = (1, 1 + k + gap + k * size - 2**64, 1 + k, 1 + k + gap)
+        monos = [monomial(r) for r in ranks]
+        if len(set(sum(monos, ()))) == 8:
+            break
+    assert [int(r) for r in _rank(np.array(monos), n)] == list(ranks)
+    assert (ranks[0] * size + ranks[1] - ranks[2] * size - ranks[3]) % 2**64 == 0
+    swap = np.arange(n + 1, dtype=np.int32)
+    for x, y in zip(sum(monos[:2], ()), sum(monos[2:], ())):
+        swap[x], swap[y] = y, x
+    perms = np.stack([np.arange(n + 1, dtype=np.int32), swap])
+    for case, expected in (([monos[:2]], False), ([monos[:2], monos[2:]], True)):
+        sides = {2: np.array(case, dtype=np.int32)}
+        assert toric._invariant(sides, perms, n) == naive_invariant(sides, perms, n) == expected
 
 
 # ---------------------------------------------------------------------------
