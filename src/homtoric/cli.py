@@ -207,7 +207,9 @@ def cmd_chromatic_cert(args, rep) -> int:
         try:
             u, v = map(int, line.split())
         except ValueError:
-            raise ValueError(f"bad relation line: {raw!r}") from None
+            u = v = -1
+        if not (0 <= u < g.n and 0 <= v < g.n and u != v):
+            raise ValueError(f"bad relation line: {raw!r}")
         relation.append((u, v))
     system, b = find_low_degree_binomial(g, degree_cap=args.cap,
                                          mono_cap=args.mono_cap)

@@ -41,23 +41,16 @@ class Poset:
 
     def __init__(self, n: int, covers=()):
         self.n = n
-        leq = {(i, i) for i in range(n)}
+        leq = np.eye(n, dtype=bool)
         for a, b in covers:
             if not (0 <= a < n and 0 <= b < n) or a == b:
                 raise PosetError(f"bad cover relation {a} < {b}")
-            leq.add((a, b))
-        changed = True
-        while changed:
-            changed = False
-            for a, b in list(leq):
-                for c in range(n):
-                    if (b, c) in leq and (a, c) not in leq:
-                        leq.add((a, c))
-                        changed = True
-        for a, b in leq:
-            if a != b and (b, a) in leq:
-                raise PosetError(f"relation is not antisymmetric: {a} ~ {b}")
-        self.leq = frozenset(leq)
+            leq[a, b] = True
+        for c in range(n):          # Warshall: close the relation through c
+            leq |= leq[:, c, None] & leq[c]
+        if len(bad := np.argwhere(leq & leq.T & ~np.eye(n, dtype=bool))):
+            raise PosetError("relation is not antisymmetric: {} ~ {}".format(*bad[0].tolist()))
+        self.leq = frozenset(map(tuple, np.argwhere(leq).tolist()))
 
     def le(self, a: int, b: int) -> bool:
         return (a, b) in self.leq

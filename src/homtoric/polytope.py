@@ -73,6 +73,8 @@ def polytope_of_system(system: ToricSystem) -> LatticePolytope:
 # facets
 
 CHUNK = 2048         # vertex subsets per batch: a few MB of int64
+VERTEX_CAP = 30      # most vertices that facets enumerates over
+DIM_CAP = 8          # highest dimension; int64 stays exact up to 16, which clamps it
 
 
 def _hyperplanes(points):
@@ -111,18 +113,17 @@ def _hyperplanes(points):
     return normal // g[:, None] * sign[:, None], offset // g * sign
 
 
-def facets(poly: LatticePolytope, *, vertex_cap: int = 30,
-           dim_cap: int = 8) -> FacetDescription:
+def facets(poly: LatticePolytope) -> FacetDescription:
     """Facet enumeration over spanning vertex subsets, ``CHUNK`` subsets a
     batch.  Vertices must be 0/1, so the differences lie in {-1, 0, 1}:
     each minor in ``_hyperplanes`` is at most dim^((dim-1)/2) and each
     intermediate below 2 dim^(dim-1) (4,194,304 at dim 8), exact in int64
-    up to dimension 16, which caps ``dim_cap``."""
+    up to dimension 16, which caps ``DIM_CAP``."""
     nverts = poly.num_vertices
     if nverts == 0:
         return FacetDescription(-1, (), ())
-    if nverts > vertex_cap:
-        raise PolytopeCapExceeded(f"{nverts} vertices above the cap {vertex_cap}")
+    if nverts > VERTEX_CAP:
+        raise PolytopeCapExceeded(f"{nverts} vertices above the cap {VERTEX_CAP}")
     if not {x for v in poly.vertices for x in v} <= {0, 1}:
         raise ValueError("facet enumeration needs 0/1 vertices")
     # the pivot coordinates of the vertex differences project the affine
@@ -130,8 +131,7 @@ def facets(poly: LatticePolytope, *, vertex_cap: int = 30,
     base = poly.vertices[0]
     pivots = echelon([[x - b for x, b in zip(v, base)] for v in poly.vertices[1:]])[0]
     dim = len(pivots)
-    dim_cap = min(dim_cap, 16)
-    if dim > dim_cap:
+    if dim > (dim_cap := min(DIM_CAP, 16)):
         raise PolytopeCapExceeded(f"dimension {dim} above the cap {dim_cap}")
     if dim == 0:
         return FacetDescription(0, pivots, ())
@@ -203,7 +203,7 @@ def stable_set_iso(g: Graph) -> StableSetIso:
         if rho[1] == 0:
             chosen.setdefault(w, ridx)
     points = []
-    for col, s in zip(system.cols, sets):
+    for col, s in zip(system.entries.tolist(), sets):
         colset = set(col)
         pt = tuple(1 if chosen[v] in colset else 0 for v in range(g.n))
         # consistency: each coordinate is independent of the chosen edge

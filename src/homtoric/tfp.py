@@ -343,44 +343,50 @@ class PipelineResult:
     truncated: bool
 
 
+def _pipeline(g: Graph, h: Graph, split, base, **glue) -> PipelineResult:
+    """Glue ``g`` from the sides ``split(graph)`` names, side 1 first, down to
+    the graphs whose basis ``base(graph)`` gives (else None)."""
+    systems = {}
+
+    def build(graph: Graph):
+        if (basis := base(graph)) is not None:
+            return basis, {b.degree for b in basis}, False, None
+        spec = GlueSpec(graph, *split(graph), h, _systems=systems)
+        b1, d1, t1, _ = build(spec.sub1.graph)
+        b2, d2, t2, _ = build(spec.sub2.graph)
+        res = glue_basis(spec, b1, b2, **glue)
+        return (res.basis, d1 | d2 | set(res.degrees_full), t1 or t2 or res.truncated,
+                spec.sys_union)
+
+    basis, degrees, truncated, system = build(g)
+    return PipelineResult(system or build_system(g, h), basis, tuple(sorted(degrees)), truncated)
+
+
 def forest_pipeline(g: Graph, h: Graph) -> PipelineResult:
     """Recursive leaf gluing: every forest ideal is generated by the
     quadratic square-free swaps collected along the decomposition."""
     if not (g.is_loopfree() and len(g.edges) == g.n - len(graphs.components(g))):
         raise GlueError("graph is not a forest")
-    systems = {}
 
-    def build(graph: Graph):
-        if len(graph.edges) <= 1:
-            return OrientedBasis.make(()), set(), None
-        comps = graphs.components(graph)
-        if len(comps) > 1:
-            side2 = comps[-1]
-            side1 = sorted(v for c in comps[:-1] for v in c)
-        else:
-            leaf = max(v for v in range(graph.n) if len(graph.neighbors(v)) == 1)
-            side1 = [v for v in range(graph.n) if v != leaf]
-            side2 = [leaf, next(iter(graph.neighbors(leaf)))]
-        spec = GlueSpec(graph, side1, side2, h, _systems=systems)
-        b1, d1, _ = build(spec.sub1.graph)
-        b2, d2, _ = build(spec.sub2.graph)
-        res = glue_basis(spec, b1, b2, lift_cap=PIPELINE_LIFT_CAP)
-        return res.basis, d1 | d2 | set(res.degrees_full), spec.sys_union
+    def split(graph: Graph):    # the last component, else the highest leaf and its neighbour
+        if len(comps := graphs.components(graph)) > 1:
+            return sorted(v for c in comps[:-1] for v in c), comps[-1]
+        leaf = max(v for v in range(graph.n) if len(graph.neighbors(v)) == 1)
+        return [v for v in range(graph.n) if v != leaf], [leaf, next(iter(graph.neighbors(leaf)))]
 
-    basis, degrees, system = build(g)   # the outermost union system
-    system = system or build_system(g, h)
+    empty = OrientedBasis.make(())
+    res = _pipeline(g, h, split, lambda graph: None if len(graph.edges) > 1 else empty,
+                    lift_cap=PIPELINE_LIFT_CAP)
     # maps that differ only on isolated vertices have equal columns; the
     # gluing treats each side's maps as distinct, so join them linearly
     first, linear = {}, []
-    for k, col in enumerate(system.cols):
-        if col in first:
+    for k, col in enumerate(map(tuple, res.system.entries.tolist())):
+        if first.setdefault(col, k) != k:
             linear.append((first[col], k))
-        else:
-            first[col] = k
-    if linear:
-        basis = OrientedBasis.from_rows([np.array(linear), *(r for _, r in basis.shapes.values())])
-        degrees.add(1)
-    return PipelineResult(system, basis, tuple(sorted(degrees)), False)
+    if not linear:
+        return res
+    basis = OrientedBasis.from_rows([np.array(linear), *(r for _, r in res.basis.shapes.values())])
+    return PipelineResult(res.system, basis, tuple(sorted({1, *res.degrees_full})), False)
 
 
 def _ear_order(g: Graph):
@@ -414,21 +420,10 @@ def outerplanar_pipeline(g: Graph, h: Graph, base_basis: OrientedBasis = None, *
         raise GlueError("graph is not a maximal outerplanar triangulation")
     if base_basis is None:
         base_basis = markov_basis(build_system(graphs.complete(3), h), 3).basis
-    systems = {}
 
-    def build(graph: Graph):
-        if graph.n == 3:
-            return base_basis, set(b.degree for b in base_basis), False, None
+    def ear_split(graph: Graph):
         ear = _ear_order(graph)[0]
-        side1 = [v for v in range(graph.n) if v != ear]
-        side2 = sorted(graph.neighbors(ear)) + [ear]
-        spec = GlueSpec(graph, side1, side2, h, _systems=systems)
-        b1, d1, t1, _ = build(spec.sub1.graph)
-        res = glue_basis(spec, b1, base_basis, lift_cap=lift_cap,
-                         allow_truncation=allow_truncation)
-        return (res.basis, d1 | set(res.degrees_full), t1 or res.truncated,
-                spec.sys_union)
+        return [v for v in range(graph.n) if v != ear], sorted(graph.neighbors(ear)) + [ear]
 
-    basis, degrees, truncated, system = build(g)   # the outermost union system
-    system = system or build_system(g, h)
-    return PipelineResult(system, basis, tuple(sorted(degrees)), truncated)
+    return _pipeline(g, h, ear_split, lambda graph: base_basis if graph.n == 3 else None,
+                     lift_cap=lift_cap, allow_truncation=allow_truncation)

@@ -227,10 +227,10 @@ class ToricSystem:
     lists the rows (edge of G, edge map) edge by edge, the edges sorted and
     each edge's maps sorted, a loop's map as (w,); ``entries`` is the
     (variables x edges) int array of the row each map gives each edge,
-    ascending along every row since the rows go edge by edge; ``cols`` is
-    ``entries`` as tuples."""
+    ascending along every row since the rows go edge by edge: the only
+    store of A's columns."""
 
-    __slots__ = ("g", "h", "homs", "rows", "entries", "cols", "_key", "_packed", "_packed_words")
+    __slots__ = ("g", "h", "homs", "rows", "entries", "_key", "_packed", "_packed_words")
 
     def __init__(self, g: Graph, h: Graph, homs: HomSet):
         pairs = sorted({(a, b) for a, b in h.edges} | {(b, a) for a, b in h.edges})
@@ -250,7 +250,6 @@ class ToricSystem:
         self.g, self.h, self.homs = g, h, homs
         self.rows = tuple(rows)
         self.entries = tables[loop, maps[:, u], maps[:, v]] + first
-        self.cols = tuple(map(tuple, self.entries.tolist()))
         self._key = None
         self._packed = {}
         self._packed_words = {}
@@ -1171,8 +1170,8 @@ def parse_basis_text(text: str, system) -> OrientedBasis:
         lead, sep, trail = line.partition(" - ")
         if not sep:
             raise ValueError(f"bad binomial line: {raw!r}")
-        p, m = strip_common(parse_monomial(lead, system), parse_monomial(trail, system))
-        if not p and not m:
+        b = Binomial.make(parse_monomial(lead, system), parse_monomial(trail, system))
+        if b is None:
             raise ValueError(f"zero binomial: {raw!r}")
-        elems.append(Binomial(p, m))
+        elems.append(b)
     return OrientedBasis.make(elems)

@@ -358,7 +358,7 @@ def naive_image(system, mono):
     from the column entries of its factors."""
     img = Counter()
     for v in mono:
-        img.update(system.cols[v])
+        img.update(system.entries[v].tolist())
     return tuple(sorted(img.items()))
 
 

@@ -103,7 +103,8 @@ def test_chromatic_cert_cli(tmp_path, capsys):
 
 def test_chromatic_cert_bad_relation_lines(tmp_path, capsys):
     rel = tmp_path / "rel.txt"
-    for line in ("2 3 4", "0 x"):
+    # octahedron has vertices 0..5: a pair must be two distinct ones
+    for line in ("2 3 4", "0 x", "0 9", "-1 2", "3 3"):
         rel.write_text(f"0 1\n{line}\n")
         code = main(["chromatic-cert", "octahedron", "--relation", str(rel)])
         captured = capsys.readouterr()
@@ -176,6 +177,35 @@ def test_polytope_isolated_vertex_exit_2(capsys):
     err = capsys.readouterr().err
     assert code == 2
     assert "vertex on no edge" in err
+
+
+def test_glue_dependent_intersection_exit_1(tmp_path, capsys):
+    # P3 glued to itself shares every vertex, whose configuration into the
+    # spoon is not linearly independent
+    path = tmp_path / "p3.txt"
+    path.write_text("n 3\ne 0 1\ne 1 2\n")
+    code = main(["glue", str(path), str(path), "spoon"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ("intersection configuration is not linearly independent; "
+                            "the lift construction does not apply\n")
+    assert captured.err == ""
+
+
+def test_polytope_facets_dimension_cap_exit_3(capsys):
+    code = main(["polytope", "complete:3", "complete:4", "--facets"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err == "resource cap: dimension 22 above the cap 8\n"
+
+
+def test_homs_mono_cap_exit_3(capsys):
+    code = main(["homs", "path:5", "complete:3", "--mono-cap", "3"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err == "resource cap: more than 3 homomorphisms\n"
 
 
 def test_resource_cap_exit(capsys):

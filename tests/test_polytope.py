@@ -162,10 +162,11 @@ def test_c5_stable_set_polytope_eleven_facets():
     assert by_kind == {"nonneg": 5, "edge": 5, "hole": 1}
 
 
-def test_vertex_cap():
+def test_vertex_cap(monkeypatch):
     poly = stable_set_polytope(G.cycle(5))
+    monkeypatch.setattr(polytope, "VERTEX_CAP", 5)
     with pytest.raises(PolytopeCapExceeded):
-        facets(poly, vertex_cap=5)
+        facets(poly)
 
 
 def test_vertex_cap_refuses_before_elimination(monkeypatch):
@@ -268,15 +269,18 @@ def test_caps_refuse_before_any_batch(monkeypatch):
 
     monkeypatch.setattr(polytope, "_hyperplanes", fail)
     poly = stable_set_polytope(G.cycle(6))
-    with pytest.raises(PolytopeCapExceeded, match="18 vertices"):
-        facets(poly, vertex_cap=17)
+    monkeypatch.setattr(polytope, "DIM_CAP", 5)
     with pytest.raises(PolytopeCapExceeded, match="dimension 6"):
-        facets(poly, dim_cap=5)
+        facets(poly)
     # int64 stays exact only up to dimension 16, whatever the cap asks
     simplex = LatticePolytope(tuple(range(17)), ((0,) * 17,) + tuple(
         tuple(int(i == j) for i in range(17)) for j in range(17)), tuple(range(18)))
+    monkeypatch.setattr(polytope, "DIM_CAP", 20)
     with pytest.raises(PolytopeCapExceeded, match="dimension 17 above the cap 16"):
-        facets(simplex, dim_cap=20)
+        facets(simplex)
+    monkeypatch.setattr(polytope, "VERTEX_CAP", 17)
+    with pytest.raises(PolytopeCapExceeded, match="18 vertices"):
+        facets(poly)
 
 
 def test_non_01_vertex_rejected():

@@ -1,8 +1,10 @@
 import random
 from collections import Counter
-from itertools import accumulate, chain, combinations_with_replacement, product
+from itertools import accumulate, chain, combinations, combinations_with_replacement, product
+from math import comb
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from homtoric import graph as G
 from homtoric import tfp
@@ -125,6 +127,36 @@ def test_glue_squarefree_preserved():
     res = glue_basis(spec, base, base, lift_cap=10000, allow_truncation=True)
     assert res.basis.is_squarefree()
     assert set(res.degrees_full) == {2, 12}
+
+
+@st.composite
+def _separations(draw):
+    """A graph on at most 6 vertices, a side A, and the side B of V - A and
+    the vertices of A with a neighbour outside A, so that no edge crosses."""
+    n = draw(st.integers(1, 6))
+    pairs = list(combinations(range(n), 2))
+    edges = draw(st.sets(st.sampled_from(pairs)) if pairs else st.just(set()))
+    loops = draw(st.sets(st.integers(0, n - 1), max_size=1))
+    g = Graph(n, sorted(edges) + [(v, v) for v in loops])
+    side_a = draw(st.sets(st.integers(0, n - 1), min_size=1))
+    rest = set(range(n)) - side_a
+    return g, side_a, rest | {v for v in side_a if g.neighbors(v) & rest}
+
+
+@settings(derandomize=True, database=None, max_examples=120, deadline=None)
+@given(sep=_separations(), target=st.sampled_from(["spoon", "K3", "P3", "looped2"]))
+def test_glued_markov_bases_verify_on_drawn_separations(sep, target):
+    # Markov bases of both sides to degree cap, glued over a codimension-zero
+    # intersection, connect every fiber of the union to degree cap: 3, or 2
+    # past 20,000 degree-3 monomials in a system (isolated vertices)
+    h = {"spoon": G.spoon(), "K3": G.complete(3), "P3": G.path(3),
+         "looped2": G.complete_looped(2)}[target]
+    spec = GlueSpec(*sep, h)
+    assume(check_codim_zero(spec))
+    systems = (spec.sys1, spec.sys2, spec.sys_union)
+    cap = 3 if max(comb(s.num_vars + 2, 3) for s in systems) <= 20_000 else 2
+    b1, b2 = (markov_basis(system, cap).basis for system in systems[:2])
+    assert verify_markov(spec.sys_union, glue_basis(spec, b1, b2).basis, cap)
 
 
 def test_lift_cap_raises_without_truncation():

@@ -91,7 +91,7 @@ def test_square_spoon_matrix_reproduced_exactly():
         return system.rows.index(((u, v), rho))
 
     dense = [[0] * system.num_vars for _ in range(len(system.rows))]
-    for j, col in enumerate(system.cols):
+    for j, col in enumerate(system.entries.tolist()):
         for r in col:
             dense[r][j] = 1
     for (edge_name, s_name), row in SQUARE_MATRIX.items():
@@ -103,7 +103,7 @@ def test_square_spoon_matrix_reproduced_exactly():
 def test_single_edge_system_trivial():
     for h in (G.spoon(), G.complete(3), G.complete_looped(2)):
         system = build_system(G.complete(2), h)
-        cols = set(system.cols)
+        cols = set(map(tuple, system.entries.tolist()))
         assert len(cols) == system.num_vars  # distinct unit-pattern columns
         assert markov_basis(system, 3).width == 0
 
@@ -122,7 +122,7 @@ def test_dense_matrix_matches_columns():
         system = build_system(g, h)
         a = system.dense_matrix()
         assert a.dtype == np.int64 and a.shape == (len(system.rows), system.num_vars)
-        assert a.tolist() == [[col.count(j) for col in system.cols]
+        assert a.tolist() == [[col.count(j) for col in system.entries.tolist()]
                               for j in range(len(system.rows))]
 
 
@@ -130,8 +130,9 @@ def test_columns_match_the_per_map_oracle():
     def check(system):
         rows, cols = naive_system_columns(system.g, system.h, system.homs)
         assert system.rows == rows
-        assert system.cols == cols
-        assert all(type(j) is int for col in system.cols for j in col)
+        assert tuple(map(tuple, system.entries.tolist())) == cols
+        assert system.entries.dtype == np.intp
+        assert system.entries.shape == (len(cols), len(system.g.edges))
         assert system.dense_matrix().tolist() == [[col.count(j) for col in cols]
                                                   for j in range(len(rows))]
 
@@ -230,7 +231,7 @@ def test_key_rows_independent_modulo_degree():
             assert system.key_matrix.shape[0] == 0
             continue
         ones = [[1] * system.num_vars]
-        a = [[col.count(j) for col in system.cols] for j in range(len(system.rows))]
+        a = [[col.count(j) for col in system.entries.tolist()] for j in range(len(system.rows))]
         key = system.key_matrix.tolist()
         assert all(row in a for row in key)
         rank = len(naive_pivot_columns(list(zip(*(ones + a)))))
@@ -1299,7 +1300,7 @@ def test_restrict_columns_keeps_columns_and_rejects_reordering():
     system = build_system(G.path(4), G.path(3))
     sub = system.restrict_columns((1, 4, 6))
     assert sub.homs.maps == tuple(system.homs.maps[v] for v in (1, 4, 6))
-    assert sub.cols == tuple(system.cols[v] for v in (1, 4, 6))
+    assert np.array_equal(sub.entries, system.entries[[1, 4, 6]])
     assert sub.rows == system.rows
     assert np.array_equal(sub.dense_matrix(), system.dense_matrix()[:, [1, 4, 6]])
     for bad in ((4, 1), (1, 1), (-1, 2), (0, system.num_vars)):
